@@ -113,14 +113,14 @@ def residual_pair(spec, x, alpha, beta):
     return max(ra, rb)
 
 
-def default_profile_grid(alpha, beta, stop=5.0, step=0.01):
-    """Uniform grid on [0, stop] plus the pair-derived times.
+def default_profile_grid(alpha, beta, stop=5.0, step=0.01, start=0.0):
+    """Uniform grid on [start, stop] plus the pair-derived times.
 
     The extra points alpha, beta, alpha+beta and |alpha-beta| make the
     profile sensitive to structure at the sampled times themselves.
     """
     alpha, beta = check_pair(alpha, beta)
-    base = np.arange(0.0, stop + 0.5 * step, step)
+    base = np.arange(start, stop + 0.5 * step, step)
     extra = [alpha, beta, alpha + beta, abs(alpha - beta)]
     grid = np.unique(np.concatenate([base, extra]))
     return grid[grid >= 0.0]

@@ -23,6 +23,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -57,6 +58,12 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with "-" as an option name
+        # unless it matches this; its own pattern misses "-4,1" and "-1e-3"
+        self._negative_number_matcher = re.compile(r"^-[\d.][\d.,eE+-]*$")
+
     # argparse exits with status 2 on bad flags; the exit-code contract
     # reserves 2 for budget exhaustion, so parse failures are rethrown
     # and mapped to 64 in main()
@@ -94,7 +101,7 @@ def _grid_arg(text):
         raise argparse.ArgumentTypeError(f"expected start:stop:step floats, got {text!r}")
     if not (start >= 0.0 and stop >= start and step > 0.0):
         raise argparse.ArgumentTypeError("grid needs 0 <= start <= stop and step > 0")
-    return (start, stop, step)
+    return {"start": start, "stop": stop, "step": step}
 
 
 # ---- experiment configuration --------------------------------------------------
@@ -290,14 +297,7 @@ def _cmd_decompose(args):
 def _cmd_verify(args):
     spec = from_descriptor(args.semigroup)
     x = np.array(args.point, dtype=float)
-    if args.grid is not None:
-        start, stop, step = args.grid
-        base = np.arange(start, stop + 0.5 * step, step)
-        extras = [args.alpha, args.beta, args.alpha + args.beta, abs(args.alpha - args.beta)]
-        grid = np.unique(np.concatenate([base, extras]))
-        grid = grid[grid >= 0.0]
-    else:
-        grid = default_profile_grid(args.alpha, args.beta)
+    grid = None if args.grid is None else default_profile_grid(args.alpha, args.beta, **args.grid)
     cert = certify_common_fixed(spec, x, args.alpha, args.beta, grid=grid, tol=args.tol)
     sys.stdout.write(_json_text({"spec_version": SPEC_VERSION, **cert.to_dict()}))
     return 0 if cert.verdict == "certified" else EX_NOT_CERTIFIED
@@ -431,3 +431,7 @@ def main(argv=None):
 
 def console_main():
     raise SystemExit(main(sys.argv[1:]))
+
+
+if __name__ == "__main__":
+    console_main()

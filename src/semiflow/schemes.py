@@ -27,6 +27,7 @@ be summable.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -180,11 +181,15 @@ class IterationConfig:
 
     def __post_init__(self):
         self.alpha, self.beta = check_pair(self.alpha, self.beta)
-        self.tol = float(self.tol)
-        if not (self.tol > 0 and math.isfinite(self.tol)):
-            raise ValueError("tol must be positive and finite")
-        if self.max_iter is not None and int(self.max_iter) < 1:
-            raise ValueError("max_iter must be a positive integer")
+        for name in ("tol", "inner_tol"):
+            value = float(getattr(self, name))
+            if not (value > 0 and math.isfinite(value)):
+                raise ValueError(f"{name} must be positive and finite, got {value!r}")
+            setattr(self, name, value)
+        for name in ("max_iter", "inner_cap"):
+            value = getattr(self, name)
+            if value is not None and not (isinstance(value, (int, np.integer)) and value >= 1):
+                raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.u is not None:
             self.u = as_point(self.u)
         if self.start is not None:
@@ -276,7 +281,7 @@ class _Recorder:
             pair_residual=float(pair_residual),
             step_norm=float(step_norm),
             fixed_set_distance=fsd,
-            point=np.array(point, dtype=float),
+            point=point,  # no copy: no scheme mutates an iterate in place
         )
         take = self.record_all or n <= 100
         if not take:
@@ -288,7 +293,6 @@ class _Recorder:
         if take:
             self.records.append(rec)
         self._last = rec
-        return rec
 
     def finish(self, tag, termination, inner_steps=None, inner_residuals=None):
         if self._last is None:
@@ -329,11 +333,37 @@ def _schedule_of(cfg):
     return cfg.schedule if cfg.schedule is not None else make_schedule("harmonic", offset=1)
 
 
-def _pair_images(spec, cfg, x):
-    ta = evaluate(spec, cfg.alpha, x)
-    tb = evaluate(spec, cfg.beta, x)
-    pair = max(float(np.linalg.norm(ta - x)), float(np.linalg.norm(tb - x)))
-    return ta, tb, pair
+def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
+    """The loop all schemes share: record each iterate and decide when to stop.
+
+    ``iterates`` yields x_1, x_2, ... and is sent (T(alpha)x_n, T(beta)x_n)
+    for the x_n it yielded last, so updates reuse those two applications.
+    Each x_n is recorded, then tested for an inner-solver failure (``inner``
+    holds the implicit scheme's (sweeps, residual, solved) per step), then
+    for convergence, then against the budget n_max.
+    """
+    rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
+    images = None
+    x_prev = None
+    for n in range(1, n_max + 1):
+        x = iterates.send(images)
+        ta = evaluate(spec, cfg.alpha, x)
+        tb = evaluate(spec, cfg.beta, x)
+        pair = max(float(np.linalg.norm(ta - x)), float(np.linalg.norm(tb - x)))
+        step = 0.0 if x_prev is None else float(np.linalg.norm(x - x_prev))
+        rec.add(n, pair, step, x)
+        if inner is not None and not inner[-1][2]:
+            termination = INNER_SOLVER_FAILURE
+            break
+        if pair <= cfg.tol and step <= cfg.tol:
+            termination = CONVERGED
+            break
+        images, x_prev = (ta, tb), x
+    else:
+        termination = MAX_ITER
+    if inner is None:
+        return rec.finish(tag, termination)
+    return rec.finish(tag, termination, [e[0] for e in inner], [e[1] for e in inner])
 
 
 # ---- averaging schemes ---------------------------------------------------------
@@ -355,28 +385,21 @@ def baillon_double(spec, cfg):
             f"{tag}: budget {n_max} exceeds the grid cap {BAILLON_GRID_CAP} "
             "(the time-grid cache grows quadratically)"
         )
-    d = x0.size
-    grid = np.empty((n_max + 1, n_max + 1, d))
-    grid[0, 0] = x0
-    total = np.zeros(d)
-    rec = _Recorder(spec, record_all=cfg.record_all)
-    x_prev = None
-    x_n = x0
-    for n in range(1, n_max + 1):
-        grid[0, n] = evaluate(spec, cfg.beta, grid[0, n - 1])
-        for k in range(1, n + 1):
-            grid[k, n] = evaluate(spec, cfg.alpha, grid[k - 1, n])
-        for l in range(1, n):
-            grid[n, l] = evaluate(spec, cfg.alpha, grid[n - 1, l])
-        total += grid[1 : n + 1, n].sum(axis=0) + grid[n, 1:n].sum(axis=0)
-        x_n = total / (n * n)
-        _, _, pair = _pair_images(spec, cfg, x_n)
-        step = 0.0 if x_prev is None else float(np.linalg.norm(x_n - x_prev))
-        rec.add(n, pair, step, x_n)
-        if pair <= cfg.tol and step <= cfg.tol:
-            return rec.finish(tag, CONVERGED)
-        x_prev = x_n
-    return rec.finish(tag, MAX_ITER)
+
+    def iterates():
+        grid = np.empty((n_max + 1, n_max + 1, x0.size))
+        grid[0, 0] = x0
+        total = np.zeros(x0.size)
+        for n in range(1, n_max + 1):
+            grid[0, n] = evaluate(spec, cfg.beta, grid[0, n - 1])
+            for k in range(1, n + 1):
+                grid[k, n] = evaluate(spec, cfg.alpha, grid[k - 1, n])
+            for l in range(1, n):
+                grid[n, l] = evaluate(spec, cfg.alpha, grid[n - 1, l])
+            total += grid[1 : n + 1, n].sum(axis=0) + grid[n, 1:n].sum(axis=0)
+            yield total / (n * n)
+
+    return _drive(spec, cfg, tag, iterates(), n_max)
 
 
 def baillon_power_average(spec, cfg):
@@ -387,23 +410,15 @@ def baillon_power_average(spec, cfg):
     """
     tag = "baillon_power_average"
     x0 = _require_start(cfg, tag)
-    n_max = _resolve_budget(cfg, tag)
-    rec = _Recorder(spec, record_all=cfg.record_all)
-    z = x0
-    total = np.zeros(x0.size)
-    x_prev = None
-    x_n = x0
-    for n in range(1, n_max + 1):
-        z = 0.5 * (evaluate(spec, cfg.alpha, z) + evaluate(spec, cfg.beta, z))
-        total += z
-        x_n = total / n
-        _, _, pair = _pair_images(spec, cfg, x_n)
-        step = 0.0 if x_prev is None else float(np.linalg.norm(x_n - x_prev))
-        rec.add(n, pair, step, x_n)
-        if pair <= cfg.tol and step <= cfg.tol:
-            return rec.finish(tag, CONVERGED)
-        x_prev = x_n
-    return rec.finish(tag, MAX_ITER)
+
+    def iterates(z):
+        total = np.zeros(z.size)
+        for n in itertools.count(1):
+            z = 0.5 * (evaluate(spec, cfg.alpha, z) + evaluate(spec, cfg.beta, z))
+            total += z
+            yield total / n
+
+    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag))
 
 
 def _double_block_average(spec, x, n, alpha, beta):
@@ -438,22 +453,15 @@ def mann(spec, cfg):
         raise ValueError("kappa and lambda must be positive")
     if not cfg.kappa + cfg.lam < 1:
         raise ValueError("kappa + lambda must be < 1")
-    x = _require_start(cfg, tag)
-    n_max = _resolve_budget(cfg, tag)
-    rec = _Recorder(spec, track_fejer=True, record_all=cfg.record_all)
+    x0 = _require_start(cfg, tag)
     rest = 1.0 - cfg.kappa - cfg.lam
-    x_prev = None
-    for n in range(1, n_max + 1):
-        ta, tb, pair = _pair_images(spec, cfg, x)
-        step = 0.0 if x_prev is None else float(np.linalg.norm(x - x_prev))
-        rec.add(n, pair, step, x)
-        if pair <= cfg.tol and step <= cfg.tol:
-            return rec.finish(tag, CONVERGED)
-        if n == n_max:
-            break
-        x_prev = x
-        x = cfg.kappa * ta + cfg.lam * tb + rest * x
-    return rec.finish(tag, MAX_ITER)
+
+    def iterates(x):
+        while True:
+            ta, tb = yield x
+            x = cfg.kappa * ta + cfg.lam * tb + rest * x
+
+    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag), track_fejer=True)
 
 
 def suzuki_averaged_mann(spec, cfg):
@@ -466,22 +474,15 @@ def suzuki_averaged_mann(spec, cfg):
     tag = "suzuki_averaged_mann"
     if not 0.0 < cfg.lam < 1.0:
         raise ValueError("lambda must lie strictly in (0, 1)")
-    x = _require_start(cfg, tag)
-    n_max = _resolve_budget(cfg, tag)
-    rec = _Recorder(spec, track_fejer=True, record_all=cfg.record_all)
-    x_prev = None
-    for n in range(1, n_max + 1):
-        _, _, pair = _pair_images(spec, cfg, x)
-        step = 0.0 if x_prev is None else float(np.linalg.norm(x - x_prev))
-        rec.add(n, pair, step, x)
-        if pair <= cfg.tol and step <= cfg.tol:
-            return rec.finish(tag, CONVERGED)
-        if n == n_max:
-            break
-        avg = _double_block_average(spec, x, n, cfg.alpha, cfg.beta)
-        x_prev = x
-        x = cfg.lam * avg + (1.0 - cfg.lam) * x
-    return rec.finish(tag, MAX_ITER)
+    x0 = _require_start(cfg, tag)
+
+    def iterates(x):
+        for n in itertools.count(1):
+            yield x
+            avg = _double_block_average(spec, x, n, cfg.alpha, cfg.beta)
+            x = cfg.lam * avg + (1.0 - cfg.lam) * x
+
+    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag), track_fejer=True)
 
 
 def ishikawa_composed(spec, cfg):
@@ -494,24 +495,17 @@ def ishikawa_composed(spec, cfg):
     tag = "ishikawa_composed"
     if not 0.0 < cfg.kappa < 1.0 or not 0.0 < cfg.lam < 1.0:
         raise ValueError("kappa and lambda must lie strictly in (0, 1)")
-    x = _require_start(cfg, tag)
-    n_max = _resolve_budget(cfg, tag)
-    rec = _Recorder(spec, track_fejer=True, record_all=cfg.record_all)
-    x_prev = None
-    for n in range(1, n_max + 1):
-        _, _, pair = _pair_images(spec, cfg, x)
-        step = 0.0 if x_prev is None else float(np.linalg.norm(x - x_prev))
-        rec.add(n, pair, step, x)
-        if pair <= cfg.tol and step <= cfg.tol:
-            return rec.finish(tag, CONVERGED)
-        if n == n_max:
-            break
-        y = x
-        for _ in range(n):
-            y = cfg.kappa * evaluate(spec, cfg.beta, y) + (1.0 - cfg.kappa) * y
-        x_prev = x
-        x = cfg.lam * evaluate(spec, cfg.alpha, y) + (1.0 - cfg.lam) * y
-    return rec.finish(tag, MAX_ITER)
+    x0 = _require_start(cfg, tag)
+
+    def iterates(x):
+        for n in itertools.count(1):
+            yield x
+            y = x
+            for _ in range(n):
+                y = cfg.kappa * evaluate(spec, cfg.beta, y) + (1.0 - cfg.kappa) * y
+            x = cfg.lam * evaluate(spec, cfg.alpha, y) + (1.0 - cfg.lam) * y
+
+    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag), track_fejer=True)
 
 
 # ---- anchored schemes ----------------------------------------------------------
@@ -562,33 +556,23 @@ def browder_implicit(spec, cfg):
     tag = "browder_implicit"
     u = _require_anchor(cfg, tag)
     sched = _schedule_of(cfg)
-    n_max = _resolve_budget(cfg, tag)
-    x = np.array(cfg.start, dtype=float) if cfg.start is not None else u.copy()
-    rec = _Recorder(spec, record_all=cfg.record_all)
-    inner_steps = []
-    inner_residuals = []
-    x_prev = None
-    for n in range(1, n_max + 1):
-        lam_n = sched(n)
-        pull = lam_n * u
-        half = 0.5 * (1.0 - lam_n)
+    x0 = np.array(cfg.start, dtype=float) if cfg.start is not None else u.copy()
+    inner = []
 
-        def step_map(z, _pull=pull, _half=half):
-            return _half * (evaluate(spec, cfg.alpha, z) + evaluate(spec, cfg.beta, z)) + _pull
+    def iterates(x):
+        for n in itertools.count(1):
+            lam_n = sched(n)
+            pull = lam_n * u
+            half = 0.5 * (1.0 - lam_n)
 
-        z, sweeps, r, ok = _banach_solve(step_map, x, cfg.inner_tol, cfg.inner_cap, 1.0 - lam_n)
-        inner_steps.append(sweeps)
-        inner_residuals.append(r)
-        _, _, pair = _pair_images(spec, cfg, z)
-        step = 0.0 if x_prev is None else float(np.linalg.norm(z - x_prev))
-        rec.add(n, pair, step, z)
-        if not ok:
-            return rec.finish(tag, INNER_SOLVER_FAILURE, inner_steps, inner_residuals)
-        if pair <= cfg.tol and step <= cfg.tol:
-            return rec.finish(tag, CONVERGED, inner_steps, inner_residuals)
-        x_prev = z
-        x = z
-    return rec.finish(tag, MAX_ITER, inner_steps, inner_residuals)
+            def step_map(z):
+                return half * (evaluate(spec, cfg.alpha, z) + evaluate(spec, cfg.beta, z)) + pull
+
+            x, sweeps, r, ok = _banach_solve(step_map, x, cfg.inner_tol, cfg.inner_cap, 1.0 - lam_n)
+            inner.append((sweeps, r, ok))
+            yield x
+
+    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag), inner=inner)
 
 
 def halpern(spec, cfg):
@@ -602,23 +586,16 @@ def halpern(spec, cfg):
     """
     tag = "halpern"
     u = _require_anchor(cfg, tag)
-    x = _require_start(cfg, tag)
+    x0 = _require_start(cfg, tag)
     sched = _schedule_of(cfg)
-    n_max = _resolve_budget(cfg, tag)
-    rec = _Recorder(spec, record_all=cfg.record_all)
-    x_prev = None
-    for n in range(1, n_max + 1):
-        ta, tb, pair = _pair_images(spec, cfg, x)
-        step = 0.0 if x_prev is None else float(np.linalg.norm(x - x_prev))
-        rec.add(n, pair, step, x)
-        if pair <= cfg.tol and step <= cfg.tol:
-            return rec.finish(tag, CONVERGED)
-        if n == n_max:
-            break
-        lam_n = sched(n)
-        x_prev = x
-        x = 0.5 * (1.0 - lam_n) * (ta + tb) + lam_n * u
-    return rec.finish(tag, MAX_ITER)
+
+    def iterates(x):
+        for n in itertools.count(1):
+            ta, tb = yield x
+            lam_n = sched(n)
+            x = 0.5 * (1.0 - lam_n) * (ta + tb) + lam_n * u
+
+    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag))
 
 
 SCHEME_TAGS = {

@@ -3,8 +3,8 @@
 Points are 1-D float64 numpy arrays (a bare scalar is promoted to a
 1-vector).  Domains are closed convex sets, either a ball or an axis-aligned
 box, with exact exterior distances and metric projections.  The symmetric
-eigensolver is a dense cyclic Jacobi iteration, which is all that is needed
-at the dimensions this package allows.
+eigensolver checks its input and hands the matrix to LAPACK through
+``numpy.linalg.eigh``.
 """
 
 from __future__ import annotations
@@ -172,21 +172,17 @@ class Box:
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
 
 
-def sym_eigendecompose(matrix, sweep_cap=100):
-    """Eigendecomposition of a small dense symmetric matrix by cyclic Jacobi.
+def sym_eigendecompose(matrix):
+    """Eigendecomposition of a small dense symmetric matrix (LAPACK ``eigh``).
 
     Parameters
     ----------
     matrix : (d, d) array_like, symmetric within 1e-12, d <= max_dim()
-    sweep_cap : maximum number of full sweeps before giving up
 
     Returns
     -------
     (eigvals, eigvecs) : eigenvalues ascending, eigenvectors as the columns
     of an orthonormal matrix, so that A @ V ~= V @ diag(w).
-
-    The off-diagonal mass shrinks quadratically once sweeps settle, so the
-    default cap is generous for d <= 64; hitting it raises RuntimeError.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -198,43 +194,5 @@ def sym_eigendecompose(matrix, sweep_cap=100):
         raise ValueError("matrix entries must be finite")
     if np.abs(a - a.T).max(initial=0.0) > 1e-12:
         raise ValueError("matrix is not symmetric within 1e-12")
-
-    w = 0.5 * (a + a.T)  # kill the tolerated asymmetry before iterating
-    v = np.eye(d)
-    if d == 1:
-        return w.diagonal().copy(), v
-
-    off_tol = 1e-14 * max(1.0, float(np.abs(a).max()))
-    diag_mask = ~np.eye(d, dtype=bool)
-    for _ in range(sweep_cap):
-        if np.abs(w[diag_mask]).max() <= off_tol:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = w[p, q]
-                if abs(apq) <= off_tol:
-                    continue
-                # rotation angle that annihilates the (p, q) entry
-                theta = (w[q, q] - w[p, p]) / (2.0 * apq)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(theta, 1.0))
-                c = 1.0 / math.hypot(t, 1.0)
-                s = t * c
-                rot_p = c * w[p, :] - s * w[q, :]
-                rot_q = s * w[p, :] + c * w[q, :]
-                w[p, :] = rot_p
-                w[q, :] = rot_q
-                col_p = c * w[:, p] - s * w[:, q]
-                col_q = s * w[:, p] + c * w[:, q]
-                w[:, p] = col_p
-                w[:, q] = col_q
-                w[p, q] = w[q, p] = 0.0
-                vec_p = c * v[:, p] - s * v[:, q]
-                vec_q = s * v[:, p] + c * v[:, q]
-                v[:, p] = vec_p
-                v[:, q] = vec_q
-    else:
-        raise RuntimeError(f"Jacobi eigensolver did not settle in {sweep_cap} sweeps")
-
-    eigvals = w.diagonal().copy()
-    order = np.argsort(eigvals, kind="stable")
-    return eigvals[order], v[:, order]
+    # symmetrize so the tolerated asymmetry cannot bias the solver
+    return np.linalg.eigh(0.5 * (a + a.T))

@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import semiflow
 from semiflow.cli import ExperimentConfig, _build_parser, _experiment_from_args, main
 
 SQRT2_STR = "1.4142135623730951"
@@ -110,6 +115,72 @@ def test_env_var_lowers_dimension_cap(capsys, monkeypatch, tmp_path):
     )
     assert code == 64
     assert "dimension" in err
+
+
+def test_negative_point_values(capsys, tmp_path, monkeypatch):
+    # "-4,1" is a value, not an option name: same artifacts as "--u=-4,1"
+    argv = [
+        "run", "--scheme", "halpern", "--semigroup", "rotation:period=1,center=0,0",
+        "--alpha", "1", "--beta", SQRT2_STR, "--max-iter", "50",
+        "--csv", "out.csv", "--json", "out.json",
+    ]
+    for sub, values in (("split", ["--u", "-4,1", "--x0", "-1,0"]), ("joined", ["--u=-4,1", "--x0=-1,0"])):
+        (tmp_path / sub).mkdir()
+        monkeypatch.chdir(tmp_path / sub)
+        assert run_cli(capsys, *argv, *values)[0] == 2
+    for name in ("out.csv", "out.json"):
+        assert (tmp_path / "split" / name).read_bytes() == (tmp_path / "joined" / name).read_bytes()
+    assert json.loads((tmp_path / "split" / "out.json").read_text())["config"]["u"] == [-4.0, 1.0]
+
+    code, _, _ = run_cli(
+        capsys, "sweep", "--scheme", "halpern", "--semigroup", "rotation:period=1,center=0,0",
+        "--alpha", "1", "--beta", SQRT2_STR, "--u", "-4,1", "--seeds", "0",
+        "--max-iter", "50", "--out-dir", str(tmp_path / "sw"),
+    )
+    assert code == 2
+    assert json.loads((tmp_path / "sw" / "halpern_seed0.json").read_text())["config"]["u"] == [-4.0, 1.0]
+
+    code, out, _ = run_cli(
+        capsys, "verify", "--semigroup", "rotation:period=1,center=-1,0",
+        "--alpha", "1", "--beta", SQRT2_STR, "--point", "-1,0",
+    )
+    assert code == 0
+    assert json.loads(out)["verdict"] == "certified"
+
+    # an option name where a value belongs is still a usage error
+    code, _, err = run_cli(capsys, *argv, "--u", "--x0", "1,0")
+    assert code == 64
+    assert "expected one argument" in err
+
+
+def test_python_dash_m_entry_point(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(semiflow.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+    )
+    cmd = [sys.executable, "-m", "semiflow.cli"]
+    proc = subprocess.run(
+        cmd + ["euclid", "--alpha", "1", "--beta", SQRT2_STR],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["spec_version"] == "1"
+    proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 64
+
+
+def test_run_rejects_bad_inner_solver_settings(capsys, tmp_path):
+    argv = [
+        "run", "--scheme", "browder_implicit", "--semigroup", "decay:dim=1",
+        "--alpha", "1", "--beta", SQRT2_STR, "--u", "5", "--x0", "5",
+        "--csv", str(tmp_path / "b.csv"),
+    ]
+    for flags, field in ((["--inner-tol", "0"], "inner_tol"), (["--inner-tol", "nan"], "inner_tol"),
+                         (["--inner-cap", "0"], "inner_cap")):
+        code, _, err = run_cli(capsys, *argv, *flags)
+        assert code == 64
+        assert field in err
+    assert not (tmp_path / "b.csv").exists()
 
 
 # ---- run ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from semiflow import schemes
 from semiflow.characterize import certify_common_fixed, residual_profile
 from semiflow.schemes import (
     BAILLON_GRID_CAP,
@@ -94,6 +95,16 @@ def test_config_validates_pair_and_tol():
         cfg(tol=0.0)
     with pytest.raises(ValueError):
         cfg(max_iter=0)
+    with pytest.raises(ValueError, match="max_iter"):
+        cfg(max_iter=1.5)
+    with pytest.raises(ValueError, match="inner_tol"):
+        cfg(inner_tol=0.0)
+    with pytest.raises(ValueError, match="inner_tol"):
+        cfg(inner_tol=-1e-10)
+    with pytest.raises(ValueError, match="inner_tol"):
+        cfg(inner_tol=float("nan"))
+    with pytest.raises(ValueError, match="inner_cap"):
+        cfg(inner_cap=0)
 
 
 def test_mann_weight_preconditions():
@@ -106,6 +117,26 @@ def test_mann_weight_preconditions():
         suzuki_averaged_mann(spec, cfg(lam=1.0, start=[1.0]))
     with pytest.raises(ValueError):
         ishikawa_composed(spec, cfg(kappa=1.0, lam=0.5, start=[1.0]))
+
+
+def test_driver_reuses_the_pair_images(monkeypatch):
+    # the driver applies T(alpha) and T(beta) once per iterate; mann and
+    # halpern build their update from those two images, and the power
+    # average adds one midpoint stage (two more applications)
+    calls = []
+
+    def counting(spec, t, x):
+        calls.append(t)
+        return evaluate(spec, t, x)
+
+    monkeypatch.setattr(schemes, "evaluate", counting)
+    spec = rotation(period=1.0)
+    n = 30
+    for scheme, per_iter in ((mann, 2), (halpern, 2), (baillon_power_average, 4)):
+        calls.clear()
+        report = scheme(spec, cfg(start=[1.0, 0.0], u=[1.0, 0.0], max_iter=n, tol=1e-14))
+        assert report.termination == "max_iter" and report.n_used == n
+        assert len(calls) == per_iter * n
 
 
 def test_run_scheme_dispatch():
