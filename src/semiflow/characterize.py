@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -93,14 +93,7 @@ class Certificate:
     profile_tol: float
 
     def to_dict(self):
-        return {
-            "pair_residual": self.pair_residual,
-            "max_profile_residual": self.max_profile_residual,
-            "argmax_t": self.argmax_t,
-            "verdict": self.verdict,
-            "tol": self.tol,
-            "profile_tol": self.profile_tol,
-        }
+        return asdict(self)
 
 
 def residual_pair(spec, x, alpha, beta):

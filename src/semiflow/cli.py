@@ -110,9 +110,12 @@ def _grid_arg(text):
 class ExperimentConfig:
     """Everything a `run` needs, in serializable form.
 
-    The seed (unsigned) drives the start-point sample when --x0 is not
-    given; together with the flags it fully determines all outputs.
-    to_argv() emits an argv that parses back to an equal config.
+    The fields are the `run` options (`sweep` takes all but x0, csv and
+    json): each is the flag ``--<name>`` with ``_`` written ``-`` (``lam``
+    is ``--lambda``), and the field defaults are the CLI defaults.  The
+    seed (unsigned) drives the start-point sample when --x0 is not given;
+    together with the flags it fully determines all outputs.  to_argv()
+    emits an argv that parses back to an equal config.
     """
 
     scheme: str
@@ -140,33 +143,17 @@ class ExperimentConfig:
             raise ValueError("seed must be nonnegative")
 
     def to_argv(self):
-        argv = [
-            "run",
-            "--scheme", self.scheme,
-            "--semigroup", self.semigroup,
-            "--alpha", repr(self.alpha),
-            "--beta", repr(self.beta),
-            "--kappa", repr(self.kappa),
-            "--lambda", repr(self.lam),
-            "--tol", repr(self.tol),
-            "--inner-tol", repr(self.inner_tol),
-            "--inner-cap", str(self.inner_cap),
-            "--seed", str(self.seed),
-        ]
-        if self.schedule is not None:
-            argv += ["--schedule", self.schedule]
-        if self.max_iter is not None:
-            argv += ["--max-iter", str(self.max_iter)]
-        if self.u is not None:
-            argv += ["--u", ",".join(repr(v) for v in self.u)]
-        if self.x0 is not None:
-            argv += ["--x0", ",".join(repr(v) for v in self.x0)]
-        if self.record_all:
-            argv += ["--record-all"]
-        if self.csv is not None:
-            argv += ["--csv", self.csv]
-        if self.json is not None:
-            argv += ["--json", self.json]
+        # "--flag=value" throughout, so a value starting with "-" is never
+        # read as an option name; str() of a float is its shortest repr
+        argv = ["run"]
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+            if value is True:
+                argv.append(flag)
+            elif value is not None and value is not False:
+                text = ",".join(map(str, value)) if isinstance(value, (tuple, list, np.ndarray)) else str(value)
+                argv.append(f"{flag}={text}")
         return argv
 
     def to_dict(self):
@@ -178,25 +165,11 @@ class ExperimentConfig:
 
 
 def _experiment_from_args(args):
-    return ExperimentConfig(
-        scheme=args.scheme,
-        semigroup=args.semigroup,
-        alpha=args.alpha,
-        beta=args.beta,
-        kappa=args.kappa,
-        lam=args.lam,
-        schedule=args.schedule,
-        max_iter=args.max_iter,
-        tol=args.tol,
-        inner_tol=args.inner_tol,
-        inner_cap=args.inner_cap,
-        u=args.u,
-        x0=getattr(args, "x0", None),
-        seed=args.seed,
-        record_all=args.record_all,
-        csv=getattr(args, "csv", None),
-        json=getattr(args, "json", None),
-    )
+    # the run/sweep parsers suppress defaults: flags left out, and those
+    # sweep does not have, take the field defaults
+    given = vars(args)
+    names = (f.name for f in dataclasses.fields(ExperimentConfig))
+    return ExperimentConfig(**{name: given[name] for name in names if name in given})
 
 
 def _sample_point(domain, seed):
@@ -214,21 +187,11 @@ def _sample_point(domain, seed):
 
 
 def _iteration_config(spec, cfg):
-    start = np.array(cfg.x0, dtype=float) if cfg.x0 is not None else _sample_point(spec.domain, cfg.seed)
-    return IterationConfig(
-        alpha=cfg.alpha,
-        beta=cfg.beta,
-        kappa=cfg.kappa,
-        lam=cfg.lam,
-        schedule=None if cfg.schedule is None else parse_schedule(cfg.schedule),
-        max_iter=cfg.max_iter,
-        tol=cfg.tol,
-        inner_tol=cfg.inner_tol,
-        inner_cap=cfg.inner_cap,
-        u=None if cfg.u is None else np.array(cfg.u, dtype=float),
-        start=start,
-        record_all=cfg.record_all,
-    )
+    # every IterationConfig field but start has a namesake in ExperimentConfig
+    shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(IterationConfig) if f.name != "start"}
+    shared["schedule"] = None if cfg.schedule is None else parse_schedule(cfg.schedule)
+    start = cfg.x0 if cfg.x0 is not None else _sample_point(spec.domain, cfg.seed)
+    return IterationConfig(**shared, start=start)
 
 
 # ---- output writers -------------------------------------------------------------
@@ -258,8 +221,7 @@ def _summary_payload(cfg, report):
     }
 
 
-def _execute_run(cfg):
-    spec = from_descriptor(cfg.semigroup)
+def _execute_run(cfg, spec):
     report = run_scheme(cfg.scheme, spec, _iteration_config(spec, cfg))
     if cfg.csv is not None:
         _write_trace_csv(cfg.csv, report)
@@ -305,12 +267,13 @@ def _cmd_verify(args):
 
 def _cmd_run(args):
     cfg = _experiment_from_args(args)
-    code, _ = _execute_run(cfg)
+    code, _ = _execute_run(cfg, from_descriptor(cfg.semigroup))
     return code
 
 
 def _cmd_sweep(args):
     base = _experiment_from_args(args)
+    spec = from_descriptor(base.semigroup)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     results = []
@@ -318,9 +281,9 @@ def _cmd_sweep(args):
     for seed in args.seeds:
         stem = out_dir / f"{base.scheme}_seed{seed}"
         cfg = dataclasses.replace(
-            base, seed=seed, x0=None, csv=str(stem.with_suffix(".csv")), json=str(stem.with_suffix(".json"))
+            base, seed=seed, csv=str(stem.with_suffix(".csv")), json=str(stem.with_suffix(".json"))
         )
-        code, report = _execute_run(cfg)
+        code, report = _execute_run(cfg, spec)
         worst = max(worst, code)
         rec = report.final_record
         results.append(
@@ -361,17 +324,17 @@ def _add_run_flags(parser, with_start):
     parser.add_argument("--scheme", required=True, choices=sorted(SCHEME_TAGS))
     parser.add_argument("--semigroup", required=True, help="descriptor, e.g. rotation:period=1,center=0,0")
     _add_pair_flags(parser)
-    parser.add_argument("--kappa", type=float, default=0.25, help="first averaging weight")
-    parser.add_argument("--lambda", dest="lam", type=float, default=0.25, help="second averaging weight")
-    parser.add_argument("--schedule", default=None, help="harmonic:<offset> or power:<p>[,<offset>]")
-    parser.add_argument("--max-iter", type=int, default=None, help="outer budget (scheme default if omitted)")
-    parser.add_argument("--tol", type=float, default=1e-8, help="convergence tolerance")
-    parser.add_argument("--inner-tol", type=float, default=1e-10, help="implicit-solver residual target")
-    parser.add_argument("--inner-cap", type=int, default=100_000, help="implicit-solver iteration cap")
-    parser.add_argument("--u", type=_point_arg, default=None, help="anchor point (comma-separated)")
+    parser.add_argument("--kappa", type=float, help="first averaging weight")
+    parser.add_argument("--lambda", dest="lam", type=float, help="second averaging weight")
+    parser.add_argument("--schedule", help="harmonic:<offset> or power:<p>[,<offset>]")
+    parser.add_argument("--max-iter", type=int, help="outer budget (scheme default if omitted)")
+    parser.add_argument("--tol", type=float, help="convergence tolerance")
+    parser.add_argument("--inner-tol", type=float, help="implicit-solver residual target")
+    parser.add_argument("--inner-cap", type=int, help="implicit-solver iteration cap")
+    parser.add_argument("--u", type=_point_arg, help="anchor point (comma-separated)")
     if with_start:
-        parser.add_argument("--x0", type=_point_arg, default=None, help="start point; sampled by seed if omitted")
-    parser.add_argument("--seed", type=int, default=0, help="seed for the sampled start point")
+        parser.add_argument("--x0", type=_point_arg, help="start point; sampled by seed if omitted")
+    parser.add_argument("--seed", type=int, help="seed for the sampled start point")
     parser.add_argument("--record-all", action="store_true", help="record every iterate (no thinning)")
 
 
@@ -399,13 +362,14 @@ def _build_parser():
     p.add_argument("--grid", type=_grid_arg, default=None, help="profile grid start:stop:step")
     p.set_defaults(func=_cmd_verify)
 
-    p = sub.add_parser("run", help="run one iteration scheme")
+    # run and sweep declare no defaults: ExperimentConfig holds them
+    p = sub.add_parser("run", help="run one iteration scheme", argument_default=argparse.SUPPRESS)
     _add_run_flags(p, with_start=True)
-    p.add_argument("--csv", default=None, help="trajectory CSV path")
-    p.add_argument("--json", default=None, help="summary JSON path (derived from --csv if omitted)")
+    p.add_argument("--csv", help="trajectory CSV path")
+    p.add_argument("--json", help="summary JSON path (derived from --csv if omitted)")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep", help="run one scheme over several seeds")
+    p = sub.add_parser("sweep", help="run one scheme over several seeds", argument_default=argparse.SUPPRESS)
     _add_run_flags(p, with_start=False)
     p.add_argument("--seeds", type=_seeds_arg, required=True, help="comma-separated seed list")
     p.add_argument("--out-dir", required=True, help="directory for per-seed artifacts and sweep.json")
@@ -419,10 +383,7 @@ def main(argv=None):
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EX_USAGE
-    except (ValueError, OSError) as exc:
+    except (_UsageError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EX_USAGE
     except SystemExit as exc:  # argparse --help

@@ -33,7 +33,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from semiflow.semigroups import analytic_fixed_set, evaluate, fixed_set_distance
+from semiflow.characterize import _warn_if_near_rational
+from semiflow.semigroups import MEMBERSHIP_SLACK, analytic_fixed_set, evaluate, fixed_set_distance
 from semiflow.stepseq import check_pair
 from semiflow.vecspace import as_point
 
@@ -317,16 +318,21 @@ def _resolve_budget(cfg, tag):
     return int(cfg.max_iter)
 
 
-def _require_start(cfg, tag):
-    if cfg.start is None:
-        raise ValueError(f"{tag} needs a start point")
-    return np.array(cfg.start, dtype=float)
+def _require_point(spec, cfg, name, tag):
+    """cfg.<name> ("start" or "u") as a float vector of the flow's dimension inside its domain.
 
-
-def _require_anchor(cfg, tag):
-    if cfg.u is None:
-        raise ValueError(f"{tag} needs an anchor point u")
-    return np.array(cfg.u, dtype=float)
+    Checked before the first iteration, with the membership slack that
+    evaluate applies, so a bad point is reported under its own name.
+    """
+    x = getattr(cfg, name)
+    if x is None:
+        raise ValueError(f"{tag} needs a value for {name}")
+    x = np.array(x, dtype=float)
+    if x.shape != (spec.dim,):
+        raise ValueError(f"{name} has shape {x.shape}, the semigroup expects ({spec.dim},)")
+    if not spec.domain.contains(x, MEMBERSHIP_SLACK):
+        raise ValueError(f"{name} lies outside the domain beyond the membership slack")
+    return x
 
 
 def _schedule_of(cfg):
@@ -340,8 +346,10 @@ def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
     for the x_n it yielded last, so updates reuse those two applications.
     Each x_n is recorded, then tested for an inner-solver failure (``inner``
     holds the implicit scheme's (sweeps, residual, solved) per step), then
-    for convergence, then against the budget n_max.
+    for convergence, then against the budget n_max.  A (near-)rational pair
+    warns first: its pair residual can vanish off the common fixed set.
     """
+    _warn_if_near_rational(cfg.alpha, cfg.beta)
     rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
     images = None
     x_prev = None
@@ -378,7 +386,7 @@ def baillon_double(spec, cfg):
     so budgets above BAILLON_GRID_CAP are rejected.
     """
     tag = "baillon_double"
-    x0 = _require_start(cfg, tag)
+    x0 = _require_point(spec, cfg, "start", tag)
     n_max = _resolve_budget(cfg, tag)
     if n_max > BAILLON_GRID_CAP:
         raise ValueError(
@@ -409,7 +417,7 @@ def baillon_power_average(spec, cfg):
     each stage costs one application of each sampled operator.
     """
     tag = "baillon_power_average"
-    x0 = _require_start(cfg, tag)
+    x0 = _require_point(spec, cfg, "start", tag)
 
     def iterates(z):
         total = np.zeros(z.size)
@@ -453,7 +461,7 @@ def mann(spec, cfg):
         raise ValueError("kappa and lambda must be positive")
     if not cfg.kappa + cfg.lam < 1:
         raise ValueError("kappa + lambda must be < 1")
-    x0 = _require_start(cfg, tag)
+    x0 = _require_point(spec, cfg, "start", tag)
     rest = 1.0 - cfg.kappa - cfg.lam
 
     def iterates(x):
@@ -474,7 +482,7 @@ def suzuki_averaged_mann(spec, cfg):
     tag = "suzuki_averaged_mann"
     if not 0.0 < cfg.lam < 1.0:
         raise ValueError("lambda must lie strictly in (0, 1)")
-    x0 = _require_start(cfg, tag)
+    x0 = _require_point(spec, cfg, "start", tag)
 
     def iterates(x):
         for n in itertools.count(1):
@@ -495,7 +503,7 @@ def ishikawa_composed(spec, cfg):
     tag = "ishikawa_composed"
     if not 0.0 < cfg.kappa < 1.0 or not 0.0 < cfg.lam < 1.0:
         raise ValueError("kappa and lambda must lie strictly in (0, 1)")
-    x0 = _require_start(cfg, tag)
+    x0 = _require_point(spec, cfg, "start", tag)
 
     def iterates(x):
         for n in itertools.count(1):
@@ -554,9 +562,9 @@ def browder_implicit(spec, cfg):
     solve that misses inner_tol ends the run with inner_solver_failure.
     """
     tag = "browder_implicit"
-    u = _require_anchor(cfg, tag)
+    u = _require_point(spec, cfg, "u", tag)
     sched = _schedule_of(cfg)
-    x0 = np.array(cfg.start, dtype=float) if cfg.start is not None else u.copy()
+    x0 = u.copy() if cfg.start is None else _require_point(spec, cfg, "start", tag)
     inner = []
 
     def iterates(x):
@@ -585,8 +593,8 @@ def halpern(spec, cfg):
     fixed point nearest the anchor.
     """
     tag = "halpern"
-    u = _require_anchor(cfg, tag)
-    x0 = _require_start(cfg, tag)
+    u = _require_point(spec, cfg, "u", tag)
+    x0 = _require_point(spec, cfg, "start", tag)
     sched = _schedule_of(cfg)
 
     def iterates(x):

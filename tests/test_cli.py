@@ -1,5 +1,7 @@
+import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 import semiflow
+from semiflow import cli
 from semiflow.cli import ExperimentConfig, _build_parser, _experiment_from_args, main
 
 SQRT2_STR = "1.4142135623730951"
@@ -167,6 +170,16 @@ def test_python_dash_m_entry_point(tmp_path):
     assert json.loads(proc.stdout)["spec_version"] == "1"
     proc = subprocess.run(cmd, capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 64
+    # a rational pair runs as before but warns on stderr (pytest would
+    # intercept the warning in-process)
+    proc = subprocess.run(
+        cmd + ["run", "--scheme", "halpern", "--semigroup", "rotation:period=1,center=0,0",
+               "--alpha", "1", "--beta", "2", "--u", "1,0", "--x0", "1,0"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert "NearRationalWarning" in proc.stderr
+    assert json.loads(proc.stdout)["report"]["termination"] == "converged"
 
 
 def test_run_rejects_bad_inner_solver_settings(capsys, tmp_path):
@@ -181,6 +194,19 @@ def test_run_rejects_bad_inner_solver_settings(capsys, tmp_path):
         assert code == 64
         assert field in err
     assert not (tmp_path / "b.csv").exists()
+
+
+def test_run_names_a_bad_start_or_anchor(capsys, tmp_path):
+    # (50, 0) lies outside the radius-10 rotation disc
+    argv = [
+        "run", "--scheme", "halpern", "--semigroup", "rotation:period=1,center=0,0",
+        "--alpha", "1", "--beta", SQRT2_STR, "--csv", str(tmp_path / "h.csv"),
+    ]
+    for flags, field in ((["--u=50,0", "--x0", "1,0"], "u"), (["--u", "1,0", "--x0", "50,0"], "start")):
+        code, _, err = run_cli(capsys, *argv, *flags)
+        assert code == 64
+        assert re.search(rf"\b{field}\b", err)
+    assert not (tmp_path / "h.csv").exists()
 
 
 # ---- run ---------------------------------------------------------------------------
@@ -283,6 +309,19 @@ def test_config_round_trip():
     assert cfg == _experiment_from_args(parser.parse_args(cfg.to_argv()))
     assert cfg.u == (1.0, 0.0)
     assert cfg.lam == 0.25  # default survives the round trip
+
+    full = ExperimentConfig(
+        scheme="browder_implicit", semigroup="rotation:period=2,center=-1,0", alpha=0.5, beta=float(SQRT2_STR),
+        kappa=0.125, lam=0.375, schedule="power:0.5,3", max_iter=77, tol=1e-7, inner_tol=1e-12,
+        inner_cap=500, u=(-4.0, 1.5), x0=(-1e-3, 2.0), seed=9, record_all=True, csv="t.csv", json="t.json",
+    )
+    assert all(getattr(full, f.name) != f.default for f in dataclasses.fields(ExperimentConfig))
+    assert full == _experiment_from_args(parser.parse_args(full.to_argv()))
+    assert any(arg.startswith("--u=") for arg in full.to_argv())
+
+    minimal = ["run", "--scheme", "mann", "--semigroup", "decay:dim=2", "--alpha", "1", "--beta", SQRT2_STR]
+    expected = ExperimentConfig("mann", "decay:dim=2", 1.0, float(SQRT2_STR))
+    assert _experiment_from_args(parser.parse_args(minimal)) == expected
     with pytest.raises(ValueError):
         ExperimentConfig(scheme="bogus", semigroup="decay:dim=1", alpha=1.0, beta=2.0)
 
@@ -305,6 +344,22 @@ def test_sweep_aggregates_seeds(capsys, tmp_path):
         assert (out_dir / f"mann_seed{seed}.csv").exists()
         assert (out_dir / f"mann_seed{seed}.json").exists()
     assert all(r["termination"] == "converged" for r in agg["results"])
+
+
+def test_sweep_parses_the_semigroup_once(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def counting(text):
+        calls.append(text)
+        return semiflow.from_descriptor(text)
+
+    monkeypatch.setattr(cli, "from_descriptor", counting)
+    code, _, _ = run_cli(
+        capsys, "sweep", "--scheme", "mann", "--semigroup", "decay:dim=2",
+        "--alpha", "1", "--beta", SQRT2_STR, "--seeds", "0,1,2", "--out-dir", str(tmp_path / "sw"),
+    )
+    assert code == 0
+    assert calls == ["decay:dim=2"]
 
 
 def test_sweep_propagates_worst_exit(capsys, tmp_path):

@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from semiflow import schemes
-from semiflow.characterize import certify_common_fixed, residual_profile
+from semiflow.characterize import NearRationalWarning, certify_common_fixed, residual_profile
 from semiflow.schemes import (
     BAILLON_GRID_CAP,
     DEFAULT_MAX_ITER,
@@ -383,6 +384,16 @@ def test_halpern_rational_pair_discriminator():
     assert prof.residuals[0] >= 1.0
 
 
+def test_rational_pair_warns_on_the_scheme_path():
+    spec = rotation(period=1.0)
+    anchored = dict(u=[1.0, 0.0], start=[1.0, 0.0], max_iter=5)
+    with pytest.warns(NearRationalWarning):
+        halpern(spec, cfg(alpha=1.0, beta=2.0, **anchored))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NearRationalWarning)
+        halpern(spec, cfg(**anchored))
+
+
 def test_halpern_irrational_pair_reaches_the_center():
     spec = rotation(period=1.0)
     report = halpern(
@@ -489,3 +500,28 @@ def test_anchored_schemes_require_anchor():
         browder_implicit(spec, cfg(start=[1.0]))
     with pytest.raises(ValueError):
         mann(spec, cfg())  # no start point
+
+
+def test_start_and_anchor_are_checked_before_iterating(monkeypatch):
+    # radius-10 rotation disc in the plane: (1, 0) is inside, (50, 0) is
+    # outside, and a 3-vector has the wrong dimension
+    calls = []
+
+    def counting(spec, t, x):
+        calls.append(t)
+        return evaluate(spec, t, x)
+
+    monkeypatch.setattr(schemes, "evaluate", counting)
+    spec = rotation(period=1.0)
+    good = [1.0, 0.0]
+    bad = (
+        ([1.0, 0.0, 0.0], r"has shape \(3,\), the semigroup expects \(2,\)"),
+        ([50.0, 0.0], "lies outside the domain"),
+    )
+    for scheme, fields in ((halpern, ("start", "u")), (browder_implicit, ("start", "u")), (mann, ("start",))):
+        for name in fields:
+            for point, message in bad:
+                kw = {"start": good, "u": good, name: point}
+                with pytest.raises(ValueError, match=rf"^{name} {message}"):
+                    scheme(spec, cfg(**kw))
+    assert calls == []
