@@ -33,6 +33,7 @@ from semiflow.semigroups import (
     fixed_set_distance,
     from_descriptor,
     heat,
+    operator,
     rotation,
 )
 from semiflow.stepseq import (

@@ -110,12 +110,13 @@ def _grid_arg(text):
 class ExperimentConfig:
     """Everything a `run` needs, in serializable form.
 
-    The fields are the `run` options (`sweep` takes all but x0, csv and
-    json): each is the flag ``--<name>`` with ``_`` written ``-`` (``lam``
-    is ``--lambda``), and the field defaults are the CLI defaults.  The
-    seed (unsigned) drives the start-point sample when --x0 is not given;
-    together with the flags it fully determines all outputs.  to_argv()
-    emits an argv that parses back to an equal config.
+    The fields are the `run` options (`sweep` takes all but x0, seed, csv
+    and json, and sets the seed of each run from --seeds): each is the
+    flag ``--<name>`` with ``_`` written ``-`` (``lam`` is ``--lambda``),
+    and the field defaults are the CLI defaults.  The seed (unsigned)
+    drives the start-point sample when --x0 is not given; together with
+    the flags it fully determines all outputs.  to_argv() emits an argv
+    that parses back to an equal config.
     """
 
     scheme: str
@@ -334,7 +335,7 @@ def _add_run_flags(parser, with_start):
     parser.add_argument("--u", type=_point_arg, help="anchor point (comma-separated)")
     if with_start:
         parser.add_argument("--x0", type=_point_arg, help="start point; sampled by seed if omitted")
-    parser.add_argument("--seed", type=int, help="seed for the sampled start point")
+        parser.add_argument("--seed", type=int, help="seed for the sampled start point")
     parser.add_argument("--record-all", action="store_true", help="record every iterate (no thinning)")
 
 
@@ -369,7 +370,10 @@ def _build_parser():
     p.add_argument("--json", help="summary JSON path (derived from --csv if omitted)")
     p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("sweep", help="run one scheme over several seeds", argument_default=argparse.SUPPRESS)
+    # no abbreviations here: argparse would otherwise read --seed as --seeds
+    p = sub.add_parser(
+        "sweep", help="run one scheme over several seeds", argument_default=argparse.SUPPRESS, allow_abbrev=False
+    )
     _add_run_flags(p, with_start=False)
     p.add_argument("--seeds", type=_seeds_arg, required=True, help="comma-separated seed list")
     p.add_argument("--out-dir", required=True, help="directory for per-seed artifacts and sweep.json")

@@ -34,9 +34,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semiflow.characterize import _warn_if_near_rational
-from semiflow.semigroups import MEMBERSHIP_SLACK, analytic_fixed_set, evaluate, fixed_set_distance
+from semiflow.semigroups import MEMBERSHIP_SLACK, analytic_fixed_set, fixed_set_distance, operator
+# not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
+from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import check_pair
-from semiflow.vecspace import as_point
+from semiflow.vecspace import _norm, as_point
 
 __all__ = [
     "Schedule",
@@ -256,7 +258,8 @@ class _Recorder:
     Records every iterate up to n = 100 and then thins geometrically
     (n = 128, 181, 256, 362, ...), always keeping the final iterate.  When
     asked, it also counts steps on which the distance to the analytic fixed
-    set rose by more than FEJER_SLACK.
+    set rose by more than FEJER_SLACK.  The distance is only computed for
+    iterates that are kept, unless that count needs it on every step.
     """
 
     def __init__(self, spec, track_fejer=False, record_all=False):
@@ -267,44 +270,49 @@ class _Recorder:
         self.fejer_violations = 0 if track_fejer else None
         self._prev_fsd = None
         self._thin_exp = 0
+        self._next_kept = self._threshold()
         self._last = None
 
     def _threshold(self):
         return int(round(2.0 ** (7 + self._thin_exp / 2.0)))
 
-    def add(self, n, pair_residual, step_norm, point):
-        fsd = fixed_set_distance(self.fixed_set, point)
-        if self.track_fejer and self._prev_fsd is not None and fsd > self._prev_fsd + FEJER_SLACK:
-            self.fejer_violations += 1
-        self._prev_fsd = fsd
-        rec = IterateRecord(
+    def _record(self, n, pair_residual, step_norm, point, fsd):
+        return IterateRecord(
             n=n,
             pair_residual=float(pair_residual),
             step_norm=float(step_norm),
-            fixed_set_distance=fsd,
+            fixed_set_distance=fixed_set_distance(self.fixed_set, point) if fsd is None else fsd,
             point=point,  # no copy: no scheme mutates an iterate in place
         )
+
+    def add(self, n, pair_residual, step_norm, point):
+        fsd = None
+        if self.track_fejer:
+            fsd = fixed_set_distance(self.fixed_set, point)
+            if self._prev_fsd is not None and fsd > self._prev_fsd + FEJER_SLACK:
+                self.fejer_violations += 1
+            self._prev_fsd = fsd
+        # n runs 1, 2, 3, ..., so each threshold is met exactly once
         take = self.record_all or n <= 100
-        if not take:
-            while self._threshold() < n:
-                self._thin_exp += 1
-            if self._threshold() == n:
-                take = True
-                self._thin_exp += 1
+        if n == self._next_kept:
+            take = True
+            self._thin_exp += 1
+            self._next_kept = self._threshold()
         if take:
-            self.records.append(rec)
-        self._last = rec
+            self.records.append(self._record(n, pair_residual, step_norm, point, fsd))
+        self._last = (n, pair_residual, step_norm, point, fsd)
 
     def finish(self, tag, termination, inner_steps=None, inner_residuals=None):
         if self._last is None:
             raise RuntimeError("no iterates were produced")
-        if not self.records or self.records[-1].n != self._last.n:
-            self.records.append(self._last)
+        n = self._last[0]
+        if not self.records or self.records[-1].n != n:
+            self.records.append(self._record(*self._last))
         return ConvergenceReport(
             scheme_tag=tag,
             iterates_recorded=self.records,
-            final_point=self._last.point,
-            n_used=self._last.n,
+            final_point=self.records[-1].point,
+            n_used=n,
             termination=termination,
             fejer_violations=self.fejer_violations,
             inner_steps=inner_steps,
@@ -322,7 +330,8 @@ def _require_point(spec, cfg, name, tag):
     """cfg.<name> ("start" or "u") as a float vector of the flow's dimension inside its domain.
 
     Checked before the first iteration, with the membership slack that
-    evaluate applies, so a bad point is reported under its own name.
+    every operator application applies, so a bad point is reported under
+    its own name.
     """
     x = getattr(cfg, name)
     if x is None:
@@ -342,23 +351,27 @@ def _schedule_of(cfg):
 def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
     """The loop all schemes share: record each iterate and decide when to stop.
 
-    ``iterates`` yields x_1, x_2, ... and is sent (T(alpha)x_n, T(beta)x_n)
-    for the x_n it yielded last, so updates reuse those two applications.
-    Each x_n is recorded, then tested for an inner-solver failure (``inner``
-    holds the implicit scheme's (sweeps, residual, solved) per step), then
-    for convergence, then against the budget n_max.  A (near-)rational pair
-    warns first: its pair residual can vanish off the common fixed set.
+    T(alpha) and T(beta) are compiled once, here, and handed to
+    ``iterates(op_alpha, op_beta)``, whose generator yields x_1, x_2, ...
+    and is sent (T(alpha)x_n, T(beta)x_n) for the x_n it yielded last, so
+    updates reuse those two applications.  Each x_n is recorded, then
+    tested for an inner-solver failure (``inner`` holds the implicit
+    scheme's (sweeps, residual, solved) per step), then for convergence,
+    then against the budget n_max.  A (near-)rational pair warns first: its
+    pair residual can vanish off the common fixed set.
     """
     _warn_if_near_rational(cfg.alpha, cfg.beta)
+    op_alpha, op_beta = operator(spec, cfg.alpha), operator(spec, cfg.beta)
+    orbit = iterates(op_alpha, op_beta)
     rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
     images = None
     x_prev = None
     for n in range(1, n_max + 1):
-        x = iterates.send(images)
-        ta = evaluate(spec, cfg.alpha, x)
-        tb = evaluate(spec, cfg.beta, x)
-        pair = max(float(np.linalg.norm(ta - x)), float(np.linalg.norm(tb - x)))
-        step = 0.0 if x_prev is None else float(np.linalg.norm(x - x_prev))
+        x = orbit.send(images)
+        ta = op_alpha(x)
+        tb = op_beta(x)
+        pair = max(_norm(ta - x), _norm(tb - x))
+        step = 0.0 if x_prev is None else _norm(x - x_prev)
         rec.add(n, pair, step, x)
         if inner is not None and not inner[-1][2]:
             termination = INNER_SOLVER_FAILURE
@@ -394,20 +407,20 @@ def baillon_double(spec, cfg):
             "(the time-grid cache grows quadratically)"
         )
 
-    def iterates():
+    def iterates(op_alpha, op_beta):
         grid = np.empty((n_max + 1, n_max + 1, x0.size))
         grid[0, 0] = x0
         total = np.zeros(x0.size)
         for n in range(1, n_max + 1):
-            grid[0, n] = evaluate(spec, cfg.beta, grid[0, n - 1])
+            grid[0, n] = op_beta(grid[0, n - 1])
             for k in range(1, n + 1):
-                grid[k, n] = evaluate(spec, cfg.alpha, grid[k - 1, n])
+                grid[k, n] = op_alpha(grid[k - 1, n])
             for l in range(1, n):
-                grid[n, l] = evaluate(spec, cfg.alpha, grid[n - 1, l])
+                grid[n, l] = op_alpha(grid[n - 1, l])
             total += grid[1 : n + 1, n].sum(axis=0) + grid[n, 1:n].sum(axis=0)
             yield total / (n * n)
 
-    return _drive(spec, cfg, tag, iterates(), n_max)
+    return _drive(spec, cfg, tag, iterates, n_max)
 
 
 def baillon_power_average(spec, cfg):
@@ -419,28 +432,32 @@ def baillon_power_average(spec, cfg):
     tag = "baillon_power_average"
     x0 = _require_point(spec, cfg, "start", tag)
 
-    def iterates(z):
+    def iterates(op_alpha, op_beta):
+        z = x0
         total = np.zeros(z.size)
         for n in itertools.count(1):
-            z = 0.5 * (evaluate(spec, cfg.alpha, z) + evaluate(spec, cfg.beta, z))
+            z = 0.5 * (op_alpha(z) + op_beta(z))
             total += z
             yield total / n
 
-    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag))
+    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag))
 
 
-def _double_block_average(spec, x, n, alpha, beta):
-    """(1/n^2) sum_{k,l=1..n} T(k*alpha + l*beta) x at a fixed point x."""
+def _double_block_average(op_alpha, op_beta, x, n):
+    """(1/n^2) sum_{k,l=1..n} T(k*alpha + l*beta) x at a fixed point x.
+
+    ``op_alpha`` and ``op_beta`` are the compiled T(alpha) and T(beta).
+    """
     d = x.size
     row = np.empty((n, d))
     cur = x
     for l in range(n):
-        cur = evaluate(spec, beta, cur)
+        cur = op_beta(cur)
         row[l] = cur
     total = np.zeros(d)
     for _ in range(n):
         for l in range(n):
-            row[l] = evaluate(spec, alpha, row[l])
+            row[l] = op_alpha(row[l])
         total += row.sum(axis=0)
     return total / (n * n)
 
@@ -464,12 +481,13 @@ def mann(spec, cfg):
     x0 = _require_point(spec, cfg, "start", tag)
     rest = 1.0 - cfg.kappa - cfg.lam
 
-    def iterates(x):
+    def iterates(*_):
+        x = x0
         while True:
             ta, tb = yield x
             x = cfg.kappa * ta + cfg.lam * tb + rest * x
 
-    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag), track_fejer=True)
+    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag), track_fejer=True)
 
 
 def suzuki_averaged_mann(spec, cfg):
@@ -484,13 +502,14 @@ def suzuki_averaged_mann(spec, cfg):
         raise ValueError("lambda must lie strictly in (0, 1)")
     x0 = _require_point(spec, cfg, "start", tag)
 
-    def iterates(x):
+    def iterates(op_alpha, op_beta):
+        x = x0
         for n in itertools.count(1):
             yield x
-            avg = _double_block_average(spec, x, n, cfg.alpha, cfg.beta)
+            avg = _double_block_average(op_alpha, op_beta, x, n)
             x = cfg.lam * avg + (1.0 - cfg.lam) * x
 
-    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag), track_fejer=True)
+    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag), track_fejer=True)
 
 
 def ishikawa_composed(spec, cfg):
@@ -505,15 +524,16 @@ def ishikawa_composed(spec, cfg):
         raise ValueError("kappa and lambda must lie strictly in (0, 1)")
     x0 = _require_point(spec, cfg, "start", tag)
 
-    def iterates(x):
+    def iterates(op_alpha, op_beta):
+        x = x0
         for n in itertools.count(1):
             yield x
             y = x
             for _ in range(n):
-                y = cfg.kappa * evaluate(spec, cfg.beta, y) + (1.0 - cfg.kappa) * y
-            x = cfg.lam * evaluate(spec, cfg.alpha, y) + (1.0 - cfg.lam) * y
+                y = cfg.kappa * op_beta(y) + (1.0 - cfg.kappa) * y
+            x = cfg.lam * op_alpha(y) + (1.0 - cfg.lam) * y
 
-    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag), track_fejer=True)
+    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag), track_fejer=True)
 
 
 # ---- anchored schemes ----------------------------------------------------------
@@ -532,7 +552,7 @@ def _banach_solve(step_map, z0, tol, cap, contraction, trace=None):
     """
     z = np.asarray(z0, dtype=float)
     fz = step_map(z)
-    r = float(np.linalg.norm(fz - z))
+    r = _norm(fz - z)
     if trace is not None:
         trace.append(r)
     if r <= tol:
@@ -544,7 +564,7 @@ def _banach_solve(step_map, z0, tol, cap, contraction, trace=None):
     while r > tol and sweeps < budget:
         z = fz
         fz = step_map(z)
-        r = float(np.linalg.norm(fz - z))
+        r = _norm(fz - z)
         sweeps += 1
         if trace is not None:
             trace.append(r)
@@ -567,20 +587,21 @@ def browder_implicit(spec, cfg):
     x0 = u.copy() if cfg.start is None else _require_point(spec, cfg, "start", tag)
     inner = []
 
-    def iterates(x):
+    def iterates(op_alpha, op_beta):
+        x = x0
         for n in itertools.count(1):
             lam_n = sched(n)
             pull = lam_n * u
             half = 0.5 * (1.0 - lam_n)
 
             def step_map(z):
-                return half * (evaluate(spec, cfg.alpha, z) + evaluate(spec, cfg.beta, z)) + pull
+                return half * (op_alpha(z) + op_beta(z)) + pull
 
             x, sweeps, r, ok = _banach_solve(step_map, x, cfg.inner_tol, cfg.inner_cap, 1.0 - lam_n)
             inner.append((sweeps, r, ok))
             yield x
 
-    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag), inner=inner)
+    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag), inner=inner)
 
 
 def halpern(spec, cfg):
@@ -597,13 +618,14 @@ def halpern(spec, cfg):
     x0 = _require_point(spec, cfg, "start", tag)
     sched = _schedule_of(cfg)
 
-    def iterates(x):
+    def iterates(*_):
+        x = x0
         for n in itertools.count(1):
             ta, tb = yield x
             lam_n = sched(n)
             x = 0.5 * (1.0 - lam_n) * (ta + tb) + lam_n * u
 
-    return _drive(spec, cfg, tag, iterates(x0), _resolve_budget(cfg, tag))
+    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag))
 
 
 SCHEME_TAGS = {

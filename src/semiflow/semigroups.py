@@ -13,10 +13,11 @@ against ground truth:
   positive semidefinite A, on a ball centered at the origin.  The
   eigendecomposition of A is computed once and cached on the spec.
 
-``evaluate`` is a pure function of (spec, t, x).  Points are accepted when
-they sit within a small membership slack of the domain, and every output is
-metrically projected back into the domain, so long iteration loops cannot
-drift outside by accumulated rounding.
+``operator(spec, t)`` compiles T(t) for one fixed time into a callable,
+and ``evaluate(spec, t, x)`` applies it once; both are pure.  Points are
+accepted when they sit within a small membership slack of the domain, and
+every output is metrically projected back into the domain, so long
+iteration loops cannot drift outside by accumulated rounding.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import math
 import numpy as np
 
-from semiflow.vecspace import Ball, Box, as_point, max_dim, sym_eigendecompose
+from semiflow.vecspace import Ball, Box, _norm, as_point, max_dim, sym_eigendecompose
 
 __all__ = [
     "MEMBERSHIP_SLACK",
@@ -35,6 +36,7 @@ __all__ = [
     "rotation",
     "decay",
     "heat",
+    "operator",
     "evaluate",
     "analytic_fixed_set",
     "fixed_set_distance",
@@ -155,40 +157,61 @@ def heat(matrix, radius=10.0):
     )
 
 
-def evaluate(spec, t, x):
-    """Apply T(t) to the point x.
+def operator(spec, t):
+    """Compile T(t) for a fixed time: return the callable x -> T(t)x.
 
-    Requires t >= 0 and x inside the domain up to the membership slack.
-    T(0) is the identity: exact for decay, and short-circuited for rotation
-    and heat so no spectral round-off enters at t = 0.  The result is
-    projected back into the domain.
+    Requires t >= 0.  Everything that depends on t alone (the rotation's
+    cosine and sine, the heat flow's exp(-t w), the decay's shift) is
+    computed here, once.  Each call still checks that x, a float64 vector,
+    has the flow's dimension and lies inside the domain up to the
+    membership slack, and projects its result back into the domain.  T(0)
+    is the identity: exact for decay, and short-circuited for rotation and
+    heat so no spectral round-off enters at t = 0.
     """
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
-    x = np.asarray(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"point has shape {x.shape}, semigroup expects ({spec.dim},)")
-    if spec.domain.exterior_distance(x) > MEMBERSHIP_SLACK:
-        raise ValueError("point lies outside the domain beyond the membership slack")
     if t == 0.0:
-        return spec.domain.project(x)
-
-    if spec.kind == ROTATION:
+        def step(x):
+            return x
+    elif spec.kind == ROTATION:
         angle = 2.0 * math.pi * t / spec.period
         c, s = math.cos(angle), math.sin(angle)
-        dx = x[0] - spec.center[0]
-        dy = x[1] - spec.center[1]
-        y = x.copy()
-        y[0] = spec.center[0] + c * dx - s * dy
-        y[1] = spec.center[1] + s * dx + c * dy
+        cx, cy = spec.center
+
+        def step(x):
+            dx = x[0] - cx
+            dy = x[1] - cy
+            y = x.copy()
+            y[0] = cx + c * dx - s * dy
+            y[1] = cy + s * dx + c * dy
+            return y
     elif spec.kind == DECAY:
-        y = np.maximum(x - t, 0.0)
+        def step(x):
+            return np.maximum(x - t, 0.0)
     elif spec.kind == HEAT:
-        y = spec.eigvecs @ (np.exp(-t * spec.eigvals) * (spec.eigvecs.T @ x))
+        v, vt, factors = spec.eigvecs, spec.eigvecs.T, np.exp(-t * spec.eigvals)
+
+        def step(x):
+            return v @ (factors * (vt @ x))
     else:
         raise ValueError(f"unknown semigroup kind {spec.kind!r}")
-    return spec.domain.project(y)
+
+    domain, shape = spec.domain, (spec.dim,)
+
+    def apply(x):
+        if x.shape != shape:
+            raise ValueError(f"point has shape {x.shape}, semigroup expects {shape}")
+        if domain.exterior_distance(x) > MEMBERSHIP_SLACK:
+            raise ValueError("point lies outside the domain beyond the membership slack")
+        return domain.project(step(x))
+
+    return apply
+
+
+def evaluate(spec, t, x):
+    """Apply T(t) to the point x: operator(spec, t) for a single application."""
+    return operator(spec, t)(np.asarray(x, dtype=float))
 
 
 def analytic_fixed_set(spec):
@@ -221,12 +244,12 @@ def fixed_set_distance(descriptor, x):
     """Exact Euclidean distance from x to the described set."""
     x = np.asarray(x, dtype=float)
     if descriptor.kind == "singleton":
-        return float(np.linalg.norm(x - descriptor.point))
+        return _norm(x - descriptor.point)
     if descriptor.kind == "affine_subspace":
         r = x - descriptor.basepoint
         if descriptor.basis.shape[1] == 0:
-            return float(np.linalg.norm(r))
-        return float(np.linalg.norm(r - descriptor.basis @ (descriptor.basis.T @ r)))
+            return _norm(r)
+        return _norm(r - descriptor.basis @ (descriptor.basis.T @ r))
     if descriptor.kind == "whole_domain":
         return 0.0
     raise ValueError(f"unknown fixed set kind {descriptor.kind!r}")

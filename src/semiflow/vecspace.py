@@ -99,6 +99,11 @@ def combine(weights, points):
     return w @ np.stack(pts)
 
 
+def _norm(v):
+    """Euclidean norm of a 1-D float vector, bit for bit what numpy.linalg.norm returns."""
+    return math.sqrt(v.dot(v))
+
+
 def dist(a, b):
     """Euclidean distance between two points of equal dimension."""
     x = as_point(a)
@@ -127,7 +132,7 @@ class Ball:
 
     def exterior_distance(self, x):
         """Distance from x to the ball (0 when inside)."""
-        return max(0.0, float(np.linalg.norm(np.asarray(x, float) - self.center)) - self.radius)
+        return max(0.0, _norm(np.asarray(x, float) - self.center) - self.radius)
 
     def contains(self, x, slack=0.0):
         return self.exterior_distance(x) <= slack
@@ -136,7 +141,7 @@ class Ball:
         """Metric projection onto the ball.  Interior points pass through unchanged."""
         x = np.asarray(x, dtype=float)
         offset = x - self.center
-        nrm = float(np.linalg.norm(offset))
+        nrm = _norm(offset)
         if nrm <= self.radius:
             return x
         return self.center + offset * (self.radius / nrm)
@@ -163,7 +168,7 @@ class Box:
 
     def exterior_distance(self, x):
         x = np.asarray(x, dtype=float)
-        return float(np.linalg.norm(np.clip(x, self.lower, self.upper) - x))
+        return _norm(np.clip(x, self.lower, self.upper) - x)
 
     def contains(self, x, slack=0.0):
         return self.exterior_distance(x) <= slack

@@ -362,6 +362,18 @@ def test_sweep_parses_the_semigroup_once(capsys, tmp_path, monkeypatch):
     assert calls == ["decay:dim=2"]
 
 
+def test_sweep_rejects_seed(capsys, tmp_path):
+    # each sweep run takes its seed from --seeds, so --seed would be ignored
+    code, _, err = run_cli(
+        capsys, "sweep", "--scheme", "mann", "--semigroup", "decay:dim=2",
+        "--alpha", "1", "--beta", SQRT2_STR, "--seeds", "1", "--seed", "5",
+        "--out-dir", str(tmp_path / "sw"),
+    )
+    assert code == 64
+    assert "--seed" in err
+    assert not (tmp_path / "sw").exists()
+
+
 def test_sweep_propagates_worst_exit(capsys, tmp_path):
     out_dir = tmp_path / "sw2"
     code, _, _ = run_cli(

@@ -11,6 +11,7 @@ from semiflow.schemes import (
     DEFAULT_MAX_ITER,
     IterationConfig,
     SCHEME_TAGS,
+    _Recorder,
     _banach_solve,
     _double_block_average,
     baillon_double,
@@ -24,7 +25,7 @@ from semiflow.schemes import (
     run_scheme,
     suzuki_averaged_mann,
 )
-from semiflow.semigroups import analytic_fixed_set, decay, evaluate, heat, rotation
+from semiflow.semigroups import analytic_fixed_set, decay, evaluate, heat, operator, rotation
 
 from .oracles import (
     heat_diag_coordinate_factor,
@@ -120,17 +121,28 @@ def test_mann_weight_preconditions():
         ishikawa_composed(spec, cfg(kappa=1.0, lam=0.5, start=[1.0]))
 
 
+def count_applications(monkeypatch):
+    """Count every application of the operators the schemes compile; returns the list of times."""
+    calls = []
+
+    def counting_operator(spec, t):
+        apply = operator(spec, t)
+
+        def counted(x):
+            calls.append(t)
+            return apply(x)
+
+        return counted
+
+    monkeypatch.setattr(schemes, "operator", counting_operator)
+    return calls
+
+
 def test_driver_reuses_the_pair_images(monkeypatch):
     # the driver applies T(alpha) and T(beta) once per iterate; mann and
     # halpern build their update from those two images, and the power
     # average adds one midpoint stage (two more applications)
-    calls = []
-
-    def counting(spec, t, x):
-        calls.append(t)
-        return evaluate(spec, t, x)
-
-    monkeypatch.setattr(schemes, "evaluate", counting)
+    calls = count_applications(monkeypatch)
     spec = rotation(period=1.0)
     n = 30
     for scheme, per_iter in ((mann, 2), (halpern, 2), (baillon_power_average, 4)):
@@ -202,7 +214,7 @@ def test_baillon_double_matches_block_average_oracle():
     x0 = np.array([0.8, -0.3])
     report = baillon_double(spec, cfg(start=x0, max_iter=7, record_all=True))
     for rec in report.iterates_recorded:
-        direct = _double_block_average(spec, x0, rec.n, 1.0, SQRT2)
+        direct = _double_block_average(operator(spec, 1.0), operator(spec, SQRT2), x0, rec.n)
         assert np.linalg.norm(rec.point - direct) <= 1e-10
 
 
@@ -475,6 +487,41 @@ def test_record_all_keeps_every_iterate():
     assert [rec.n for rec in report.iterates_recorded] == list(range(1, 151))
 
 
+def test_thinned_records_equal_the_record_all_records():
+    # the recorder builds a record only for the iterates it keeps; each
+    # kept record, the final one included, must match the full trace
+    rotation_spec = rotation(period=1.0, center=(0.5, 0.0))
+    runs = (
+        (halpern, cfg(u=[1.0, 0.0], start=[2.0, 1.0], tol=1e-15, max_iter=1500)),
+        (mann, cfg(start=[2.0, 1.0], kappa=0.02, lam=0.01, tol=1e-15, max_iter=1500)),
+    )
+    for scheme, c in runs:
+        thinned = scheme(rotation_spec, c)
+        c.record_all = True
+        full = scheme(rotation_spec, c)
+        assert thinned.n_used == full.n_used > 362
+        by_n = {rec.n: rec for rec in full.iterates_recorded}
+        assert len(thinned.iterates_recorded) < len(by_n)
+        assert thinned.iterates_recorded[-1].n == thinned.n_used
+        for rec in thinned.iterates_recorded:
+            ref = by_n[rec.n]
+            assert rec.pair_residual == ref.pair_residual
+            assert rec.step_norm == ref.step_norm
+            assert rec.fixed_set_distance == ref.fixed_set_distance
+            assert np.array_equal(rec.point, ref.point)
+        assert np.array_equal(thinned.final_point, full.final_point)
+        assert thinned.fejer_violations == full.fejer_violations
+    assert thinned.fejer_violations == 0
+    # Fejer counting must see the iterates that are not kept: distance 1, 2,
+    # 1, 2, ... to the fixed set {0} rises on every even n
+    rec = _Recorder(decay(dim=1), track_fejer=True)
+    for n in range(1, 301):
+        rec.add(n, 0.0, 0.0, np.array([2.0 - n % 2]))
+    report = rec.finish("mann", "max_iter")
+    assert report.fejer_violations == 150
+    assert report.iterates_recorded[-1].fixed_set_distance == 2.0
+
+
 def test_report_dict_shape():
     spec = decay(dim=1)
     report = mann(spec, cfg(start=[1.0], max_iter=50))
@@ -505,13 +552,7 @@ def test_anchored_schemes_require_anchor():
 def test_start_and_anchor_are_checked_before_iterating(monkeypatch):
     # radius-10 rotation disc in the plane: (1, 0) is inside, (50, 0) is
     # outside, and a 3-vector has the wrong dimension
-    calls = []
-
-    def counting(spec, t, x):
-        calls.append(t)
-        return evaluate(spec, t, x)
-
-    monkeypatch.setattr(schemes, "evaluate", counting)
+    calls = count_applications(monkeypatch)
     spec = rotation(period=1.0)
     good = [1.0, 0.0]
     bad = (

@@ -10,6 +10,7 @@ from semiflow.semigroups import (
     fixed_set_distance,
     from_descriptor,
     heat,
+    operator,
     rotation,
 )
 
@@ -125,6 +126,83 @@ def test_evaluate_rejects_bad_input():
         evaluate(spec, 1.0, np.array([1.0, 1.0, 1.0]))
     with pytest.raises(ValueError):
         evaluate(spec, 1.0, np.array([20.0, 1.0]))  # far outside the box
+
+
+def evaluate_per_call(spec, t, x):
+    """T(t)x with every t-dependent value recomputed and numpy.linalg.norm
+    in the membership check and the projection: the bitwise reference for
+    the compiled operators."""
+    dom = spec.domain
+    x = np.asarray(x, dtype=float)
+    if hasattr(dom, "radius"):
+        outside = max(0.0, float(np.linalg.norm(x - dom.center)) - dom.radius)
+    else:
+        outside = float(np.linalg.norm(np.clip(x, dom.lower, dom.upper) - x))
+    assert outside <= 1e-9
+    if t == 0.0:
+        y = x
+    elif spec.kind == "rotation":
+        angle = 2.0 * math.pi * t / spec.period
+        c, s = math.cos(angle), math.sin(angle)
+        dx, dy = x[0] - spec.center[0], x[1] - spec.center[1]
+        y = x.copy()
+        y[0] = spec.center[0] + c * dx - s * dy
+        y[1] = spec.center[1] + s * dx + c * dy
+    elif spec.kind == "decay":
+        y = np.maximum(x - t, 0.0)
+    else:
+        y = spec.eigvecs @ (np.exp(-t * spec.eigvals) * (spec.eigvecs.T @ x))
+    if hasattr(dom, "radius"):
+        nrm = float(np.linalg.norm(y - dom.center))
+        return y if nrm <= dom.radius else dom.center + (y - dom.center) * (dom.radius / nrm)
+    return np.clip(y, dom.lower, dom.upper)
+
+
+def compiled_operator_specs():
+    rng = np.random.default_rng(11)
+    q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+    return [
+        rotation(center=(0.5, -0.25), period=1.0),
+        rotation(center=(0.0, 1.0), period=1.7, dim=3),
+        decay(dim=3),
+        heat((q * [0.0, 0.4, 1.3, 2.2]) @ q.T),  # non-diagonal, one-dimensional kernel
+    ]
+
+
+def test_operator_is_bitwise_the_per_call_evaluator():
+    rng = np.random.default_rng(5)
+    for spec in compiled_operator_specs():
+        dom = spec.domain
+        points = list(sample_inside(spec, rng, 8))
+        # just outside the domain, within the membership slack
+        if hasattr(dom, "radius"):
+            for g in rng.normal(size=(3, dom.dim)):
+                points.append(dom.center + (dom.radius + 5e-10) * g / np.linalg.norm(g))
+        else:
+            for i in range(dom.dim):
+                points.append(np.where(np.arange(dom.dim) == i, dom.upper + 5e-10, 0.5 * dom.upper))
+            points.append(dom.lower - 3e-10)
+        for t in (0.0, 1.0, SQRT2, 7.3):
+            apply = operator(spec, t)
+            for x in points:
+                expected = evaluate_per_call(spec, t, x)
+                assert np.array_equal(apply(x), expected), (spec.kind, t)
+                assert np.array_equal(evaluate(spec, t, x), expected), (spec.kind, t)
+
+
+def test_operator_keeps_the_evaluate_errors():
+    for spec in (decay(dim=2), rotation(period=1.0)):
+        inside, far = np.array([1.0, 1.0]), np.array([20.0, 1.0])
+        for t in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match=r"^time must be finite and nonnegative, got"):
+                operator(spec, t)
+            with pytest.raises(ValueError, match=r"^time must be finite and nonnegative, got"):
+                evaluate(spec, t, inside)
+        for apply in (operator(spec, 1.0), lambda x: evaluate(spec, 1.0, x)):
+            with pytest.raises(ValueError, match=r"^point has shape \(3,\), semigroup expects \(2,\)$"):
+                apply(np.array([1.0, 1.0, 1.0]))
+            with pytest.raises(ValueError, match=r"^point lies outside the domain beyond the membership slack$"):
+                apply(far)
 
 
 # ---- analytic fixed sets ----------------------------------------------------------
