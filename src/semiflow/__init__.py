@@ -34,6 +34,7 @@ from semiflow.semigroups import (
     from_descriptor,
     heat,
     operator,
+    orbit,
     rotation,
 )
 from semiflow.stepseq import (

@@ -42,7 +42,7 @@ from semiflow.schemes import (
 )
 from semiflow.semigroups import from_descriptor
 from semiflow.stepseq import euclid_sequence, geometric, greedy_decompose
-from semiflow.vecspace import Ball
+from semiflow.vecspace import Ball, as_point
 
 __all__ = ["ExperimentConfig", "main", "console_main"]
 
@@ -259,7 +259,7 @@ def _cmd_decompose(args):
 
 def _cmd_verify(args):
     spec = from_descriptor(args.semigroup)
-    x = np.array(args.point, dtype=float)
+    x = as_point(args.point)
     grid = None if args.grid is None else default_profile_grid(args.alpha, args.beta, **args.grid)
     cert = certify_common_fixed(spec, x, args.alpha, args.beta, grid=grid, tol=args.tol)
     sys.stdout.write(_json_text({"spec_version": SPEC_VERSION, **cert.to_dict()}))

