@@ -68,6 +68,7 @@ from semiflow.schemes import (
     make_schedule,
     mann,
     parse_schedule,
+    run_rows,
     run_scheme,
     suzuki_averaged_mann,
 )

@@ -36,7 +36,9 @@ from semiflow.schemes import (
     INNER_SOLVER_FAILURE,
     MAX_ITER,
     IterationConfig,
+    ROW_SCHEMES,
     parse_schedule,
+    run_rows,
     run_scheme,
     SCHEME_TAGS,
 )
@@ -88,6 +90,10 @@ def _seeds_arg(text):
         raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}")
     if any(s < 0 for s in seeds):
         raise argparse.ArgumentTypeError("seeds must be nonnegative")
+    # a repeated seed would write the same files twice and count twice in sweep.json
+    for i, seed in enumerate(seeds):
+        if seed in seeds[:i]:
+            raise argparse.ArgumentTypeError(f"seed {seed} is repeated")
     return seeds
 
 
@@ -187,11 +193,12 @@ def _sample_point(domain, seed):
     return rng.uniform(domain.lower, domain.upper)
 
 
-def _iteration_config(spec, cfg):
+def _iteration_config(spec, cfg, start=None):
     # every IterationConfig field but start has a namesake in ExperimentConfig
     shared = {f.name: getattr(cfg, f.name) for f in dataclasses.fields(IterationConfig) if f.name != "start"}
     shared["schedule"] = None if cfg.schedule is None else parse_schedule(cfg.schedule)
-    start = cfg.x0 if cfg.x0 is not None else _sample_point(spec.domain, cfg.seed)
+    if start is None:
+        start = cfg.x0 if cfg.x0 is not None else _sample_point(spec.domain, cfg.seed)
     return IterationConfig(**shared, start=start)
 
 
@@ -222,8 +229,8 @@ def _summary_payload(cfg, report):
     }
 
 
-def _execute_run(cfg, spec):
-    report = run_scheme(cfg.scheme, spec, _iteration_config(spec, cfg))
+def _write_run(cfg, report):
+    """Write one run's artifacts and status line; return its exit code."""
     if cfg.csv is not None:
         _write_trace_csv(cfg.csv, report)
     summary = _json_text(_summary_payload(cfg, report))
@@ -240,7 +247,7 @@ def _execute_run(cfg, spec):
         f"(pair_residual={rec.pair_residual:.3e}, fixed_set_distance={rec.fixed_set_distance:.3e})",
         file=sys.stderr,
     )
-    return TERMINATION_EXIT[report.termination], report
+    return TERMINATION_EXIT[report.termination]
 
 
 # ---- subcommand handlers ---------------------------------------------------------
@@ -268,8 +275,8 @@ def _cmd_verify(args):
 
 def _cmd_run(args):
     cfg = _experiment_from_args(args)
-    code, _ = _execute_run(cfg, from_descriptor(cfg.semigroup))
-    return code
+    spec = from_descriptor(cfg.semigroup)
+    return _write_run(cfg, run_scheme(cfg.scheme, spec, _iteration_config(spec, cfg)))
 
 
 def _cmd_sweep(args):
@@ -277,19 +284,26 @@ def _cmd_sweep(args):
     spec = from_descriptor(base.semigroup)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    results = []
-    worst = 0
+    cfgs = []
     for seed in args.seeds:
         stem = out_dir / f"{base.scheme}_seed{seed}"
-        cfg = dataclasses.replace(
-            base, seed=seed, csv=str(stem.with_suffix(".csv")), json=str(stem.with_suffix(".json"))
-        )
-        code, report = _execute_run(cfg, spec)
-        worst = max(worst, code)
+        csv_path, json_path = str(stem.with_suffix(".csv")), str(stem.with_suffix(".json"))
+        cfgs.append(dataclasses.replace(base, seed=seed, csv=csv_path, json=json_path))
+    if base.scheme in ROW_SCHEMES and len(cfgs) > 1:
+        # every seed at once, as the rows of one array; each report equals
+        # that seed's own run within rounding
+        starts = np.array([_sample_point(spec.domain, cfg.seed) for cfg in cfgs])
+        reports = run_rows(base.scheme, spec, _iteration_config(spec, base, start=starts))
+    else:
+        reports = (run_scheme(cfg.scheme, spec, _iteration_config(spec, cfg)) for cfg in cfgs)
+    results = []
+    worst = 0
+    for cfg, report in zip(cfgs, reports):
+        worst = max(worst, _write_run(cfg, report))
         rec = report.final_record
         results.append(
             {
-                "seed": seed,
+                "seed": cfg.seed,
                 "termination": report.termination,
                 "n_used": report.n_used,
                 "final_pair_residual": rec.pair_residual,
@@ -299,6 +313,7 @@ def _cmd_sweep(args):
             }
         )
     distances = [r["final_fixed_set_distance"] for r in results]
+    n_used = [r["n_used"] for r in results]
     aggregate = {
         "spec_version": SPEC_VERSION,
         "scheme": base.scheme,
@@ -309,6 +324,10 @@ def _cmd_sweep(args):
         "results": results,
         "final_distance_mean": float(np.mean(distances)),
         "final_distance_max": float(np.max(distances)),
+        "termination_counts": {t: sum(r["termination"] == t for r in results) for t in TERMINATION_EXIT},
+        "n_used_min": min(n_used),
+        "n_used_median": float(np.median(n_used)),
+        "n_used_max": max(n_used),
     }
     (out_dir / "sweep.json").write_text(_json_text(aggregate))
     return worst

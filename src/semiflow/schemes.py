@@ -38,7 +38,7 @@ from semiflow.semigroups import MEMBERSHIP_SLACK, analytic_fixed_set, fixed_set_
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import check_pair
-from semiflow.vecspace import _norm, as_point
+from semiflow.vecspace import _norm, _row_norms, as_point
 
 __all__ = [
     "Schedule",
@@ -55,9 +55,10 @@ __all__ = [
     "browder_implicit",
     "halpern",
     "run_scheme",
+    "run_rows",
     "SCHEME_TAGS",
+    "ROW_SCHEMES",
     "DEFAULT_MAX_ITER",
-    "BAILLON_GRID_CAP",
 ]
 
 CONVERGED = "converged"
@@ -67,10 +68,6 @@ INNER_SOLVER_FAILURE = "inner_solver_failure"
 # fixed-set distance may rise by at most this much per step before it
 # counts as a monotonicity violation
 FEJER_SLACK = 1e-10
-
-# the double-average grid is O(n^2) stored points; at the dimension cap this
-# limit keeps the cache at or below 128 MiB
-BAILLON_GRID_CAP = 512
 
 # iteration budgets used when the config leaves max_iter unset
 DEFAULT_MAX_ITER = {
@@ -165,7 +162,8 @@ class IterationConfig:
     inner_tol    Browder inner solver residual target
     inner_cap    Browder inner solver hard iteration cap
     u            anchor point (browder_implicit and halpern)
-    start        initial iterate x_1
+    start        initial iterate x_1, or a (B, d) array of B of them for
+                 run_rows
     record_all   record every iterate instead of thinning past n = 100
     """
 
@@ -196,7 +194,13 @@ class IterationConfig:
         if self.u is not None:
             self.u = as_point(self.u)
         if self.start is not None:
-            self.start = as_point(self.start)
+            start = np.asarray(self.start, dtype=float)
+            if start.ndim == 2:
+                start = np.array([as_point(row) for row in start])
+                start.flags.writeable = False
+                self.start = start
+            else:
+                self.start = as_point(start)
 
 
 @dataclass(frozen=True)
@@ -260,6 +264,7 @@ class _Recorder:
     asked, it also counts steps on which the distance to the analytic fixed
     set rose by more than FEJER_SLACK.  The distance is only computed for
     iterates that are kept, unless that count needs it on every step.
+    A caller that has the distance already passes it to add().
     """
 
     def __init__(self, spec, track_fejer=False, record_all=False):
@@ -285,10 +290,10 @@ class _Recorder:
             point=point,  # no copy: no scheme mutates an iterate in place
         )
 
-    def add(self, n, pair_residual, step_norm, point):
-        fsd = None
+    def add(self, n, pair_residual, step_norm, point, fsd=None):
         if self.track_fejer:
-            fsd = fixed_set_distance(self.fixed_set, point)
+            if fsd is None:
+                fsd = fixed_set_distance(self.fixed_set, point)
             if self._prev_fsd is not None and fsd > self._prev_fsd + FEJER_SLACK:
                 self.fejer_violations += 1
             self._prev_fsd = fsd
@@ -326,21 +331,22 @@ def _resolve_budget(cfg, tag):
     return int(cfg.max_iter)
 
 
-def _require_point(spec, cfg, name, tag):
+def _require_point(spec, cfg, name, tag, rows=False):
     """cfg.<name> ("start" or "u") as a float vector of the flow's dimension inside its domain.
 
     Checked before the first iteration, with the membership slack that
     every operator application applies, so a bad point is reported under
-    its own name.
+    its own name.  With ``rows``, a (B, d) array of such points passes too.
     """
     x = getattr(cfg, name)
     if x is None:
         raise ValueError(f"{tag} needs a value for {name}")
     x = np.array(x, dtype=float)
-    if x.shape != (spec.dim,):
-        raise ValueError(f"{name} has shape {x.shape}, the semigroup expects ({spec.dim},)")
-    if not spec.domain.contains(x, MEMBERSHIP_SLACK):
-        raise ValueError(f"{name} lies outside the domain beyond the membership slack")
+    for point in x if rows and x.ndim == 2 else (x,):
+        if point.shape != (spec.dim,):
+            raise ValueError(f"{name} has shape {point.shape}, the semigroup expects ({spec.dim},)")
+        if not spec.domain.contains(point, MEMBERSHIP_SLACK):
+            raise ValueError(f"{name} lies outside the domain beyond the membership slack")
     return x
 
 
@@ -359,10 +365,16 @@ def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
     scheme's (sweeps, residual, solved) per step), then for convergence,
     then against the budget n_max.  A (near-)rational pair warns first: its
     pair residual can vanish off the common fixed set.
+
+    When cfg.start is a (B, d) array (ROW_SCHEMES only), the generator
+    yields (B, d) iterates and each application is one call on the block;
+    see _drive_rows.
     """
     _warn_if_near_rational(cfg.alpha, cfg.beta)
     op_alpha, op_beta = operator(spec, cfg.alpha), operator(spec, cfg.beta)
     orbit = iterates(op_alpha, op_beta)
+    if cfg.start is not None and cfg.start.ndim == 2:
+        return _drive_rows(spec, cfg, tag, orbit, op_alpha, op_beta, n_max, track_fejer)
     rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
     images = None
     x_prev = None
@@ -387,6 +399,41 @@ def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
     return rec.finish(tag, termination, [e[0] for e in inner], [e[1] for e in inner])
 
 
+def _drive_rows(spec, cfg, tag, orbit, op_alpha, op_beta, n_max, track_fejer):
+    """_drive's loop for B runs iterated as the rows of one array.
+
+    The pair residual, the step and (for the Fejer count) the fixed-set
+    distance are taken per row, and each row has its own _Recorder, which
+    sees the row until its own termination.  The block is iterated until
+    every row has ended, so a row that has ended is still updated but no
+    longer recorded.  Returns one report per row.
+    """
+    recs = [_Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all) for _ in cfg.start]
+    ends = [MAX_ITER] * len(recs)
+    live = range(len(recs))
+    images = None
+    x_prev = None
+    for n in range(1, n_max + 1):
+        x = orbit.send(images)
+        ta = op_alpha(x)
+        tb = op_beta(x)
+        pair = np.maximum(_row_norms(ta - x), _row_norms(tb - x))
+        step = np.zeros(len(x)) if x_prev is None else _row_norms(x - x_prev)
+        done = ((pair <= cfg.tol) & (step <= cfg.tol)).tolist()
+        # Python floats, as the serial loop records them
+        pair, step = pair.tolist(), step.tolist()
+        fsd = fixed_set_distance(recs[0].fixed_set, x).tolist() if track_fejer else [None] * len(x)
+        for i in live:
+            recs[i].add(n, pair[i], step[i], x[i], fsd[i])
+            if done[i]:
+                ends[i] = CONVERGED
+        live = [i for i in live if not done[i]]
+        if not live:
+            break
+        images, x_prev = (ta, tb), x
+    return [rec.finish(tag, end) for rec, end in zip(recs, ends)]
+
+
 # ---- averaging schemes ---------------------------------------------------------
 
 def baillon_double(spec, cfg):
@@ -394,30 +441,29 @@ def baillon_double(spec, cfg):
 
     x_n = (1/n^2) sum_{k=1..n} sum_{l=1..n} T(k*alpha + l*beta) x, computed
     from the power grid y[k, l] = T(alpha)^k T(beta)^l x via the recurrences
-    y[0, l+1] = T(beta) y[0, l] and y[k+1, l] = T(alpha) y[k, l].  The grid
-    is filled lazily ring by ring, but its storage is O(max_iter^2) points,
-    so budgets above BAILLON_GRID_CAP are rejected.
+    y[0, l+1] = T(beta) y[0, l] and y[k+1, l] = T(alpha) y[k, l].  Ring n
+    adds the column y[1..n, n] and the row y[n, 1..n-1], so only the
+    column and the frontier row y[n-1, 1..n-1] of the ring before are
+    kept: O(max_iter) points, while the cost stays O(max_iter^2)
+    applications.
     """
     tag = "baillon_double"
     x0 = _require_point(spec, cfg, "start", tag)
     n_max = _resolve_budget(cfg, tag)
-    if n_max > BAILLON_GRID_CAP:
-        raise ValueError(
-            f"{tag}: budget {n_max} exceeds the grid cap {BAILLON_GRID_CAP} "
-            "(the time-grid cache grows quadratically)"
-        )
 
     def iterates(op_alpha, op_beta):
-        grid = np.empty((n_max + 1, n_max + 1, x0.size))
-        grid[0, 0] = x0
+        col = np.empty((n_max + 1, x0.size))  # col[k] = y[k, n]
+        row = np.empty((n_max + 1, x0.size))  # row[l] = y[n - 1, l], l < n
+        col[0] = x0
         total = np.zeros(x0.size)
         for n in range(1, n_max + 1):
-            grid[0, n] = op_beta(grid[0, n - 1])
+            col[0] = op_beta(col[0])
             for k in range(1, n + 1):
-                grid[k, n] = op_alpha(grid[k - 1, n])
+                col[k] = op_alpha(col[k - 1])
             for l in range(1, n):
-                grid[n, l] = op_alpha(grid[n - 1, l])
-            total += grid[1 : n + 1, n].sum(axis=0) + grid[n, 1:n].sum(axis=0)
+                row[l] = op_alpha(row[l])
+            total += col[1 : n + 1].sum(axis=0) + row[1:n].sum(axis=0)
+            row[n] = col[n]
             yield total / (n * n)
 
     return _drive(spec, cfg, tag, iterates, n_max)
@@ -430,11 +476,11 @@ def baillon_power_average(spec, cfg):
     each stage costs one application of each sampled operator.
     """
     tag = "baillon_power_average"
-    x0 = _require_point(spec, cfg, "start", tag)
+    x0 = _require_point(spec, cfg, "start", tag, rows=True)
 
     def iterates(op_alpha, op_beta):
         z = x0
-        total = np.zeros(z.size)
+        total = np.zeros(z.shape)
         for n in itertools.count(1):
             z = 0.5 * (op_alpha(z) + op_beta(z))
             total += z
@@ -478,7 +524,7 @@ def mann(spec, cfg):
         raise ValueError("kappa and lambda must be positive")
     if not cfg.kappa + cfg.lam < 1:
         raise ValueError("kappa + lambda must be < 1")
-    x0 = _require_point(spec, cfg, "start", tag)
+    x0 = _require_point(spec, cfg, "start", tag, rows=True)
     rest = 1.0 - cfg.kappa - cfg.lam
 
     def iterates(*_):
@@ -615,7 +661,7 @@ def halpern(spec, cfg):
     """
     tag = "halpern"
     u = _require_point(spec, cfg, "u", tag)
-    x0 = _require_point(spec, cfg, "start", tag)
+    x0 = _require_point(spec, cfg, "start", tag, rows=True)
     sched = _schedule_of(cfg)
 
     def iterates(*_):
@@ -639,10 +685,38 @@ SCHEME_TAGS = {
 }
 
 
-def run_scheme(tag, spec, cfg):
-    """Dispatch to a scheme by tag (see SCHEME_TAGS)."""
+# the schemes whose update treats each row of a (B, d) iterate on its own
+ROW_SCHEMES = ("baillon_power_average", "halpern", "mann")
+
+
+def _scheme(tag):
     try:
-        fn = SCHEME_TAGS[tag]
+        return SCHEME_TAGS[tag]
     except KeyError:
         raise ValueError(f"unknown scheme {tag!r}; choose from {sorted(SCHEME_TAGS)}") from None
+
+
+def run_scheme(tag, spec, cfg):
+    """Dispatch to a scheme by tag (see SCHEME_TAGS); returns one report."""
+    fn = _scheme(tag)
+    if cfg.start is not None and cfg.start.ndim == 2:
+        raise ValueError("run_scheme takes one start point; run_rows takes a (B, d) array of them")
+    return fn(spec, cfg)
+
+
+def run_rows(tag, spec, cfg):
+    """Run a scheme of ROW_SCHEMES from every row of the (B, d) array cfg.start.
+
+    The B runs are iterated together, as the rows of one array, so each
+    step applies T(alpha) and T(beta) once to the whole block.  Returns B
+    reports, one per row, in row order; each equals run_scheme's report
+    for that row alone, bit for bit on rotation and decay flows.  On a heat
+    flow the block's matrix products sum in another order, so its records
+    differ by rounding only.
+    """
+    fn = _scheme(tag)
+    if tag not in ROW_SCHEMES:
+        raise ValueError(f"{tag} cannot run rows of starts; choose from {list(ROW_SCHEMES)}")
+    if cfg.start is None or cfg.start.ndim != 2:
+        raise ValueError("run_rows needs start as a (B, d) array")
     return fn(spec, cfg)

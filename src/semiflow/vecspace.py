@@ -104,6 +104,15 @@ def _norm(v):
     return math.sqrt(v.dot(v))
 
 
+def _row_norms(ys):
+    """Euclidean norm of every row of a float (B, d) array.
+
+    Each equals _norm of that row bit for bit: numpy.vecdot and the 1-D dot
+    reach the same BLAS dot kernel, which numpy.einsum does not.
+    """
+    return np.sqrt(np.vecdot(ys, ys))
+
+
 def dist(a, b):
     """Euclidean distance between two points of equal dimension."""
     x = as_point(a)
@@ -134,6 +143,10 @@ class Ball:
         """Distance from x to the ball (0 when inside, NaN for a NaN coordinate)."""
         return max(_norm(np.asarray(x, float) - self.center) - self.radius, 0.0)
 
+    def exterior_distance_rows(self, ys):
+        """exterior_distance of every row of a float (B, d) array."""
+        return np.maximum(_row_norms(ys - self.center) - self.radius, 0.0)
+
     def contains(self, x, slack=0.0):
         return self.exterior_distance(x) <= slack
 
@@ -149,11 +162,11 @@ class Ball:
     def project_rows(self, ys):
         """Project every row of a float (B, d) array onto the ball, in place.
 
-        Each row gets the arithmetic project() applies to one point, except
-        that the row norms are summed in another order.
+        Each row gets the arithmetic project() applies to one point, bit
+        for bit.
         """
         offset = ys - self.center
-        nrm = np.sqrt(np.einsum("ij,ij->i", offset, offset))
+        nrm = _row_norms(offset)
         out = nrm > self.radius
         if out.any():
             ys[out] = self.center + offset[out] * (self.radius / nrm[out])[:, None]
@@ -182,6 +195,10 @@ class Box:
     def exterior_distance(self, x):
         x = np.asarray(x, dtype=float)
         return _norm(np.clip(x, self.lower, self.upper) - x)
+
+    def exterior_distance_rows(self, ys):
+        """exterior_distance of every row of a float (B, d) array."""
+        return _row_norms(np.clip(ys, self.lower, self.upper) - ys)
 
     def contains(self, x, slack=0.0):
         return self.exterior_distance(x) <= slack

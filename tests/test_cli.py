@@ -355,6 +355,100 @@ def test_sweep_aggregates_seeds(capsys, tmp_path):
         assert (out_dir / f"mann_seed{seed}.csv").exists()
         assert (out_dir / f"mann_seed{seed}.json").exists()
     assert all(r["termination"] == "converged" for r in agg["results"])
+    n_used = sorted(r["n_used"] for r in agg["results"])
+    assert agg["termination_counts"] == {"converged": 3, "max_iter": 0, "inner_solver_failure": 0}
+    assert (agg["n_used_min"], agg["n_used_median"], agg["n_used_max"]) == (n_used[0], float(n_used[1]), n_used[2])
+
+
+def test_sweep_rejects_repeated_seeds(capsys, tmp_path):
+    code, _, err = run_cli(
+        capsys, "sweep", "--scheme", "mann", "--semigroup", "decay:dim=2",
+        "--alpha", "1", "--beta", SQRT2_STR, "--seeds", "1,3,2,3",
+        "--out-dir", str(tmp_path / "sw"),
+    )
+    assert code == 64
+    assert "seed 3 is repeated" in err
+    assert not (tmp_path / "sw").exists()
+
+
+def row_sweep_semigroups(tmp_path):
+    """(descriptor, dimension): rotation d=2 off-centre, decay d=3, non-diagonal heat d=6."""
+    q, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(6, 6)))
+    gen = tmp_path / "heat6.txt"
+    np.savetxt(gen, (q * [0.0, 0.0, 0.3, 0.9, 1.7, 2.5]) @ q.T)
+    return [("rotation:period=1,center=0.5,-0.25", 2), ("decay:dim=3", 3), (f"heat:matrix={gen}", 6)]
+
+
+def read_csv_rows(path):
+    lines = path.read_text().splitlines()
+    return lines[0], [[float(v) for v in line.split(",")] for line in lines[1:]]
+
+
+def test_sweep_rows_match_run_per_seed(capsys, tmp_path):
+    seeds = (4, 9, 2)
+    for semigroup, dim in row_sweep_semigroups(tmp_path):
+        anchor = "--u=" + ",".join(["0.5"] * dim)
+        for scheme in ("mann", "halpern", "baillon_power_average"):
+            flags = [
+                "--scheme", scheme, "--semigroup", semigroup, "--alpha", "1", "--beta", SQRT2_STR,
+                anchor, "--max-iter", "300", "--tol", "1e-9",
+            ]
+            out_dir = tmp_path / "sw"
+            code = main(["sweep", *flags, "--seeds", ",".join(map(str, seeds)), "--out-dir", str(out_dir)])
+            for seed in seeds:
+                serial = tmp_path / f"run{seed}.csv"
+                assert main(["run", *flags, "--seed", str(seed), "--csv", str(serial)]) in (0, 2)
+                header, rows = read_csv_rows(out_dir / f"{scheme}_seed{seed}.csv")
+                ref_header, ref_rows = read_csv_rows(serial)
+                assert header == ref_header and len(rows) == len(ref_rows)
+                assert [r[0] for r in rows] == [r[0] for r in ref_rows]
+                assert np.abs(np.array(rows) - np.array(ref_rows)).max() <= 1e-12
+                batched = json.loads((out_dir / f"{scheme}_seed{seed}.json").read_text())
+                ref = json.loads(serial.with_suffix(".json").read_text())
+                for key in ("termination", "n_used", "fejer_violations", "scheme_tag"):
+                    assert batched["report"].get(key) == ref["report"].get(key), (semigroup, scheme, key)
+                assert np.abs(np.subtract(batched["report"]["final_point"], ref["report"]["final_point"])).max() <= 1e-12
+                assert {k: v for k, v in batched["config"].items() if k not in ("csv", "json")} == {
+                    k: v for k, v in ref["config"].items() if k not in ("csv", "json")
+                }
+            results = json.loads((out_dir / "sweep.json").read_text())["results"]
+            assert code == max(cli.TERMINATION_EXIT[r["termination"]] for r in results)
+    capsys.readouterr()
+
+
+def test_sweep_repeats_byte_for_byte_and_batches_only_row_schemes(capsys, tmp_path, monkeypatch):
+    batched = []
+
+    def counting_run_rows(tag, spec, cfg):
+        batched.append((tag, len(cfg.start)))
+        return run_rows(tag, spec, cfg)
+
+    run_rows = cli.run_rows
+    monkeypatch.setattr(cli, "run_rows", counting_run_rows)
+    for scheme, seeds, expected in (
+        ("mann", "0,1,2", [("mann", 3)]),
+        ("halpern", "0,1,2", [("halpern", 3)]),
+        ("baillon_power_average", "0,1,2", [("baillon_power_average", 3)]),
+        ("mann", "5", []),
+        ("ishikawa_composed", "0,1", []),
+    ):
+        argv = [
+            "sweep", "--scheme", scheme, "--semigroup", "rotation:period=1,center=0.5,-0.25",
+            "--alpha", "1", "--beta", SQRT2_STR, "--u=1,0", "--max-iter", "200",
+            "--seeds", seeds, "--out-dir", "sw",
+        ]
+        trees = []
+        for sub in ("first", "second"):
+            d = tmp_path / scheme / seeds / sub
+            d.mkdir(parents=True)
+            monkeypatch.chdir(d)
+            batched.clear()
+            main(list(argv))
+            assert batched == expected
+            trees.append({p.name: p.read_bytes() for p in sorted((d / "sw").iterdir())})
+        assert trees[0] == trees[1]
+        assert len(trees[0]) == 2 * len(seeds.split(",")) + 1
+    capsys.readouterr()
 
 
 def test_sweep_parses_the_semigroup_once(capsys, tmp_path, monkeypatch):

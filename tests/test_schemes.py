@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -7,9 +8,9 @@ import pytest
 from semiflow import schemes
 from semiflow.characterize import NearRationalWarning, certify_common_fixed, residual_profile
 from semiflow.schemes import (
-    BAILLON_GRID_CAP,
     DEFAULT_MAX_ITER,
     IterationConfig,
+    ROW_SCHEMES,
     SCHEME_TAGS,
     _Recorder,
     _banach_solve,
@@ -22,6 +23,7 @@ from semiflow.schemes import (
     make_schedule,
     mann,
     parse_schedule,
+    run_rows,
     run_scheme,
     suzuki_averaged_mann,
 )
@@ -121,15 +123,19 @@ def test_mann_weight_preconditions():
         ishikawa_composed(spec, cfg(kappa=1.0, lam=0.5, start=[1.0]))
 
 
-def count_applications(monkeypatch):
-    """Count every application of the operators the schemes compile; returns the list of times."""
+def count_applications(monkeypatch, shapes=False):
+    """Count every application of the operators the schemes compile.
+
+    Returns the list of times applied, or of (time, argument shape) pairs
+    with ``shapes``.
+    """
     calls = []
 
     def counting_operator(spec, t):
         apply = operator(spec, t)
 
         def counted(x):
-            calls.append(t)
+            calls.append((t, x.shape) if shapes else t)
             return apply(x)
 
         return counted
@@ -150,6 +156,96 @@ def test_driver_reuses_the_pair_images(monkeypatch):
         report = scheme(spec, cfg(start=[1.0, 0.0], u=[1.0, 0.0], max_iter=n, tol=1e-14))
         assert report.termination == "max_iter" and report.n_used == n
         assert len(calls) == per_iter * n
+
+
+def row_specs():
+    """Rotation d=2 off-centre, decay d=3 and a non-diagonal heat d=6 with a 2-D kernel."""
+    q, _ = np.linalg.qr(np.random.default_rng(6).normal(size=(6, 6)))
+    return [
+        rotation(period=1.0, center=(0.5, -0.25)),
+        decay(dim=3),
+        heat((q * [0.0, 0.0, 0.3, 0.9, 1.7, 2.5]) @ q.T),
+    ]
+
+
+def row_starts(spec, rng, b):
+    """b starts inside the domain; the first is a common fixed point."""
+    dom = spec.domain
+    fs = analytic_fixed_set(spec)
+    first = fs.point if fs.kind == "singleton" else fs.basepoint + fs.basis @ np.ones(fs.basis.shape[1])
+    if hasattr(dom, "radius"):
+        rest = dom.center + rng.uniform(-3.0, 3.0, size=(b - 1, dom.dim))
+    else:
+        rest = rng.uniform(dom.lower, 0.4 * dom.upper, size=(b - 1, dom.dim))
+    return np.vstack([first, rest])
+
+
+def assert_reports_match(batched, serial, bound):
+    assert batched.termination == serial.termination
+    assert batched.n_used == serial.n_used
+    assert batched.fejer_violations == serial.fejer_violations
+    assert [r.n for r in batched.iterates_recorded] == [r.n for r in serial.iterates_recorded]
+    for rec, ref in zip(batched.iterates_recorded, serial.iterates_recorded):
+        for name in ("pair_residual", "step_norm", "fixed_set_distance"):
+            assert abs(getattr(rec, name) - getattr(ref, name)) <= bound, name
+        assert np.abs(rec.point - ref.point).max() <= bound
+    assert np.abs(batched.final_point - serial.final_point).max() <= bound
+
+
+def test_rows_match_their_serial_runs():
+    rng = np.random.default_rng(31)
+    for spec in row_specs():
+        starts = row_starts(spec, rng, 5)
+        u = starts[-1]
+        for tag, budget in (("mann", 400), ("halpern", 300), ("baillon_power_average", 300)):
+            c = cfg(start=starts, u=u, max_iter=budget, tol=1e-9)
+            reports = run_rows(tag, spec, c)
+            assert len(reports) == len(starts)
+            for x0, report in zip(starts, reports):
+                serial = run_scheme(tag, spec, cfg(start=x0, u=u, max_iter=budget, tol=1e-9))
+                # heat blocks go through matrix products, which round differently
+                assert_reports_match(report, serial, 1e-12 if spec.kind == "heat" else 0.0)
+            # rows end on their own: the fixed start at once, the others later
+            assert reports[0].n_used == 1 and reports[0].termination == "converged"
+            assert max(r.n_used for r in reports) > 1
+            again = run_rows(tag, spec, c)
+            for report, repeat in zip(reports, again):
+                assert report.to_dict() == repeat.to_dict()
+                assert all(a.point.tobytes() == b.point.tobytes()
+                           for a, b in zip(report.iterates_recorded, repeat.iterates_recorded))
+
+
+def test_rows_apply_each_operator_once_per_step_to_the_block(monkeypatch):
+    calls = count_applications(monkeypatch, shapes=True)
+    spec = rotation(period=1.0, center=(0.5, -0.25))
+    starts = np.array([[1.0, 0.0], [0.0, 2.0], [-1.0, -1.0]])
+    n = 30
+    for tag, per_iter in (("mann", 2), ("halpern", 2), ("baillon_power_average", 4)):
+        calls.clear()
+        reports = run_rows(tag, spec, cfg(start=starts, u=[1.0, 0.0], max_iter=n, tol=1e-14))
+        assert [r.n_used for r in reports] == [n] * 3
+        assert len(calls) == per_iter * n
+        assert {shape for _, shape in calls} == {(3, 2)}
+
+
+def test_rows_are_only_for_row_independent_schemes():
+    spec = rotation(period=1.0)
+    starts = [[1.0, 0.0], [0.0, 1.0]]
+    assert set(ROW_SCHEMES) == {"mann", "halpern", "baillon_power_average"}
+    for tag in set(SCHEME_TAGS) - set(ROW_SCHEMES):
+        with pytest.raises(ValueError, match="cannot run rows"):
+            run_rows(tag, spec, cfg(start=starts, u=[1.0, 0.0]))
+        with pytest.raises(ValueError, match=r"^start has shape \(2, 2\), the semigroup expects \(2,\)$"):
+            SCHEME_TAGS[tag](spec, cfg(start=starts, u=[1.0, 0.0]))
+    with pytest.raises(ValueError, match="run_rows takes"):
+        run_scheme("mann", spec, cfg(start=starts))
+    with pytest.raises(ValueError, match=r"run_rows needs start as a \(B, d\) array"):
+        run_rows("mann", spec, cfg(start=[1.0, 0.0]))
+    # every row is checked before the first iteration, naming the field
+    with pytest.raises(ValueError, match=r"^start lies outside the domain"):
+        run_rows("mann", spec, cfg(start=[[1.0, 0.0], [50.0, 0.0]]))
+    with pytest.raises(ValueError, match="finite"):
+        cfg(start=[[1.0, 0.0], [math.nan, 0.0]])
 
 
 def test_run_scheme_dispatch():
@@ -218,10 +314,19 @@ def test_baillon_double_matches_block_average_oracle():
         assert np.linalg.norm(rec.point - direct) <= 1e-10
 
 
-def test_baillon_double_grid_cap():
-    spec = decay(dim=1)
-    with pytest.raises(ValueError):
-        baillon_double(spec, cfg(start=[1.0], max_iter=BAILLON_GRID_CAP + 1))
+def test_baillon_double_memory_is_linear_in_the_budget():
+    # the run converges at n = 1 from the rotation centre, so the peak is
+    # what the budget makes it allocate: two (4097, 2) arrays, where the
+    # full (4097, 4097, 2) grid of times would take 268 MB
+    spec = rotation(period=1.0, center=(0.5, -0.25))
+    tracemalloc.start()
+    try:
+        report = baillon_double(spec, cfg(start=[0.5, -0.25], max_iter=4096))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.termination == "converged" and report.n_used == 1
+    assert peak < 1_000_000
 
 
 # ---- baillon power average ----------------------------------------------------------

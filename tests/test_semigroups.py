@@ -252,6 +252,56 @@ def test_orbit_rows_match_the_compiled_operator():
                 assert np.array_equal(rows[zero], np.tile(x, (2, 1)))
 
 
+def non_diagonal_heat(rng, w):
+    q, _ = np.linalg.qr(rng.normal(size=(len(w), len(w))))
+    return heat((q * w) @ q.T)
+
+
+def test_operator_rows_match_the_single_point_operator():
+    rng = np.random.default_rng(21)
+    specs = [
+        rotation(center=(0.5, -0.25), period=1.0),
+        rotation(center=(0.0, 1.0), period=1.7, dim=3),
+        decay(dim=3),
+        non_diagonal_heat(rng, [0.0, 0.0, 0.4, 1.3, 2.2, 3.0]),
+        non_diagonal_heat(rng, np.concatenate([np.zeros(4), rng.uniform(0.5, 4.0, 60)])),
+    ]
+    for spec in specs:
+        xs = np.array(orbit_points(spec, rng))
+        before = xs.tobytes()
+        for t in (0.0, 1.0, SQRT2, 7.3):
+            apply = operator(spec, t)
+            rows = apply(xs)
+            assert rows.shape == xs.shape and not np.shares_memory(rows, xs)
+            assert xs.tobytes() == before, (spec.kind, t)
+            expected = np.array([apply(x) for x in xs])
+            if spec.kind == "heat" and t > 0.0:
+                assert np.abs(rows - expected).max() <= 1e-12, t
+            else:
+                assert np.array_equal(rows, expected), (spec.kind, t)
+            assert rows.tobytes() == apply(xs).tobytes()
+        # T(0) of interior rows is a copy of them
+        assert np.array_equal(operator(spec, 0.0)(xs[:4]), xs[:4])
+
+
+def test_operator_rows_keep_the_point_errors():
+    for spec in (decay(dim=2), rotation(period=1.0)):
+        inside, far = [1.0, 1.0], [20.0, 1.0]
+        for t in (0.0, 1.0):
+            apply = operator(spec, t)
+            with pytest.raises(ValueError, match=r"^point has shape \(3,\), semigroup expects \(2,\)$"):
+                apply(np.ones((2, 3)))
+            with pytest.raises(ValueError, match=r"^point has shape \(1, 2, 2\), semigroup expects \(2,\)$"):
+                apply(np.ones((1, 2, 2)))
+            for bad in (far, [math.nan, 1.0], [1.0, math.nan]):
+                xs = np.array([inside, bad, inside])
+                with pytest.raises(ValueError, match=r"^point lies outside the domain beyond the membership slack$"):
+                    apply(xs)
+    # orbit() takes one point, never rows
+    with pytest.raises(ValueError, match=r"^point has shape \(2, 2\), semigroup expects \(2,\)$"):
+        orbit(decay(dim=2), [0.0, 1.0], np.ones((2, 2)))
+
+
 # ---- analytic fixed sets ----------------------------------------------------------
 
 def test_fixed_sets_have_zero_residual_on_a_time_grid():
@@ -290,6 +340,14 @@ def test_fixed_set_distance_values():
     fs = analytic_fixed_set(heat(np.diag([0.0, 1.0])))
     # distance to the x-axis
     assert fixed_set_distance(fs, np.array([7.0, -2.0])) == pytest.approx(2.0)
+    # rows give one distance each
+    rng = np.random.default_rng(4)
+    for spec in builtin_specs() + [rotation(dim=3), non_diagonal_heat(rng, [0.0, 0.0, 0.5, 1.0, 2.0, 3.0])]:
+        fs = analytic_fixed_set(spec)
+        xs = sample_inside(spec, rng, 5)
+        dists = fixed_set_distance(fs, xs)
+        assert dists.shape == (5,)
+        assert np.abs(dists - [fixed_set_distance(fs, x) for x in xs]).max() <= 1e-12
 
 
 def test_heat_rejects_indefinite_generator():
