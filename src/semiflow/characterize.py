@@ -15,6 +15,8 @@ common fixed points of the pair on strictly convex spaces.
 from __future__ import annotations
 
 import math
+import os
+import sys
 import warnings
 from dataclasses import asdict, dataclass
 
@@ -41,6 +43,8 @@ __all__ = [
 # numerically indistinguishable from a rational
 NEAR_RATIONAL_QUOTIENT = 10**8
 
+_PACKAGE_DIR = os.path.dirname(__file__)
+
 
 class NearRationalWarning(UserWarning):
     """The ratio of the sample times is (numerically) close to rational."""
@@ -52,17 +56,21 @@ def _warn_if_near_rational(alpha, beta):
     Only alpha != beta is enforced as a hard precondition; actual
     irrationality is undecidable in floats, so a short continued-fraction
     probe looks for the signature of a rational ratio: a remainder of
-    exactly zero, or a quotient >= 1e8.
+    exactly zero, or a quotient >= 1e8.  The warning names the first
+    calling frame outside this package.
     """
     probe = euclid_sequence(alpha, beta, tol=1e-12, max_terms=64)
     rational_hit = probe.termination == BELOW_TOL and probe.alphas[-1] == 0.0
     big = max(probe.ks, default=0)
     if rational_hit or big >= NEAR_RATIONAL_QUOTIENT:
+        frame, level = sys._getframe(), 1
+        while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
+            frame, level = frame.f_back, level + 1
         warnings.warn(
             f"sample times {alpha} and {beta} have a (near-)rational ratio; "
             "pair residuals alone cannot certify a common fixed point",
             NearRationalWarning,
-            stacklevel=3,
+            stacklevel=level,
         )
 
 
@@ -139,10 +147,8 @@ def residual_profile(spec, x, grid, alpha, beta):
     _warn_if_near_rational(alpha, beta)
     x = np.asarray(x, dtype=float)
     times = np.asarray(grid, dtype=float).ravel()
-    if times.size == 0:
+    if times.size == 0:  # orbit() accepts an empty grid and checks the times
         raise ValueError("the profile grid must contain at least one time")
-    if (~np.isfinite(times) | (times < 0.0)).any():
-        raise ValueError("profile grid times must be finite and nonnegative")
     moved = orbit(spec, times, x)
     moved -= x
     residuals = np.sqrt(np.einsum("ij,ij->i", moved, moved))

@@ -217,7 +217,7 @@ def _write_trace_csv(path, report):
         writer.writerow(header)
         for rec in report.iterates_recorded:
             row = [rec.n, repr(rec.pair_residual), repr(rec.step_norm), repr(rec.fixed_set_distance)]
-            row += [repr(float(v)) for v in rec.point]
+            row += map(repr, rec.point.tolist())
             writer.writerow(row)
 
 

@@ -13,6 +13,7 @@ against ground truth:
   positive semidefinite A, on a ball centered at the origin.  The
   eigendecomposition of A is computed once and cached on the spec.
 
+Each family's formula is written once, for one time or a column of times.
 ``operator(spec, t)`` compiles T(t) for one fixed time into a callable
 that takes one point or a (B, d) array of points as rows,
 ``evaluate(spec, t, x)`` applies it once, and ``orbit(spec, times, x)``
@@ -76,7 +77,6 @@ class SemigroupSpec:
     domain: Ball | Box
     center: np.ndarray | None = None   # rotation: center of the rotating plane
     period: float | None = None        # rotation: time for one full turn
-    matrix: np.ndarray | None = None   # heat: the generator A
     eigvals: np.ndarray | None = None  # heat: eigenvalues of A, ascending
     eigvecs: np.ndarray | None = None  # heat: matching orthonormal columns
 
@@ -89,7 +89,7 @@ class SemigroupSpec:
 class FixedSetDescriptor:
     """Closed-form description of a common fixed set.
 
-    kind is one of ``singleton``, ``affine_subspace``, ``whole_domain``.
+    kind is one of ``singleton``, ``affine_subspace``.
     An affine subspace is basepoint + span(basis columns); the basis columns
     are orthonormal and may be empty, which degenerates to a singleton.
     """
@@ -161,10 +161,61 @@ def heat(matrix, radius=10.0):
     return SemigroupSpec(
         kind=HEAT,
         domain=Ball(np.zeros(a.shape[0]), radius),
-        matrix=0.5 * (a + a.T),
         eigvals=eigvals,
         eigvecs=eigvecs,
     )
+
+
+def _compile(spec, t):
+    """T(t) before projection, for a float t or a (B, 1) column of times.
+
+    Returns (lift, rows, point).  lift(xs) is the part that does not depend
+    on t (heat: the eigen-coordinates xs V; otherwise xs itself), so an
+    orbit lifts its point once.  rows(lift(xs), out=None) is T(t) of every
+    row of a (B, d) array, or of one (d,) point at every time of a column;
+    decay and heat points take it too.  point is the rotation's cheaper
+    scalar-indexed step for one point, None for the other families.
+    """
+    lift = point = None
+    if spec.kind == ROTATION:
+        angle = 2.0 * math.pi * t / spec.period
+        if isinstance(t, float):
+            c, s, lead = math.cos(angle), math.sin(angle), ()
+        else:
+            c, s, lead = np.cos(angle), np.sin(angle), t.shape[:1]
+        cx, cy = spec.center
+
+        def rows(xs, out=None):
+            dx = xs[..., :1] - cx
+            dy = xs[..., 1:2] - cy
+            ys = np.empty(lead + xs.shape) if out is None else out
+            ys[...] = xs
+            ys[..., :1] = cx + c * dx - s * dy
+            ys[..., 1:2] = cy + s * dx + c * dy
+            return ys
+
+        def point(x):
+            dx = x[0] - cx
+            dy = x[1] - cy
+            y = x.copy()
+            y[0] = cx + c * dx - s * dy
+            y[1] = cy + s * dx + c * dy
+            return y
+    elif spec.kind == DECAY:
+        def rows(xs, out=None):
+            return np.maximum(xs - t, 0.0, out=out)
+    elif spec.kind == HEAT:
+        v, vt, factors = spec.eigvecs, spec.eigvecs.T, -t * spec.eigvals
+        np.exp(factors, out=factors)
+
+        def lift(xs):
+            return xs @ v
+
+        def rows(coords, out=None):
+            return np.matmul(coords * factors, vt, out=out)
+    else:
+        raise ValueError(f"unknown semigroup kind {spec.kind!r}")
+    return lift or np.asarray, rows, point
 
 
 def operator(spec, t):
@@ -194,43 +245,14 @@ def operator(spec, t):
         def step(x):
             return x
 
-        def block(xs):
-            return xs.copy()
-    elif spec.kind == ROTATION:
-        angle = 2.0 * math.pi * t / spec.period
-        c, s = math.cos(angle), math.sin(angle)
-        cx, cy = spec.center
-
-        def step(x):
-            dx = x[0] - cx
-            dy = x[1] - cy
-            y = x.copy()
-            y[0] = cx + c * dx - s * dy
-            y[1] = cy + s * dx + c * dy
-            return y
-
-        def block(xs):
-            dx = xs[:, 0] - cx
-            dy = xs[:, 1] - cy
-            ys = xs.copy()
-            ys[:, 0] = cx + c * dx - s * dy
-            ys[:, 1] = cy + s * dx + c * dy
-            return ys
-    elif spec.kind == DECAY:
-        def step(x):
-            return np.maximum(x - t, 0.0)
-
-        block = step
-    elif spec.kind == HEAT:
-        v, vt, factors = spec.eigvecs, spec.eigvecs.T, np.exp(-t * spec.eigvals)
-
-        def step(x):
-            return v @ (factors * (vt @ x))
-
-        def block(xs):
-            return ((xs @ v) * factors) @ vt
+        block = np.copy
     else:
-        raise ValueError(f"unknown semigroup kind {spec.kind!r}")
+        lift, rows, point = _compile(spec, t)
+
+        def block(xs):
+            return rows(lift(xs))
+
+        step = point or block
 
     domain, shape = spec.domain, (spec.dim,)
 
@@ -263,8 +285,8 @@ def orbit(spec, times, x):
     """T(t_i)x for every time t_i, as one (len(times), d) array.
 
     The times must be finite and nonnegative, and x is checked once for
-    shape and membership, as operator() checks them.  Each family computes
-    a whole block of rows per numpy call (heat:
+    shape and membership, as operator() checks them.  Each block of times
+    gets operator()'s formula as one column of times (heat:
     (exp(-outer(t, w)) * V^T x) @ V^T), and every row is projected back
     into the domain.  Rows with t = 0 and all decay rows equal
     operator(spec, t)(x) bit for bit; the other rotation and heat rows
@@ -280,35 +302,14 @@ def orbit(spec, times, x):
     if x.ndim != 1:  # operator() would take it as rows
         raise ValueError(f"point has shape {x.shape}, semigroup expects ({spec.dim},)")
     at_zero = operator(spec, 0.0)(x)  # checks x as every application does
-    if spec.kind == ROTATION:
-        cx, cy = spec.center
-        dx = x[0] - cx
-        dy = x[1] - cy
-
-        def rows(tb):
-            angle = 2.0 * math.pi * tb / spec.period
-            c, s = np.cos(angle), np.sin(angle)
-            y = np.tile(x, (tb.size, 1))
-            y[:, 0] = cx + c * dx - s * dy
-            y[:, 1] = cy + s * dx + c * dy
-            return y
-    elif spec.kind == DECAY:
-        def rows(tb):
-            return np.maximum(x - tb[:, None], 0.0)
-    elif spec.kind == HEAT:
-        w, vt = spec.eigvals, spec.eigvecs.T
-        coords = vt @ x
-
-        def rows(tb):
-            factors = np.exp(np.multiply.outer(-tb, w))
-            factors *= coords
-            return factors @ vt
-    else:
-        raise ValueError(f"unknown semigroup kind {spec.kind!r}")
     out = np.empty((t.size, spec.dim))
     step = ORBIT_BLOCK // spec.dim
+    lifted = None
     for lo in range(0, t.size, step):
-        out[lo:lo + step] = spec.domain.project_rows(rows(t[lo:lo + step]))
+        lift, rows, _ = _compile(spec, t[lo:lo + step, None])
+        if lifted is None:  # lift does not depend on t: once per orbit
+            lifted = lift(x)
+        spec.domain.project_rows(rows(lifted, out=out[lo:lo + step]))
     out[t == 0.0] = at_zero
     return out
 
@@ -346,29 +347,14 @@ def fixed_set_distance(descriptor, x):
     of the distance of that row alone (one matrix product for all rows).
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 2:
-        return _fixed_set_distance_rows(descriptor, x)
     if descriptor.kind == "singleton":
-        return _norm(x - descriptor.point)
-    if descriptor.kind == "affine_subspace":
+        r = x - descriptor.point
+    elif descriptor.kind == "affine_subspace":
         r = x - descriptor.basepoint
-        if descriptor.basis.shape[1] == 0:
-            return _norm(r)
-        return _norm(r - descriptor.basis @ (descriptor.basis.T @ r))
-    if descriptor.kind == "whole_domain":
-        return 0.0
-    raise ValueError(f"unknown fixed set kind {descriptor.kind!r}")
-
-
-def _fixed_set_distance_rows(descriptor, xs):
-    if descriptor.kind == "singleton":
-        return _row_norms(xs - descriptor.point)
-    if descriptor.kind == "affine_subspace":
-        r = xs - descriptor.basepoint
-        return _row_norms(r - (r @ descriptor.basis) @ descriptor.basis.T)
-    if descriptor.kind == "whole_domain":
-        return np.zeros(len(xs))
-    raise ValueError(f"unknown fixed set kind {descriptor.kind!r}")
+        r -= (r @ descriptor.basis) @ descriptor.basis.T
+    else:
+        raise ValueError(f"unknown fixed set kind {descriptor.kind!r}")
+    return _norm(r) if r.ndim == 1 else _row_norms(r)
 
 
 # ---- textual descriptors (CLI) ----------------------------------------------

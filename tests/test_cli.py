@@ -11,6 +11,7 @@ import pytest
 
 import semiflow
 from semiflow import cli
+from semiflow.characterize import NearRationalWarning
 from semiflow.cli import ExperimentConfig, _build_parser, _experiment_from_args, main
 
 SQRT2_STR = "1.4142135623730951"
@@ -57,10 +58,11 @@ def test_verify_certified_and_not(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["verdict"] == "certified"
 
-    code, out, _ = run_cli(
-        capsys, "verify", "--semigroup", "rotation:period=1,center=0,0",
-        "--alpha", "1", "--beta", "2", "--point", "1,0",
-    )
+    with pytest.warns(NearRationalWarning):
+        code, out, _ = run_cli(
+            capsys, "verify", "--semigroup", "rotation:period=1,center=0,0",
+            "--alpha", "1", "--beta", "2", "--point", "1,0",
+        )
     assert code == 4
     payload = json.loads(out)
     assert payload["verdict"] == "not_certified"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from semiflow import schemes
-from semiflow.characterize import NearRationalWarning, certify_common_fixed, residual_profile
+from semiflow.characterize import NearRationalWarning, certify_common_fixed, residual_pair, residual_profile
 from semiflow.schemes import (
     DEFAULT_MAX_ITER,
     IterationConfig,
@@ -490,10 +490,11 @@ def test_halpern_rational_pair_discriminator():
     # T(1) = T(2) = identity collapses the iteration onto the anchor, which
     # converges instantly but is no common fixed point of the family
     spec = rotation(period=1.0)
-    report = halpern(
-        spec,
-        cfg(alpha=1.0, beta=2.0, u=[1.0, 0.0], start=[1.0, 0.0], schedule=make_schedule("harmonic", 1)),
-    )
+    with pytest.warns(NearRationalWarning):
+        report = halpern(
+            spec,
+            cfg(alpha=1.0, beta=2.0, u=[1.0, 0.0], start=[1.0, 0.0], schedule=make_schedule("harmonic", 1)),
+        )
     assert report.termination == "converged"
     assert np.linalg.norm(report.final_point - [1.0, 0.0]) <= 1e-6
     assert report.final_record.pair_residual <= 1e-10
@@ -509,6 +510,23 @@ def test_rational_pair_warns_on_the_scheme_path():
     with warnings.catch_warnings():
         warnings.simplefilter("error", NearRationalWarning)
         halpern(spec, cfg(**anchored))
+
+
+def test_near_rational_warning_points_at_the_caller():
+    spec = rotation(period=1.0)
+    x = np.array([1.0, 0.0])
+    anchored = dict(alpha=1.0, beta=2.0, u=x, max_iter=3)
+    calls = {
+        "residual_pair": lambda: residual_pair(spec, x, 1.0, 2.0),
+        "certify_common_fixed": lambda: certify_common_fixed(spec, x, 1.0, 2.0),
+        "halpern": lambda: halpern(spec, cfg(start=x, **anchored)),
+        "run_scheme": lambda: run_scheme("halpern", spec, cfg(start=x, **anchored)),
+        "run_rows": lambda: run_rows("halpern", spec, cfg(start=[x, 0.5 * x], **anchored)),
+    }
+    for name, call in calls.items():
+        with pytest.warns(NearRationalWarning) as caught:
+            call()
+        assert [w.filename for w in caught] == [__file__], name
 
 
 def test_halpern_irrational_pair_reaches_the_center():
