@@ -35,6 +35,7 @@ from semiflow.semigroups import (
     heat,
     operator,
     orbit,
+    orbit_operator,
     rotation,
 )
 from semiflow.stepseq import (

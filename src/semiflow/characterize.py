@@ -10,10 +10,22 @@ that the rest of the family moves (see the profile examples in the tests).
 ``certify_common_fixed`` combines the two into a verdict, and ``bruck_map``
 builds the averaged two-operator map whose fixed points are exactly the
 common fixed points of the pair on strictly convex spaces.
+
+Everything a profile needs that does not depend on the point is compiled
+once per (flow, pair, grid) into a plan: the grid's times, the compiled
+orbit over them (``semigroups.orbit_operator``) and the compiled T(alpha)
+and T(beta).  The last PLAN_CACHE_SIZE plans are kept, so certifying many
+points against one flow and one pair compiles it once; only the
+applications to the point run per call.  A plan is keyed on the spec
+object itself (specs compare by identity and are never changed after they
+are built), the two floats and the grid's float64 bytes (None for the
+default grid).  The pair's continued-fraction probe is cached per pair in
+the same way; the warning it triggers is still issued on every call.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import sys
@@ -22,7 +34,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from semiflow.semigroups import operator, orbit
+from semiflow.semigroups import operator, orbit_operator
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import BELOW_TOL, check_pair, euclid_sequence
@@ -43,6 +55,10 @@ __all__ = [
 # numerically indistinguishable from a rational
 NEAR_RATIONAL_QUOTIENT = 10**8
 
+# profile plans kept at once; one plan of the 504-time default grid on a
+# d=64 heat flow holds about 258 KB of factors
+PLAN_CACHE_SIZE = 8
+
 _PACKAGE_DIR = os.path.dirname(__file__)
 
 
@@ -50,19 +66,25 @@ class NearRationalWarning(UserWarning):
     """The ratio of the sample times is (numerically) close to rational."""
 
 
-def _warn_if_near_rational(alpha, beta):
-    """Probe alpha/beta with the remainder recursion and warn on huge quotients.
+@functools.lru_cache  # bounded: the last 128 pairs
+def _near_rational(alpha, beta):
+    """Whether the continued-fraction probe of alpha/beta looks rational.
 
     Only alpha != beta is enforced as a hard precondition; actual
     irrationality is undecidable in floats, so a short continued-fraction
     probe looks for the signature of a rational ratio: a remainder of
-    exactly zero, or a quotient >= 1e8.  The warning names the first
-    calling frame outside this package.
+    exactly zero, or a quotient >= 1e8.  The verdict depends on the pair
+    alone and is cached.
     """
     probe = euclid_sequence(alpha, beta, tol=1e-12, max_terms=64)
     rational_hit = probe.termination == BELOW_TOL and probe.alphas[-1] == 0.0
-    big = max(probe.ks, default=0)
-    if rational_hit or big >= NEAR_RATIONAL_QUOTIENT:
+    return rational_hit or max(probe.ks, default=0) >= NEAR_RATIONAL_QUOTIENT
+
+
+def _warn_if_near_rational(alpha, beta):
+    """Warn, at the first calling frame outside this package, if the pair
+    looks rational to _near_rational."""
+    if _near_rational(alpha, beta):
         frame, level = sys._getframe(), 1
         while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
             frame, level = frame.f_back, level + 1
@@ -82,7 +104,7 @@ class ResidualProfile:
     residuals: tuple
     pair_residual: float
 
-    @property
+    @functools.cached_property  # a scan of the whole grid, read three times per certificate
     def max_residual(self):
         return max(self.residuals)
 
@@ -110,12 +132,12 @@ def residual_pair(spec, x, alpha, beta):
     """max(||T(alpha)x - x||, ||T(beta)x - x||) for the two sampled times."""
     alpha, beta = check_pair(alpha, beta)
     _warn_if_near_rational(alpha, beta)
-    return _pair_residual(spec, np.asarray(x, dtype=float), alpha, beta)
+    return _pair_residual(operator(spec, alpha), operator(spec, beta), np.asarray(x, dtype=float))
 
 
-def _pair_residual(spec, x, alpha, beta):
-    ra = float(np.linalg.norm(operator(spec, alpha)(x) - x))
-    rb = float(np.linalg.norm(operator(spec, beta)(x) - x))
+def _pair_residual(op_alpha, op_beta, x):
+    ra = float(np.linalg.norm(op_alpha(x) - x))
+    rb = float(np.linalg.norm(op_beta(x) - x))
     return max(ra, rb)
 
 
@@ -135,27 +157,45 @@ def default_profile_grid(alpha, beta, stop=5.0, step=0.01, start=0.0):
     return grid[grid >= 0.0]
 
 
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _plan(spec, alpha, beta, grid):
+    """The point-free part of a residual profile of (spec, alpha, beta) on
+    a grid, given as its float64 bytes or None for the default grid.
+
+    Returns (times as a tuple of floats, compiled orbit over them, compiled
+    T(alpha), compiled T(beta)).  The cache key holds spec itself, so its
+    id cannot be reused by another spec while the plan is cached.  An empty
+    or invalid grid raises, and nothing is cached for it.
+    """
+    times = default_profile_grid(alpha, beta) if grid is None else np.frombuffer(grid)
+    if times.size == 0:  # orbit_operator() accepts an empty grid and checks the times
+        raise ValueError("the profile grid must contain at least one time")
+    return tuple(times.tolist()), orbit_operator(spec, times), operator(spec, alpha), operator(spec, beta)
+
+
 def residual_profile(spec, x, grid, alpha, beta):
     """Evaluate ||T(t)x - x|| on every t of the grid.
 
-    The grid residuals come from one batched orbit(spec, grid, x), so they
-    may differ from one-time-at-a-time norms by rounding (at most 1e-12 on
-    the built-in families); the pair residual is computed exactly as
-    residual_pair computes it.
+    grid=None means default_profile_grid(alpha, beta).  The grid residuals
+    come from one batched orbit(spec, grid, x), so they may differ from
+    one-time-at-a-time norms by rounding (at most 1e-12 on the built-in
+    families); the pair residual is computed exactly as residual_pair
+    computes it.  Everything but the applications to x comes from a cached
+    plan (see the module docstring).
     """
     alpha, beta = check_pair(alpha, beta)
     _warn_if_near_rational(alpha, beta)
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float).ravel().tobytes()
+    times, orbit_rows, op_alpha, op_beta = _plan(spec, alpha, beta, grid)
     x = np.asarray(x, dtype=float)
-    times = np.asarray(grid, dtype=float).ravel()
-    if times.size == 0:  # orbit() accepts an empty grid and checks the times
-        raise ValueError("the profile grid must contain at least one time")
-    moved = orbit(spec, times, x)
+    moved = orbit_rows(x)
     moved -= x
     residuals = np.sqrt(np.einsum("ij,ij->i", moved, moved))
     return ResidualProfile(
-        grid=tuple(times.tolist()),
+        grid=times,
         residuals=tuple(residuals.tolist()),
-        pair_residual=_pair_residual(spec, x, alpha, beta),
+        pair_residual=_pair_residual(op_alpha, op_beta, x),
     )
 
 
@@ -200,8 +240,6 @@ def certify_common_fixed(spec, x, alpha, beta, grid=None, tol=1e-8):
     tol = float(tol)
     if not (tol > 0 and math.isfinite(tol)):
         raise ValueError("tol must be positive and finite")
-    if grid is None:
-        grid = default_profile_grid(alpha, beta)
     profile = residual_profile(spec, x, grid, alpha, beta)
     ptol = profile_tolerance(tol)
     certified = profile.pair_residual <= tol and profile.max_residual <= ptol

@@ -20,11 +20,11 @@ configuration and seed reproduce their outputs byte for byte.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import re
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -209,16 +209,19 @@ def _json_text(payload):
 
 
 def _write_trace_csv(path, report):
+    # plain joins: no field (an int, a float repr or a column name) can hold
+    # a comma, quote or newline, so csv quoting would never apply
     d = report.final_point.size
     header = ["n", "pair_residual", "step_norm", "fixed_set_distance"]
     header += [f"x{i}" for i in range(d)]
+    lines = [",".join(header)]
+    for rec in report.iterates_recorded:
+        lines.append(",".join([
+            str(rec.n), repr(rec.pair_residual), repr(rec.step_norm), repr(rec.fixed_set_distance),
+            *map(repr, rec.point.tolist()),
+        ]))
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for rec in report.iterates_recorded:
-            row = [rec.n, repr(rec.pair_residual), repr(rec.step_norm), repr(rec.fixed_set_distance)]
-            row += map(repr, rec.point.tolist())
-            writer.writerow(row)
+        fh.write("\n".join(lines) + "\n")
 
 
 def _summary_payload(cfg, report):
@@ -413,7 +416,14 @@ def main(argv=None):
         return 0 if exc.code is None else int(exc.code)
 
 
+def _format_warning(message, category, filename, lineno, line=None):
+    # every frame of a CLI run is in the package or in the interpreter's
+    # start-up code, so a source location would name no line of the user's
+    return f"{category.__name__}: {message}\n"
+
+
 def console_main():
+    warnings.formatwarning = _format_warning
     raise SystemExit(main(sys.argv[1:]))
 
 

@@ -15,12 +15,15 @@ against ground truth:
 
 Each family's formula is written once, for one time or a column of times.
 ``operator(spec, t)`` compiles T(t) for one fixed time into a callable
-that takes one point or a (B, d) array of points as rows,
-``evaluate(spec, t, x)`` applies it once, and ``orbit(spec, times, x)``
-computes T(t)x for a whole array of times in one batched pass; all are
-pure.  Points are accepted when they sit within a small membership slack
-of the domain, and every output is metrically projected back into the
-domain, so long iteration loops cannot drift outside by accumulated
+that takes one point or a (B, d) array of points as rows, and
+``evaluate(spec, t, x)`` applies it once.  ``orbit_operator(spec, times)``
+compiles T(t) for a fixed array of times into a callable that maps one
+point to its (len(times), d) rows in one batched pass, and
+``orbit(spec, times, x)`` applies it once.  All are pure, and the compiled
+callables assume that the spec is never changed (a heat spectrum is
+read-only).  Points are accepted when they sit within a small membership
+slack of the domain, and every output is metrically projected back into
+the domain, so long iteration loops cannot drift outside by accumulated
 rounding.
 """
 
@@ -43,6 +46,7 @@ __all__ = [
     "operator",
     "evaluate",
     "orbit",
+    "orbit_operator",
     "analytic_fixed_set",
     "fixed_set_distance",
     "from_descriptor",
@@ -62,8 +66,9 @@ KERNEL_TOL = 1e-10
 # smallest admissible generator eigenvalue; anything lower is rejected
 PSD_TOL = -1e-12
 
-# orbit() computes its rows in blocks of about this many entries (32 KB),
-# so its temporaries stay small whatever the number of times, and a heat
+# orbit_operator() compiles and computes its rows in blocks of about this
+# many entries (32 KB), so its temporaries stay small whatever the number
+# of times (projecting all rows at once was measured slower), and a heat
 # block's matrix product is small enough that BLAS runs it on the calling
 # thread instead of waking a worker thread and its buffers
 ORBIT_BLOCK = 4096
@@ -143,9 +148,10 @@ def heat(matrix, radius=10.0):
     """Smoothing family T(t) = exp(-t A) for symmetric PSD ``matrix``.
 
     The generator is eigendecomposed once here; evaluate() then applies
-    exp(-t A) x = V exp(-t w) V^T x from the cached factors.  Eigenvalues
-    below zero within tolerance are treated as exactly zero, so T(t) never
-    expands and the origin-centered ball domain is invariant.
+    exp(-t A) x = V exp(-t w) V^T x from the cached factors, which are
+    read-only.  Eigenvalues below zero within tolerance are treated as
+    exactly zero, so T(t) never expands and the origin-centered ball
+    domain is invariant.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -158,6 +164,8 @@ def heat(matrix, radius=10.0):
             f"heat generator must be positive semidefinite, found eigenvalue {eigvals.min()}"
         )
     eigvals = np.maximum(eigvals, 0.0)
+    # compiled operators and cached profile plans assume the spectrum never changes
+    eigvals.flags.writeable = eigvecs.flags.writeable = False
     return SemigroupSpec(
         kind=HEAT,
         domain=Ball(np.zeros(a.shape[0]), radius),
@@ -281,37 +289,53 @@ def evaluate(spec, t, x):
     return operator(spec, t)(np.asarray(x, dtype=float))
 
 
-def orbit(spec, times, x):
-    """T(t_i)x for every time t_i, as one (len(times), d) array.
+def orbit_operator(spec, times):
+    """Compile T(t_i) for a fixed array of times: return x -> (len(times), d) rows.
 
-    The times must be finite and nonnegative, and x is checked once for
-    shape and membership, as operator() checks them.  Each block of times
-    gets operator()'s formula as one column of times (heat:
-    (exp(-outer(t, w)) * V^T x) @ V^T), and every row is projected back
-    into the domain.  Rows with t = 0 and all decay rows equal
-    operator(spec, t)(x) bit for bit; the other rotation and heat rows
-    differ from it by rounding only (numpy's vector cosine and sine, and
-    the batched matrix product), well within 1e-12 on the built-in
-    families.
+    The times must be finite and nonnegative; they are checked, copied and
+    compiled here, once.  Each block of times gets operator()'s formula as
+    one column of times (heat: (exp(-outer(t, w)) * V^T x) @ V^T), so
+    everything that depends on the times alone (heat: the exp of the
+    factors) is computed at compile time.  Each call checks that x is one
+    point of the flow's dimension inside the domain, as operator() checks
+    it, and projects every row back into the domain.  Rows with t = 0 and
+    all decay rows equal operator(spec, t)(x) bit for bit; the other
+    rotation and heat rows differ from it by rounding only (numpy's vector
+    cosine and sine, and the batched matrix product), well within 1e-12 on
+    the built-in families.
     """
-    t = np.asarray(times, dtype=float).ravel()
+    t = np.array(times, dtype=float).ravel()
     bad = ~np.isfinite(t) | (t < 0.0)
     if bad.any():
         raise ValueError(f"time must be finite and nonnegative, got {float(t[bad][0])}")
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 1:  # operator() would take it as rows
-        raise ValueError(f"point has shape {x.shape}, semigroup expects ({spec.dim},)")
-    at_zero = operator(spec, 0.0)(x)  # checks x as every application does
-    out = np.empty((t.size, spec.dim))
     step = ORBIT_BLOCK // spec.dim
-    lifted = None
+    lift, blocks = np.asarray, []
     for lo in range(0, t.size, step):
-        lift, rows, _ = _compile(spec, t[lo:lo + step, None])
-        if lifted is None:  # lift does not depend on t: once per orbit
-            lifted = lift(x)
-        spec.domain.project_rows(rows(lifted, out=out[lo:lo + step]))
-    out[t == 0.0] = at_zero
-    return out
+        lift, rows, _ = _compile(spec, t[lo:lo + step, None])  # lift does not depend on t
+        blocks.append((slice(lo, lo + step), rows))
+    zero = t == 0.0
+    at_zero = operator(spec, 0.0)
+    project_rows, shape = spec.domain.project_rows, (t.size, spec.dim)
+
+    def apply(x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim != 1:  # operator() would take it as rows
+            raise ValueError(f"point has shape {x.shape}, semigroup expects ({spec.dim},)")
+        x0 = at_zero(x)  # checks x as every application does
+        out = np.empty(shape)
+        lifted = lift(x)
+        for rows_at, rows in blocks:
+            project_rows(rows(lifted, out=out[rows_at]))
+        out[zero] = x0
+        return out
+
+    return apply
+
+
+def orbit(spec, times, x):
+    """T(t_i)x for every time t_i, as one (len(times), d) array:
+    orbit_operator(spec, times) for a single point."""
+    return orbit_operator(spec, times)(x)
 
 
 def analytic_fixed_set(spec):

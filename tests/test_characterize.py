@@ -5,7 +5,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from semiflow import characterize
 from semiflow.characterize import (
+    PLAN_CACHE_SIZE,
     NearRationalWarning,
     bruck_map,
     certify_common_fixed,
@@ -19,6 +21,7 @@ from semiflow.semigroups import (
     evaluate,
     fixed_set_distance,
     heat,
+    orbit,
     rotation,
 )
 
@@ -210,6 +213,97 @@ def test_benchmark_certificates_match_the_serial_loop(monkeypatch):
                 seen.add(key)
                 cert = assert_profile_matches_serial(spec, x, alpha, beta)
                 assert (cert.verdict == "certified") == is_fixed
+
+
+# ---- profile plans -----------------------------------------------------------------
+
+def plan_results(cases):
+    """Certificate and profile of each (spec, x, pair, grid) case, as text
+    that tells every float apart bit for bit (repr round-trips doubles)."""
+    out = []
+    for spec, x, (alpha, beta), grid in cases:
+        cert = certify_common_fixed(spec, x, alpha, beta, grid=grid)
+        prof = residual_profile(spec, x, grid, alpha, beta)
+        out.append(repr((cert, prof)))
+    return out
+
+
+def test_plans_give_the_same_bits_on_a_miss_a_hit_and_after_a_clear():
+    rng = np.random.default_rng(61)
+    q, _ = np.linalg.qr(rng.normal(size=(64, 64)))
+    specs = [heat((q * np.concatenate([np.zeros(4), rng.uniform(0.5, 4.0, 60)])) @ q.T), rotation(center=(0.5, -0.25))]
+    cases = []
+    for spec in specs:
+        for pair in ((1.0, SQRT2), (1.0, 2.0)):
+            for grid in (None, [0.5, 0.0, 3.25, 0.5]):
+                cases += [(spec, x, pair, grid) for x in list(sample_inside(spec, rng, 2)) + list(fixed_members(spec, rng, 1))]
+    n_plans = len(specs) * 2 * 2
+    assert n_plans <= PLAN_CACHE_SIZE
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NearRationalWarning)
+        characterize._plan.cache_clear()
+        first = plan_results(cases)
+        assert characterize._plan.cache_info().misses == n_plans
+        second = plan_results(cases)
+        assert characterize._plan.cache_info().misses == n_plans
+        characterize._plan.cache_clear()
+        characterize._near_rational.cache_clear()
+        third = plan_results(cases)
+    assert first == second == third
+    # and the profile is the uncached orbit's, bit for bit
+    for (spec, x, (alpha, beta), grid), text in zip(cases, first):
+        moved = orbit(spec, default_profile_grid(alpha, beta) if grid is None else grid, x) - x
+        assert repr(tuple(np.sqrt(np.einsum("ij,ij->i", moved, moved)).tolist())) in text
+
+
+def test_specs_from_different_matrices_never_share_a_plan():
+    x = np.full(3, 0.5)
+    grid = default_profile_grid(1.0, SQRT2)
+    seen = set()
+    for k in range(2 * PLAN_CACHE_SIZE):
+        # the spec is dropped after each call, so a plan keyed on a bare id
+        # could be picked up by the next spec
+        spec = heat(np.diag([0.0, 1.0, 0.05 * (k + 1)]))
+        moved = orbit(spec, grid, x) - x
+        expected = tuple(np.sqrt(np.einsum("ij,ij->i", moved, moved)).tolist())
+        cert = certify_common_fixed(spec, x, 1.0, SQRT2)
+        assert cert.max_profile_residual == max(expected), k
+        assert residual_profile(spec, x, None, 1.0, SQRT2).residuals == expected, k
+        seen.add(expected)
+    assert len(seen) == 2 * PLAN_CACHE_SIZE
+
+
+def test_a_cached_probe_still_warns_on_every_call_at_the_caller():
+    spec = rotation(period=1.0)
+    x = np.array([1.0, 0.0])
+    before = characterize._near_rational.cache_info().hits
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for _ in range(2):
+            certify_common_fixed(spec, x, 1.0, 2.0)
+    assert [(w.category, w.filename) for w in caught] == [(NearRationalWarning, __file__)] * 2
+    assert characterize._near_rational.cache_info().hits > before
+
+
+def test_an_explicit_grid_reuses_its_plan_by_its_bytes():
+    spec = decay(dim=2)
+    x = np.array([2.5, 0.25])
+    characterize._plan.cache_clear()
+    first = residual_profile(spec, x, [0.5, 0.0, 3.25], 1.0, SQRT2)
+    again = residual_profile(spec, x, np.array([[0.5], [0.0], [3.25]]), 1.0, SQRT2)
+    assert repr(again) == repr(first)
+    assert characterize._plan.cache_info()[:2] == (1, 1)  # hits, misses
+    residual_profile(spec, x, [0.5, 0.0, 3.5], 1.0, SQRT2)
+    assert characterize._plan.cache_info()[:2] == (1, 2)
+    # None is the default grid, under a key of its own
+    assert repr(residual_profile(spec, x, None, 1.0, SQRT2)) == repr(
+        residual_profile(spec, x, default_profile_grid(1.0, SQRT2), 1.0, SQRT2)
+    )
+    # an empty grid raises on every call: nothing is cached for it
+    for _ in range(2):
+        with pytest.raises(ValueError, match=r"^the profile grid must contain at least one time$"):
+            residual_profile(spec, x, [], 1.0, SQRT2)
+    assert characterize._plan.cache_info().currsize == 4
 
 
 # ---- two-generator equivalence (the main characterization, sampled) ----------------

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -195,6 +196,28 @@ def test_python_dash_m_entry_point(tmp_path):
     assert json.loads(proc.stdout)["report"]["termination"] == "converged"
 
 
+def test_console_warning_names_no_interpreter_frame(tmp_path):
+    # every frame of a CLI run is inside the package, so the console entry
+    # point prints the warning without a source location; main() itself
+    # leaves warnings to the caller (test_verify_certified_and_not)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(semiflow.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p
+    )
+    proc = subprocess.run(
+        [sys.executable, "-m", "semiflow.cli", "verify", "--semigroup", "rotation:period=1,center=0,0",
+         "--alpha", "1", "--beta", "2", "--point", "0,0"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["verdict"] == "certified"
+    assert "runpy" not in proc.stderr
+    assert proc.stderr == (
+        "NearRationalWarning: sample times 1.0 and 2.0 have a (near-)rational ratio; "
+        "pair residuals alone cannot certify a common fixed point\n"
+    )
+
+
 def test_run_rejects_bad_inner_solver_settings(capsys, tmp_path):
     argv = [
         "run", "--scheme", "browder_implicit", "--semigroup", "decay:dim=1",
@@ -248,6 +271,32 @@ def test_run_writes_csv_and_json(capsys, tmp_path):
     assert summary["report"]["termination"] == "converged"
     assert summary["config"]["scheme"] == "mann"
     assert summary["config"]["x0"] == [3.0, 5.0]
+
+
+def test_trace_csv_is_what_the_csv_module_writes(tmp_path):
+    # the trace CSV is joined by hand; csv.writer is the reference for its bytes
+    import csv
+
+    from semiflow import IterationConfig, heat, rotation, run_scheme
+
+    rng = np.random.default_rng(3)
+    q, _ = np.linalg.qr(rng.normal(size=(5, 5)))
+    runs = [
+        (rotation(center=(0.5, -0.25), dim=3), (1.0, 2.0, 3.0)),
+        (heat((q * [0.0, 0.3, 1.0, 2.0, 3.5]) @ q.T), tuple(rng.uniform(-2.0, 2.0, 5))),
+    ]
+    for k, (spec, start) in enumerate(runs):
+        report = run_scheme("mann", spec, IterationConfig(alpha=1.0, beta=math.sqrt(2.0), start=start, max_iter=40))
+        path = tmp_path / f"t{k}.csv"
+        cli._write_trace_csv(path, report)
+        reference = tmp_path / f"r{k}.csv"
+        with open(reference, "w", newline="") as fh:
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["n", "pair_residual", "step_norm", "fixed_set_distance"] + [f"x{i}" for i in range(spec.dim)])
+            for rec in report.iterates_recorded:
+                writer.writerow([rec.n, repr(rec.pair_residual), repr(rec.step_norm), repr(rec.fixed_set_distance)]
+                                + [repr(float(v)) for v in rec.point])
+        assert path.read_bytes() == reference.read_bytes()
 
 
 def test_run_without_csv_prints_summary(capsys):

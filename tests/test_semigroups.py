@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from semiflow.semigroups import (
+    ORBIT_BLOCK,
+    _compile,
     analytic_fixed_set,
     decay,
     evaluate,
@@ -12,6 +14,7 @@ from semiflow.semigroups import (
     heat,
     operator,
     orbit,
+    orbit_operator,
     rotation,
 )
 from semiflow.characterize import default_profile_grid
@@ -302,6 +305,50 @@ def test_operator_rows_keep_the_point_errors():
         orbit(decay(dim=2), [0.0, 1.0], np.ones((2, 2)))
 
 
+def one_pass_orbit(spec, times, x):
+    """orbit() as a single pass that compiles each block of times where it
+    applies it: the form that orbit_operator() splits into compile and
+    apply."""
+    t = np.asarray(times, dtype=float).ravel()
+    out = np.empty((t.size, spec.dim))
+    step = ORBIT_BLOCK // spec.dim
+    lifted = None
+    for lo in range(0, t.size, step):
+        lift, rows, _ = _compile(spec, t[lo:lo + step, None])
+        if lifted is None:
+            lifted = lift(x)
+        spec.domain.project_rows(rows(lifted, out=out[lo:lo + step]))
+    out[t == 0.0] = operator(spec, 0.0)(x)
+    return out
+
+
+def test_orbit_operator_is_the_one_pass_orbit_and_checks_every_point():
+    rng = np.random.default_rng(9)
+    specs = compiled_operator_specs() + [
+        non_diagonal_heat(rng, np.concatenate([np.zeros(4), rng.uniform(0.5, 4.0, 60)]))
+    ]
+    times = np.concatenate([default_profile_grid(1.0, SQRT2), [0.0, 7.3]])
+    for spec in specs:
+        given = times.copy()
+        apply = orbit_operator(spec, given)
+        given[:] = 1.0  # the times were copied when compiled
+        inside = np.full(spec.dim, 0.5)
+        for x in orbit_points(spec, rng) + [inside]:
+            rows = apply(x)
+            assert rows.tobytes() == one_pass_orbit(spec, times, x).tobytes(), spec.kind
+            assert rows.tobytes() == orbit(spec, times, x).tobytes(), spec.kind
+        # a later call is checked as the first one was
+        for bad in (np.where(np.arange(spec.dim) == 0, math.nan, 0.5), np.full(spec.dim, 20.0)):
+            with pytest.raises(ValueError, match=r"^point lies outside the domain beyond the membership slack$"):
+                apply(bad)
+        with pytest.raises(ValueError, match=rf"^point has shape \(2, {spec.dim}\), semigroup expects \({spec.dim},\)$"):
+            apply(np.tile(inside, (2, 1)))
+        assert apply(inside).tobytes() == one_pass_orbit(spec, times, inside).tobytes()
+    with pytest.raises(ValueError, match=r"^time must be finite and nonnegative, got -1.0$"):
+        orbit_operator(decay(dim=2), [0.0, -1.0])
+    assert orbit_operator(decay(dim=2), [])(np.ones(2)).shape == (0, 2)
+
+
 # ---- analytic fixed sets ----------------------------------------------------------
 
 def test_fixed_sets_have_zero_residual_on_a_time_grid():
@@ -348,6 +395,15 @@ def test_fixed_set_distance_values():
         dists = fixed_set_distance(fs, xs)
         assert dists.shape == (5,)
         assert np.abs(dists - [fixed_set_distance(fs, x) for x in xs]).max() <= 1e-12
+
+
+def test_heat_spectrum_is_read_only():
+    # compiled operators and cached profile plans hold on to these arrays
+    spec = heat(np.diag([0.0, 1.0]))
+    for array in (spec.eigvals, spec.eigvecs):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 2.0
 
 
 def test_heat_rejects_indefinite_generator():
