@@ -36,6 +36,7 @@ from semiflow.semigroups import (
     operator,
     orbit,
     orbit_operator,
+    pair_operator,
     rotation,
 )
 from semiflow.stepseq import (

@@ -13,10 +13,11 @@ common fixed points of the pair on strictly convex spaces.
 
 Everything a profile needs that does not depend on the point is compiled
 once per (flow, pair, grid) into a plan: the grid's times, the compiled
-orbit over them (``semigroups.orbit_operator``) and the compiled T(alpha)
-and T(beta).  The last PLAN_CACHE_SIZE plans are kept, so certifying many
-points against one flow and one pair compiles it once; only the
-applications to the point run per call.  A plan is keyed on the spec
+orbit over them (``semigroups.orbit_operator``) and the compiled pair
+x -> (T(alpha)x, T(beta)x) (``semigroups.pair_operator``).  The last
+PLAN_CACHE_SIZE plans are kept, so certifying many points against one
+flow and one pair compiles it once; only the applications to the point
+run per call.  A plan is keyed on the spec
 object itself (specs compare by identity and are never changed after they
 are built), the two floats and the grid's float64 bytes (None for the
 default grid).  The pair's continued-fraction probe is cached per pair in
@@ -34,7 +35,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from semiflow.semigroups import operator, orbit_operator
+from semiflow.semigroups import orbit_operator, pair_operator
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import BELOW_TOL, check_pair, euclid_sequence
@@ -132,12 +133,13 @@ def residual_pair(spec, x, alpha, beta):
     """max(||T(alpha)x - x||, ||T(beta)x - x||) for the two sampled times."""
     alpha, beta = check_pair(alpha, beta)
     _warn_if_near_rational(alpha, beta)
-    return _pair_residual(operator(spec, alpha), operator(spec, beta), np.asarray(x, dtype=float))
+    return _pair_residual(pair_operator(spec, alpha, beta), np.asarray(x, dtype=float))
 
 
-def _pair_residual(op_alpha, op_beta, x):
-    ra = float(np.linalg.norm(op_alpha(x) - x))
-    rb = float(np.linalg.norm(op_beta(x) - x))
+def _pair_residual(op_pair, x):
+    ta, tb = op_pair(x)
+    ra = float(np.linalg.norm(ta - x))
+    rb = float(np.linalg.norm(tb - x))
     return max(ra, rb)
 
 
@@ -163,14 +165,14 @@ def _plan(spec, alpha, beta, grid):
     a grid, given as its float64 bytes or None for the default grid.
 
     Returns (times as a tuple of floats, compiled orbit over them, compiled
-    T(alpha), compiled T(beta)).  The cache key holds spec itself, so its
-    id cannot be reused by another spec while the plan is cached.  An empty
-    or invalid grid raises, and nothing is cached for it.
+    pair x -> (T(alpha)x, T(beta)x)).  The cache key holds spec itself, so
+    its id cannot be reused by another spec while the plan is cached.  An
+    empty or invalid grid raises, and nothing is cached for it.
     """
     times = default_profile_grid(alpha, beta) if grid is None else np.frombuffer(grid)
     if times.size == 0:  # orbit_operator() accepts an empty grid and checks the times
         raise ValueError("the profile grid must contain at least one time")
-    return tuple(times.tolist()), orbit_operator(spec, times), operator(spec, alpha), operator(spec, beta)
+    return tuple(times.tolist()), orbit_operator(spec, times), pair_operator(spec, alpha, beta)
 
 
 def residual_profile(spec, x, grid, alpha, beta):
@@ -187,7 +189,7 @@ def residual_profile(spec, x, grid, alpha, beta):
     _warn_if_near_rational(alpha, beta)
     if grid is not None:
         grid = np.asarray(grid, dtype=float).ravel().tobytes()
-    times, orbit_rows, op_alpha, op_beta = _plan(spec, alpha, beta, grid)
+    times, orbit_rows, op_pair = _plan(spec, alpha, beta, grid)
     x = np.asarray(x, dtype=float)
     moved = orbit_rows(x)
     moved -= x
@@ -195,7 +197,7 @@ def residual_profile(spec, x, grid, alpha, beta):
     return ResidualProfile(
         grid=times,
         residuals=tuple(residuals.tolist()),
-        pair_residual=_pair_residual(op_alpha, op_beta, x),
+        pair_residual=_pair_residual(op_pair, x),
     )
 
 
@@ -212,11 +214,11 @@ def bruck_map(spec, alpha, beta, lam):
     if not 0.0 < lam < 1.0:
         raise ValueError(f"averaging weight must lie strictly in (0, 1), got {lam}")
     _warn_if_near_rational(alpha, beta)
-    op_alpha, op_beta = operator(spec, alpha), operator(spec, beta)
+    op_pair = pair_operator(spec, alpha, beta)
 
     def averaged(x):
-        x = np.asarray(x, dtype=float)
-        return lam * op_alpha(x) + (1.0 - lam) * op_beta(x)
+        ta, tb = op_pair(np.asarray(x, dtype=float))
+        return lam * ta + (1.0 - lam) * tb
 
     return averaged
 

@@ -205,7 +205,24 @@ def _iteration_config(spec, cfg, start=None):
 # ---- output writers -------------------------------------------------------------
 
 def _json_text(payload):
-    return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    """json.dumps(payload, indent=2, sort_keys=True) plus a newline, byte for byte.
+
+    A run's records (payload["report"]["iterates_recorded"], flat dicts of
+    numbers) are most of its text.  json.dumps takes its C encoder only
+    without indent, so they are dumped that way and indented here: with
+    numbers for values, every ", " between items and every "}, {" between
+    records is a separator.
+    """
+    report = payload.get("report")
+    records = report.get("iterates_recorded") if isinstance(report, dict) else None
+    if not records:
+        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    rest = {**payload, "report": {**report, "iterates_recorded": None}}
+    flat = json.dumps(records, sort_keys=True)[2:-2]  # without the outer "[{" and "}]"
+    items = flat.replace(', "', ',\n        "').replace("}, {", "\n      },\n      {\n        ")
+    key = '\n    "iterates_recorded": '
+    listed = key + "[\n      {\n        " + items + "\n      }\n    ]"
+    return json.dumps(rest, indent=2, sort_keys=True).replace(key + "null", listed, 1) + "\n"
 
 
 def _write_trace_csv(path, report):

@@ -34,7 +34,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semiflow.characterize import _warn_if_near_rational
-from semiflow.semigroups import MEMBERSHIP_SLACK, analytic_fixed_set, fixed_set_distance, operator
+from semiflow.semigroups import (
+    MEMBERSHIP_SLACK,
+    analytic_fixed_set,
+    fixed_set_distance,
+    operator,
+    pair_operator,
+)
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import check_pair
@@ -357,31 +363,34 @@ def _schedule_of(cfg):
 def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
     """The loop all schemes share: record each iterate and decide when to stop.
 
-    T(alpha) and T(beta) are compiled once, here, and handed to
-    ``iterates(op_alpha, op_beta)``, whose generator yields x_1, x_2, ...
-    and is sent (T(alpha)x_n, T(beta)x_n) for the x_n it yielded last, so
-    updates reuse those two applications.  Each x_n is recorded, then
-    tested for an inner-solver failure (``inner`` holds the implicit
-    scheme's (sweeps, residual, solved) per step), then for convergence,
-    then against the budget n_max.  A (near-)rational pair warns first: its
-    pair residual can vanish off the common fixed set.
+    T(alpha), T(beta) and the pair x -> (T(alpha)x, T(beta)x) are compiled
+    once, here, and handed to ``iterates(op_alpha, op_beta, op_pair)``,
+    whose generator yields x_1, x_2, ... and is sent (T(alpha)x_n,
+    T(beta)x_n) for the x_n it yielded last, so updates reuse those two
+    images.  The driver takes them from one op_pair call per iterate, which
+    checks x_n and (on heat flows) lifts it once for both.  A scheme that
+    applies both operators to one point calls op_pair too; only the schemes
+    that apply them to different points use op_alpha and op_beta.  Each
+    x_n is recorded, then tested for an inner-solver failure (``inner``
+    holds the implicit scheme's (sweeps, residual, solved) per step), then
+    for convergence, then against the budget n_max.  A (near-)rational pair
+    warns first: its pair residual can vanish off the common fixed set.
 
     When cfg.start is a (B, d) array (ROW_SCHEMES only), the generator
     yields (B, d) iterates and each application is one call on the block;
     see _drive_rows.
     """
     _warn_if_near_rational(cfg.alpha, cfg.beta)
-    op_alpha, op_beta = operator(spec, cfg.alpha), operator(spec, cfg.beta)
-    orbit = iterates(op_alpha, op_beta)
+    op_pair = pair_operator(spec, cfg.alpha, cfg.beta)
+    orbit = iterates(operator(spec, cfg.alpha), operator(spec, cfg.beta), op_pair)
     if cfg.start is not None and cfg.start.ndim == 2:
-        return _drive_rows(spec, cfg, tag, orbit, op_alpha, op_beta, n_max, track_fejer)
+        return _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer)
     rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
     images = None
     x_prev = None
     for n in range(1, n_max + 1):
         x = orbit.send(images)
-        ta = op_alpha(x)
-        tb = op_beta(x)
+        ta, tb = op_pair(x)
         pair = max(_norm(ta - x), _norm(tb - x))
         step = 0.0 if x_prev is None else _norm(x - x_prev)
         rec.add(n, pair, step, x)
@@ -399,7 +408,7 @@ def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
     return rec.finish(tag, termination, [e[0] for e in inner], [e[1] for e in inner])
 
 
-def _drive_rows(spec, cfg, tag, orbit, op_alpha, op_beta, n_max, track_fejer):
+def _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer):
     """_drive's loop for B runs iterated as the rows of one array.
 
     The pair residual, the step and (for the Fejer count) the fixed-set
@@ -415,8 +424,7 @@ def _drive_rows(spec, cfg, tag, orbit, op_alpha, op_beta, n_max, track_fejer):
     x_prev = None
     for n in range(1, n_max + 1):
         x = orbit.send(images)
-        ta = op_alpha(x)
-        tb = op_beta(x)
+        ta, tb = op_pair(x)
         pair = np.maximum(_row_norms(ta - x), _row_norms(tb - x))
         step = np.zeros(len(x)) if x_prev is None else _row_norms(x - x_prev)
         done = ((pair <= cfg.tol) & (step <= cfg.tol)).tolist()
@@ -451,7 +459,7 @@ def baillon_double(spec, cfg):
     x0 = _require_point(spec, cfg, "start", tag)
     n_max = _resolve_budget(cfg, tag)
 
-    def iterates(op_alpha, op_beta):
+    def iterates(op_alpha, op_beta, _):
         col = np.empty((n_max + 1, x0.size))  # col[k] = y[k, n]
         row = np.empty((n_max + 1, x0.size))  # row[l] = y[n - 1, l], l < n
         col[0] = x0
@@ -478,11 +486,12 @@ def baillon_power_average(spec, cfg):
     tag = "baillon_power_average"
     x0 = _require_point(spec, cfg, "start", tag, rows=True)
 
-    def iterates(op_alpha, op_beta):
+    def iterates(_, __, op_pair):
         z = x0
         total = np.zeros(z.shape)
         for n in itertools.count(1):
-            z = 0.5 * (op_alpha(z) + op_beta(z))
+            ta, tb = op_pair(z)
+            z = 0.5 * (ta + tb)
             total += z
             yield total / n
 
@@ -548,7 +557,7 @@ def suzuki_averaged_mann(spec, cfg):
         raise ValueError("lambda must lie strictly in (0, 1)")
     x0 = _require_point(spec, cfg, "start", tag)
 
-    def iterates(op_alpha, op_beta):
+    def iterates(op_alpha, op_beta, _):
         x = x0
         for n in itertools.count(1):
             yield x
@@ -570,7 +579,7 @@ def ishikawa_composed(spec, cfg):
         raise ValueError("kappa and lambda must lie strictly in (0, 1)")
     x0 = _require_point(spec, cfg, "start", tag)
 
-    def iterates(op_alpha, op_beta):
+    def iterates(op_alpha, op_beta, _):
         x = x0
         for n in itertools.count(1):
             yield x
@@ -633,7 +642,7 @@ def browder_implicit(spec, cfg):
     x0 = u.copy() if cfg.start is None else _require_point(spec, cfg, "start", tag)
     inner = []
 
-    def iterates(op_alpha, op_beta):
+    def iterates(_, __, op_pair):
         x = x0
         for n in itertools.count(1):
             lam_n = sched(n)
@@ -641,7 +650,8 @@ def browder_implicit(spec, cfg):
             half = 0.5 * (1.0 - lam_n)
 
             def step_map(z):
-                return half * (op_alpha(z) + op_beta(z)) + pull
+                ta, tb = op_pair(z)
+                return half * (ta + tb) + pull
 
             x, sweeps, r, ok = _banach_solve(step_map, x, cfg.inner_tol, cfg.inner_cap, 1.0 - lam_n)
             inner.append((sweeps, r, ok))

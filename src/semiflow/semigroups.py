@@ -19,12 +19,14 @@ that takes one point or a (B, d) array of points as rows, and
 ``evaluate(spec, t, x)`` applies it once.  ``orbit_operator(spec, times)``
 compiles T(t) for a fixed array of times into a callable that maps one
 point to its (len(times), d) rows in one batched pass, and
-``orbit(spec, times, x)`` applies it once.  All are pure, and the compiled
-callables assume that the spec is never changed (a heat spectrum is
-read-only).  Points are accepted when they sit within a small membership
-slack of the domain, and every output is metrically projected back into
-the domain, so long iteration loops cannot drift outside by accumulated
-rounding.
+``orbit(spec, times, x)`` applies it once.  ``pair_operator(spec, alpha,
+beta)`` compiles the sampled pair into one callable x -> (T(alpha)x,
+T(beta)x) that checks and lifts x once for both images.  All are pure,
+and the compiled callables assume that the spec is never changed (a heat
+spectrum is read-only).  Points are accepted when they sit within a small
+membership slack of the domain (one check, shared by every compiled
+callable), and every output is metrically projected back into the domain,
+so long iteration loops cannot drift outside by accumulated rounding.
 """
 
 from __future__ import annotations
@@ -44,6 +46,7 @@ __all__ = [
     "decay",
     "heat",
     "operator",
+    "pair_operator",
     "evaluate",
     "orbit",
     "orbit_operator",
@@ -179,7 +182,7 @@ def _compile(spec, t):
 
     Returns (lift, rows, point).  lift(xs) is the part that does not depend
     on t (heat: the eigen-coordinates xs V; otherwise xs itself), so an
-    orbit lifts its point once.  rows(lift(xs), out=None) is T(t) of every
+    orbit or a pair lifts its point once.  rows(lift(xs), out=None) is T(t) of every
     row of a (B, d) array, or of one (d,) point at every time of a column;
     decay and heat points take it too.  point is the rotation's cheaper
     scalar-indexed step for one point, None for the other families.
@@ -226,6 +229,32 @@ def _compile(spec, t):
     return lift or np.asarray, rows, point
 
 
+def _checker(spec, rows=True):
+    """The check every compiled application makes of its argument.
+
+    Returns check(x), which raises unless x is one float64 point of the
+    flow's dimension inside the domain up to the membership slack, or, with
+    ``rows``, a (B, d) array of such points as rows.  It returns whether x
+    holds rows.
+    """
+    domain, shape = spec.domain, (spec.dim,)
+
+    def check(x):
+        if x.shape == shape:
+            inside = domain.exterior_distance(x) <= MEMBERSHIP_SLACK
+        elif rows and x.ndim == 2 and x.shape[1:] == shape:
+            inside = (domain.exterior_distance_rows(x) <= MEMBERSHIP_SLACK).all()
+        else:
+            row_shape = x.shape[1:] if rows and x.ndim == 2 else x.shape
+            raise ValueError(f"point has shape {row_shape}, semigroup expects {shape}")
+        # written so that a NaN distance fails it too
+        if not inside:
+            raise ValueError("point lies outside the domain beyond the membership slack")
+        return x.ndim == 2
+
+    return check
+
+
 def operator(spec, t):
     """Compile T(t) for a fixed time: return the callable x -> T(t)x.
 
@@ -261,25 +290,42 @@ def operator(spec, t):
             return rows(lift(xs))
 
         step = point or block
-
-    domain, shape = spec.domain, (spec.dim,)
-
-    def apply_rows(xs):
-        if xs.ndim != 2 or xs.shape[1:] != shape:
-            row_shape = xs.shape[1:] if xs.ndim == 2 else xs.shape
-            raise ValueError(f"point has shape {row_shape}, semigroup expects {shape}")
-        # written so that a NaN distance fails it too
-        if not (domain.exterior_distance_rows(xs) <= MEMBERSHIP_SLACK).all():
-            raise ValueError("point lies outside the domain beyond the membership slack")
-        return domain.project_rows(block(xs))
+    check, domain = _checker(spec), spec.domain
 
     def apply(x):
-        if x.shape != shape:
-            return apply_rows(x)
-        # written so that a NaN distance fails it too
-        if not (domain.exterior_distance(x) <= MEMBERSHIP_SLACK):
-            raise ValueError("point lies outside the domain beyond the membership slack")
+        if check(x):
+            return domain.project_rows(block(x))
         return domain.project(step(x))
+
+    return apply
+
+
+def pair_operator(spec, alpha, beta):
+    """Compile T(alpha) and T(beta) together: return x -> (T(alpha)x, T(beta)x).
+
+    Both times must be positive and finite.  Each call checks x once, as
+    operator() checks it (one point or a (B, d) array of rows), lifts it
+    once (heat: x V), and projects both images back into the domain.  Each
+    image equals operator(spec, t)(x) bit for bit, and the argument is
+    never written to.  This is the application every scheme and
+    certificate makes of the sampled pair at one point.
+    """
+    alpha, beta = float(alpha), float(beta)
+    for t in (alpha, beta):
+        if not (t > 0.0 and math.isfinite(t)):
+            raise ValueError(f"time must be positive and finite, got {t}")
+    lift, rows_a, point_a = _compile(spec, alpha)
+    _, rows_b, point_b = _compile(spec, beta)  # lift does not depend on t
+    check, domain = _checker(spec), spec.domain
+
+    def apply(x):
+        if check(x):
+            lifted = lift(x)
+            return domain.project_rows(rows_a(lifted)), domain.project_rows(rows_b(lifted))
+        if point_a is not None:
+            return domain.project(point_a(x)), domain.project(point_b(x))
+        lifted = lift(x)
+        return domain.project(rows_a(lifted)), domain.project(rows_b(lifted))
 
     return apply
 
@@ -314,14 +360,13 @@ def orbit_operator(spec, times):
         lift, rows, _ = _compile(spec, t[lo:lo + step, None])  # lift does not depend on t
         blocks.append((slice(lo, lo + step), rows))
     zero = t == 0.0
-    at_zero = operator(spec, 0.0)
-    project_rows, shape = spec.domain.project_rows, (t.size, spec.dim)
+    check, domain = _checker(spec, rows=False), spec.domain
+    project_rows, shape = domain.project_rows, (t.size, spec.dim)
 
     def apply(x):
         x = np.asarray(x, dtype=float)
-        if x.ndim != 1:  # operator() would take it as rows
-            raise ValueError(f"point has shape {x.shape}, semigroup expects ({spec.dim},)")
-        x0 = at_zero(x)  # checks x as every application does
+        check(x)
+        x0 = domain.project(x)  # T(0)x, as operator(spec, 0.0) computes it
         out = np.empty(shape)
         lifted = lift(x)
         for rows_at, rows in blocks:

@@ -299,6 +299,40 @@ def test_trace_csv_is_what_the_csv_module_writes(tmp_path):
         assert path.read_bytes() == reference.read_bytes()
 
 
+def test_json_text_is_what_the_json_module_writes():
+    # a run's records are dumped by the C encoder and indented by hand;
+    # json.dumps with indent is the reference for the whole text
+    from semiflow import IterationConfig, browder_implicit, heat, rotation, run_rows
+
+    rng = np.random.default_rng(4)
+    q, _ = np.linalg.qr(rng.normal(size=(16, 16)))
+    spec = heat((q * np.concatenate([[0.0], rng.uniform(0.2, 3.0, 15)])) @ q.T)
+    base = ExperimentConfig(scheme="mann", semigroup="heat:matrix=m.txt", alpha=1.0, beta=math.sqrt(2.0), seed=0)
+    starts = np.array([cli._sample_point(spec.domain, seed) for seed in range(16)])
+    reports = run_rows("mann", spec, IterationConfig(alpha=1.0, beta=math.sqrt(2.0), start=starts, max_iter=400))
+    payloads = [cli._summary_payload(dataclasses.replace(base, seed=k), r) for k, r in enumerate(reports)]
+    # values the float encoders must agree on
+    special = cli._summary_payload(base, reports[0])
+    odd = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2**70, 1e300, -1.5e-7)
+    for rec, value in zip(special["report"]["iterates_recorded"], odd):
+        rec["pair_residual"] = rec["step_norm"] = value
+        rec["n"] = value if isinstance(value, int) else rec["n"]
+    payloads.append(special)
+    # a browder_implicit report carries its inner sweeps too
+    browder = browder_implicit(rotation(period=1.0), IterationConfig(
+        alpha=1.0, beta=math.sqrt(2.0), start=[1.0, 2.0], u=[3.0, 0.0], max_iter=12))
+    payloads.append(cli._summary_payload(dataclasses.replace(base, scheme="browder_implicit"), browder))
+    # a one-record report
+    one = run_rows("mann", spec, IterationConfig(alpha=1.0, beta=math.sqrt(2.0), start=starts[:2], max_iter=1))[0]
+    assert len(one.iterates_recorded) == 1
+    payloads.append(cli._summary_payload(base, one))
+    for payload in payloads:
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # payloads without records go through json.dumps unchanged
+    for payload in ({"spec_version": "1", "ks": [1, 2], "alphas": [0.5, math.nan]}, {"report": {"x": []}}, {}):
+        assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
 def test_run_without_csv_prints_summary(capsys):
     code, out, _ = run_cli(
         capsys, "run", "--scheme", "mann", "--semigroup", "decay:dim=1",

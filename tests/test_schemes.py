@@ -27,7 +27,7 @@ from semiflow.schemes import (
     run_scheme,
     suzuki_averaged_mann,
 )
-from semiflow.semigroups import analytic_fixed_set, decay, evaluate, heat, operator, rotation
+from semiflow.semigroups import analytic_fixed_set, decay, evaluate, heat, operator, pair_operator, rotation
 
 from .oracles import (
     heat_diag_coordinate_factor,
@@ -126,8 +126,9 @@ def test_mann_weight_preconditions():
 def count_applications(monkeypatch, shapes=False):
     """Count every application of the operators the schemes compile.
 
-    Returns the list of times applied, or of (time, argument shape) pairs
-    with ``shapes``.
+    A call of a compiled pair counts as two applications, one at alpha and
+    one at beta.  Returns the list of times applied, or of (time, argument
+    shape) pairs with ``shapes``.
     """
     calls = []
 
@@ -140,7 +141,17 @@ def count_applications(monkeypatch, shapes=False):
 
         return counted
 
+    def counting_pair_operator(spec, alpha, beta):
+        apply = pair_operator(spec, alpha, beta)
+
+        def counted(x):
+            calls.extend([(alpha, x.shape), (beta, x.shape)] if shapes else [alpha, beta])
+            return apply(x)
+
+        return counted
+
     monkeypatch.setattr(schemes, "operator", counting_operator)
+    monkeypatch.setattr(schemes, "pair_operator", counting_pair_operator)
     return calls
 
 

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -15,8 +16,10 @@ from semiflow.semigroups import (
     operator,
     orbit,
     orbit_operator,
+    pair_operator,
     rotation,
 )
+from semiflow import vecspace
 from semiflow.characterize import default_profile_grid
 
 SQRT2 = math.sqrt(2.0)
@@ -303,6 +306,62 @@ def test_operator_rows_keep_the_point_errors():
     # orbit() takes one point, never rows
     with pytest.raises(ValueError, match=r"^point has shape \(2, 2\), semigroup expects \(2,\)$"):
         orbit(decay(dim=2), [0.0, 1.0], np.ones((2, 2)))
+
+
+def test_pair_operator_is_two_operator_calls_checked_once(monkeypatch):
+    rng = np.random.default_rng(17)
+    specs = [
+        rotation(center=(0.5, -0.25), period=1.0),
+        rotation(center=(0.0, 1.0), period=1.7, dim=3),
+        decay(dim=3),
+        non_diagonal_heat(rng, [0.0, 0.0, 0.4, 1.3, 2.2, 3.0]),  # 2-D kernel
+    ]
+    for spec in specs:
+        points = orbit_points(spec, rng)
+        xs = np.array(points)
+        before = xs.tobytes()
+        for alpha, beta in ((1.0, SQRT2), (0.3, 7.3)):
+            op_pair, op_alpha, op_beta = pair_operator(spec, alpha, beta), operator(spec, alpha), operator(spec, beta)
+            for x in [*points, xs]:
+                ta, tb = op_pair(x)
+                assert ta.tobytes() == op_alpha(x).tobytes(), (spec.kind, alpha, x.shape)
+                assert tb.tobytes() == op_beta(x).tobytes(), (spec.kind, beta, x.shape)
+            assert xs.tobytes() == before, spec.kind
+    # every image is projected through the domain's project, looked up at call time
+    calls = []
+    project = vecspace.Ball.project
+
+    def counted(self, x):
+        calls.append(x.shape)
+        return project(self, x)
+
+    spec = rotation(period=1.0)
+    op_pair = pair_operator(spec, 1.0, SQRT2)
+    monkeypatch.setattr(vecspace.Ball, "project", counted)
+    for n in range(1, 4):
+        op_pair(np.array([1.0, 2.0]))
+        assert calls == [(2,)] * (2 * n)
+
+
+def test_pair_operator_keeps_the_operator_errors():
+    for spec in (decay(dim=2), rotation(period=1.0)):
+        op_pair, apply = pair_operator(spec, 1.0, SQRT2), operator(spec, 1.0)
+        bad = (
+            np.array([1.0, 1.0, 1.0]),
+            np.array([20.0, 1.0]),
+            np.array([math.nan, 1.0]),
+            np.ones((2, 3)),
+            np.array([[1.0, 1.0], [1.0, math.nan]]),
+        )
+        for x in bad:
+            with pytest.raises(ValueError) as expected:
+                apply(x)
+            with pytest.raises(ValueError, match=rf"^{re.escape(str(expected.value))}$"):
+                op_pair(x)
+        for t in (0.0, -0.5, math.nan, math.inf):
+            for alpha, beta in ((t, SQRT2), (1.0, t)):
+                with pytest.raises(ValueError, match=r"^time must be positive and finite, got"):
+                    pair_operator(spec, alpha, beta)
 
 
 def one_pass_orbit(spec, times, x):
