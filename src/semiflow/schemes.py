@@ -34,13 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from semiflow.characterize import _warn_if_near_rational
-from semiflow.semigroups import (
-    MEMBERSHIP_SLACK,
-    analytic_fixed_set,
-    fixed_set_distance,
-    operator,
-    pair_operator,
-)
+from semiflow.semigroups import _checker, _kernel, _pair_kernel, analytic_fixed_set, fixed_set_distance
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import check_pair
@@ -340,19 +334,14 @@ def _resolve_budget(cfg, tag):
 def _require_point(spec, cfg, name, tag, rows=False):
     """cfg.<name> ("start" or "u") as a float vector of the flow's dimension inside its domain.
 
-    Checked before the first iteration, with the membership slack that
-    every operator application applies, so a bad point is reported under
-    its own name.  With ``rows``, a (B, d) array of such points passes too.
+    Checked once, before the first iteration, by the operators' membership
+    check, under its own name.  With ``rows``, a (B, d) array of them passes.
     """
     x = getattr(cfg, name)
     if x is None:
         raise ValueError(f"{tag} needs a value for {name}")
     x = np.array(x, dtype=float)
-    for point in x if rows and x.ndim == 2 else (x,):
-        if point.shape != (spec.dim,):
-            raise ValueError(f"{name} has shape {point.shape}, the semigroup expects ({spec.dim},)")
-        if not spec.domain.contains(point, MEMBERSHIP_SLACK):
-            raise ValueError(f"{name} lies outside the domain beyond the membership slack")
+    _checker(spec, rows, name, "the semigroup")(x)
     return x
 
 
@@ -364,11 +353,12 @@ def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
     """The loop all schemes share: record each iterate and decide when to stop.
 
     T(alpha), T(beta) and the pair x -> (T(alpha)x, T(beta)x) are compiled
-    once, here, and handed to ``iterates(op_alpha, op_beta, op_pair)``,
-    whose generator yields x_1, x_2, ... and is sent (T(alpha)x_n,
-    T(beta)x_n) for the x_n it yielded last, so updates reuse those two
-    images.  The driver takes them from one op_pair call per iterate, which
-    checks x_n and (on heat flows) lifts it once for both.  A scheme that
+    once, here, as unchecked kernels (each iterate is a convex combination
+    of the checked start and anchor and of projected images), and handed to
+    ``iterates(op_alpha, op_beta, op_pair)``, whose generator yields x_1,
+    x_2, ... and is sent (T(alpha)x_n, T(beta)x_n) for the x_n it yielded
+    last, so updates reuse those two images.  The driver takes them from one
+    op_pair call per iterate, which lifts x_n once for both.  A scheme that
     applies both operators to one point calls op_pair too; only the schemes
     that apply them to different points use op_alpha and op_beta.  Each
     x_n is recorded, then tested for an inner-solver failure (``inner``
@@ -381,8 +371,8 @@ def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
     see _drive_rows.
     """
     _warn_if_near_rational(cfg.alpha, cfg.beta)
-    op_pair = pair_operator(spec, cfg.alpha, cfg.beta)
-    orbit = iterates(operator(spec, cfg.alpha), operator(spec, cfg.beta), op_pair)
+    op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
+    orbit = iterates(_kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
     if cfg.start is not None and cfg.start.ndim == 2:
         return _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer)
     rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)

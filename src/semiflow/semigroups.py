@@ -13,20 +13,17 @@ against ground truth:
   positive semidefinite A, on a ball centered at the origin.  The
   eigendecomposition of A is computed once and cached on the spec.
 
-Each family's formula is written once, for one time or a column of times.
-``operator(spec, t)`` compiles T(t) for one fixed time into a callable
-that takes one point or a (B, d) array of points as rows, and
-``evaluate(spec, t, x)`` applies it once.  ``orbit_operator(spec, times)``
-compiles T(t) for a fixed array of times into a callable that maps one
-point to its (len(times), d) rows in one batched pass, and
-``orbit(spec, times, x)`` applies it once.  ``pair_operator(spec, alpha,
-beta)`` compiles the sampled pair into one callable x -> (T(alpha)x,
-T(beta)x) that checks and lifts x once for both images.  All are pure,
-and the compiled callables assume that the spec is never changed (a heat
-spectrum is read-only).  Points are accepted when they sit within a small
-membership slack of the domain (one check, shared by every compiled
-callable), and every output is metrically projected back into the domain,
-so long iteration loops cannot drift outside by accumulated rounding.
+Each family's formula is written once, for one time or a column of times,
+and compiled by ``operator(spec, t)`` (x -> T(t)x, for one point or a
+(B, d) array of rows), ``pair_operator(spec, alpha, beta)`` (x ->
+(T(alpha)x, T(beta)x), lifting x once) and ``orbit_operator(spec, times)``
+(x -> its (len(times), d) rows); ``evaluate`` and ``orbit`` apply one once.
+The compiled callables assume that the spec is never changed (a heat
+spectrum is read-only).  Each public callable checks on every call that its
+argument lies within a small membership slack of the domain; the scheme
+driver applies unchecked kernels, as its iterates stay in the domain.
+Every output is metrically projected back into the domain, so long
+iteration loops cannot drift outside by accumulated rounding.
 """
 
 from __future__ import annotations
@@ -229,13 +226,12 @@ def _compile(spec, t):
     return lift or np.asarray, rows, point
 
 
-def _checker(spec, rows=True):
-    """The check every compiled application makes of its argument.
+def _checker(spec, rows=True, name="point", owner="semigroup"):
+    """The package's one membership check, made where a point enters it.
 
-    Returns check(x), which raises unless x is one float64 point of the
-    flow's dimension inside the domain up to the membership slack, or, with
-    ``rows``, a (B, d) array of such points as rows.  It returns whether x
-    holds rows.
+    check(x) raises unless x is one float64 point of the flow's dimension
+    inside the domain up to the membership slack, or, with ``rows``, a
+    (B, d) array of such points as rows.  Its messages call x ``name``.
     """
     domain, shape = spec.domain, (spec.dim,)
 
@@ -246,13 +242,60 @@ def _checker(spec, rows=True):
             inside = (domain.exterior_distance_rows(x) <= MEMBERSHIP_SLACK).all()
         else:
             row_shape = x.shape[1:] if rows and x.ndim == 2 else x.shape
-            raise ValueError(f"point has shape {row_shape}, semigroup expects {shape}")
+            raise ValueError(f"{name} has shape {row_shape}, {owner} expects {shape}")
         # written so that a NaN distance fails it too
         if not inside:
-            raise ValueError("point lies outside the domain beyond the membership slack")
-        return x.ndim == 2
+            raise ValueError(f"{name} lies outside the domain beyond the membership slack")
 
     return check
+
+
+def _checked(spec, kernel):
+    """kernel, applied only to what _checker(spec) accepts."""
+    check = _checker(spec)
+
+    def apply(x):
+        check(x)
+        return kernel(x)
+
+    return apply
+
+
+def _kernel(spec, t):
+    """operator(spec, t) without the check, for points known to lie in the domain."""
+    if t == 0.0:
+        step, block = np.asarray, np.copy  # T(0) is the identity
+    else:
+        lift, rows, point = _compile(spec, t)
+
+        def block(xs):
+            return rows(lift(xs))
+
+        step = point or block
+    domain = spec.domain
+
+    def apply(x):
+        if x.ndim == 2:
+            return domain.project_rows(block(x))
+        return domain.project(step(x))
+
+    return apply
+
+
+def _pair_kernel(spec, alpha, beta):
+    """pair_operator(spec, alpha, beta) without the check (see _kernel)."""
+    lift, rows_a, point_a = _compile(spec, alpha)
+    _, rows_b, point_b = _compile(spec, beta)  # lift does not depend on t
+    domain = spec.domain
+
+    def apply(x):
+        if x.ndim == 1 and point_a is not None:
+            return domain.project(point_a(x)), domain.project(point_b(x))
+        lifted = lift(x)
+        project = domain.project_rows if x.ndim == 2 else domain.project
+        return project(rows_a(lifted)), project(rows_b(lifted))
+
+    return apply
 
 
 def operator(spec, t):
@@ -278,26 +321,7 @@ def operator(spec, t):
     t = float(t)
     if not (t >= 0.0 and math.isfinite(t)):
         raise ValueError(f"time must be finite and nonnegative, got {t}")
-    if t == 0.0:
-        def step(x):
-            return x
-
-        block = np.copy
-    else:
-        lift, rows, point = _compile(spec, t)
-
-        def block(xs):
-            return rows(lift(xs))
-
-        step = point or block
-    check, domain = _checker(spec), spec.domain
-
-    def apply(x):
-        if check(x):
-            return domain.project_rows(block(x))
-        return domain.project(step(x))
-
-    return apply
+    return _checked(spec, _kernel(spec, t))
 
 
 def pair_operator(spec, alpha, beta):
@@ -307,27 +331,13 @@ def pair_operator(spec, alpha, beta):
     operator() checks it (one point or a (B, d) array of rows), lifts it
     once (heat: x V), and projects both images back into the domain.  Each
     image equals operator(spec, t)(x) bit for bit, and the argument is
-    never written to.  This is the application every scheme and
-    certificate makes of the sampled pair at one point.
+    never written to.
     """
     alpha, beta = float(alpha), float(beta)
     for t in (alpha, beta):
         if not (t > 0.0 and math.isfinite(t)):
             raise ValueError(f"time must be positive and finite, got {t}")
-    lift, rows_a, point_a = _compile(spec, alpha)
-    _, rows_b, point_b = _compile(spec, beta)  # lift does not depend on t
-    check, domain = _checker(spec), spec.domain
-
-    def apply(x):
-        if check(x):
-            lifted = lift(x)
-            return domain.project_rows(rows_a(lifted)), domain.project_rows(rows_b(lifted))
-        if point_a is not None:
-            return domain.project(point_a(x)), domain.project(point_b(x))
-        lifted = lift(x)
-        return domain.project(rows_a(lifted)), domain.project(rows_b(lifted))
-
-    return apply
+    return _checked(spec, _pair_kernel(spec, alpha, beta))
 
 
 def evaluate(spec, t, x):

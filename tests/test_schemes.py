@@ -1,3 +1,4 @@
+import json
 import math
 import tracemalloc
 import warnings
@@ -27,7 +28,18 @@ from semiflow.schemes import (
     run_scheme,
     suzuki_averaged_mann,
 )
-from semiflow.semigroups import analytic_fixed_set, decay, evaluate, heat, operator, pair_operator, rotation
+from semiflow.semigroups import (
+    _kernel,
+    _pair_kernel,
+    analytic_fixed_set,
+    decay,
+    evaluate,
+    heat,
+    operator,
+    pair_operator,
+    rotation,
+)
+from semiflow.vecspace import Ball
 
 from .oracles import (
     heat_diag_coordinate_factor,
@@ -124,7 +136,7 @@ def test_mann_weight_preconditions():
 
 
 def count_applications(monkeypatch, shapes=False):
-    """Count every application of the operators the schemes compile.
+    """Count every application of the kernels the scheme driver compiles.
 
     A call of a compiled pair counts as two applications, one at alpha and
     one at beta.  Returns the list of times applied, or of (time, argument
@@ -132,8 +144,8 @@ def count_applications(monkeypatch, shapes=False):
     """
     calls = []
 
-    def counting_operator(spec, t):
-        apply = operator(spec, t)
+    def counting_kernel(spec, t):
+        apply = _kernel(spec, t)
 
         def counted(x):
             calls.append((t, x.shape) if shapes else t)
@@ -141,8 +153,8 @@ def count_applications(monkeypatch, shapes=False):
 
         return counted
 
-    def counting_pair_operator(spec, alpha, beta):
-        apply = pair_operator(spec, alpha, beta)
+    def counting_pair_kernel(spec, alpha, beta):
+        apply = _pair_kernel(spec, alpha, beta)
 
         def counted(x):
             calls.extend([(alpha, x.shape), (beta, x.shape)] if shapes else [alpha, beta])
@@ -150,8 +162,8 @@ def count_applications(monkeypatch, shapes=False):
 
         return counted
 
-    monkeypatch.setattr(schemes, "operator", counting_operator)
-    monkeypatch.setattr(schemes, "pair_operator", counting_pair_operator)
+    monkeypatch.setattr(schemes, "_kernel", counting_kernel)
+    monkeypatch.setattr(schemes, "_pair_kernel", counting_pair_kernel)
     return calls
 
 
@@ -237,6 +249,73 @@ def test_rows_apply_each_operator_once_per_step_to_the_block(monkeypatch):
         assert [r.n_used for r in reports] == [n] * 3
         assert len(calls) == per_iter * n
         assert {shape for _, shape in calls} == {(3, 2)}
+
+
+def report_bits(report):
+    """A report's JSON text and the bytes of every point it holds."""
+    points = [r.point.tobytes() for r in report.iterates_recorded]
+    return json.dumps(report.to_dict(), sort_keys=True), points, report.final_point.tobytes()
+
+
+def test_unchecked_driver_is_bitwise_the_checked_operators(monkeypatch):
+    # the driver applies unchecked kernels; the same runs replayed through
+    # the public, checked callables must give the same bits
+    rng = np.random.default_rng(41)
+    runs = []
+    for spec in row_specs():
+        starts = row_starts(spec, rng, 4)
+        for tag in ("halpern", "mann"):
+            runs.append((tag, spec, dict(u=starts[-1], max_iter=300, tol=1e-9), starts))
+
+    def run_all():
+        out = []
+        for tag, spec, kw, starts in runs:
+            out.append(report_bits(run_scheme(tag, spec, cfg(start=starts[1], **kw))))
+            out.extend(report_bits(r) for r in run_rows(tag, spec, cfg(start=starts, **kw)))
+        return out
+
+    unchecked = run_all()
+    checked = []
+
+    def checked_pair(spec, alpha, beta):
+        checked.append(spec.kind)
+        return pair_operator(spec, alpha, beta)
+
+    monkeypatch.setattr(schemes, "_kernel", operator)
+    monkeypatch.setattr(schemes, "_pair_kernel", checked_pair)
+    assert run_all() == unchecked
+    assert checked == [spec.kind for _, spec, _, _ in runs for _ in range(2)]
+
+
+def test_driver_checks_only_the_start_and_the_anchor(monkeypatch):
+    calls = []
+    for name in ("exterior_distance", "exterior_distance_rows"):
+        original = getattr(Ball, name)
+
+        def counted(self, x, name=name, original=original):
+            calls.append((name, x.shape))
+            return original(self, x)
+
+        monkeypatch.setattr(Ball, name, counted)
+    spec = rotation(period=1.0, center=(0.5, -0.25))
+    kw = dict(u=[1.0, 0.0], max_iter=500, tol=1e-14)
+    report = halpern(spec, cfg(start=[0.0, 2.0], **kw))
+    assert report.n_used == 500
+    assert calls == [("exterior_distance", (2,))] * 2
+    calls.clear()
+    reports = run_rows("halpern", spec, cfg(start=[[0.0, 2.0], [-1.0, 1.0], [3.0, 0.0]], **kw))
+    assert [r.n_used for r in reports] == [500] * 3
+    assert calls == [("exterior_distance", (2,)), ("exterior_distance_rows", (3, 2))]
+    # the public callables still check every argument, once per call
+    calls.clear()
+    apply, op_pair = operator(spec, 1.0), pair_operator(spec, 1.0, SQRT2)
+    for n in range(1, 4):
+        apply(np.array([1.0, 2.0]))
+        op_pair(np.array([1.0, 2.0]))
+        assert calls == [("exterior_distance", (2,))] * (2 * n)
+    for f in (apply, op_pair):
+        with pytest.raises(ValueError, match=r"^point lies outside the domain beyond the membership slack$"):
+            f(np.array([50.0, 0.0]))
 
 
 def test_rows_are_only_for_row_independent_schemes():

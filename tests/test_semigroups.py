@@ -7,6 +7,8 @@ import pytest
 from semiflow.semigroups import (
     ORBIT_BLOCK,
     _compile,
+    _kernel,
+    _pair_kernel,
     analytic_fixed_set,
     decay,
     evaluate,
@@ -362,6 +364,41 @@ def test_pair_operator_keeps_the_operator_errors():
             for alpha, beta in ((t, SQRT2), (1.0, t)):
                 with pytest.raises(ValueError, match=r"^time must be positive and finite, got"):
                     pair_operator(spec, alpha, beta)
+
+
+def test_kernels_are_the_public_callables_without_the_check(monkeypatch):
+    rng = np.random.default_rng(23)
+    for spec in compiled_operator_specs():
+        points = orbit_points(spec, rng)
+        xs = np.array(points)
+        before = xs.tobytes()
+        for t in (0.0, 0.3, 1.0, SQRT2, 7.3):
+            kernel, apply = _kernel(spec, t), operator(spec, t)
+            for x in [*points, xs]:
+                assert kernel(x).tobytes() == apply(x).tobytes(), (spec.kind, t, x.shape)
+            assert not np.shares_memory(kernel(xs), xs)
+        for alpha, beta in ((1.0, SQRT2), (0.3, 7.3)):
+            kernel, apply = _pair_kernel(spec, alpha, beta), pair_operator(spec, alpha, beta)
+            for x in [*points, xs]:
+                got, expected = kernel(x), apply(x)
+                assert [y.tobytes() for y in got] == [y.tobytes() for y in expected], (spec.kind, x.shape)
+        assert xs.tobytes() == before, spec.kind
+        # every image is projected through the domain object, looked up at call time
+        calls = []
+        for name in ("project", "project_rows"):
+            original = getattr(type(spec.domain), name)
+
+            def counted(self, y, name=name, original=original):
+                calls.append(name)
+                return original(self, y)
+
+            monkeypatch.setattr(type(spec.domain), name, counted)
+        kernel, pair = _kernel(spec, 1.0), _pair_kernel(spec, 1.0, SQRT2)
+        for x in (points[0], xs):
+            kernel(x)
+            pair(x)
+        assert calls == ["project"] * 3 + ["project_rows"] * 3, spec.kind
+        monkeypatch.undo()
 
 
 def one_pass_orbit(spec, times, x):
