@@ -11,23 +11,14 @@ that the rest of the family moves (see the profile examples in the tests).
 builds the averaged two-operator map whose fixed points are exactly the
 common fixed points of the pair on strictly convex spaces.
 
-Everything a profile needs that does not depend on the point is compiled
-once per (flow, pair, grid) into a plan: the grid's times, the compiled
-orbit over them (``semigroups.orbit_operator``) and the compiled pair
-x -> (T(alpha)x, T(beta)x) (``semigroups.pair_operator``).  The last
-PLAN_CACHE_SIZE plans are kept, so certifying many points against one
-flow and one pair compiles it once; only the applications to the point
-run per call.  A plan is keyed on the spec
-object itself (specs compare by identity and are never changed after they
-are built), the two floats and the grid's float64 bytes (None for the
-default grid).  The pair's continued-fraction probe is cached per pair in
-the same way; the warning it triggers is still issued on every call.
+The point-free part of a profile is compiled once per (flow, pair, grid)
+and cached (see ``_plan``), as is the pair's continued-fraction probe; the
+warning the probe triggers is still issued on every call.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 import os
 import sys
 import warnings
@@ -39,6 +30,7 @@ from semiflow.semigroups import orbit_operator, pair_operator
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import BELOW_TOL, check_pair, euclid_sequence
+from semiflow.vecspace import _scalar
 
 __all__ = [
     "NearRationalWarning",
@@ -165,9 +157,9 @@ def _plan(spec, alpha, beta, grid):
     a grid, given as its float64 bytes or None for the default grid.
 
     Returns (times as a tuple of floats, compiled orbit over them, compiled
-    pair x -> (T(alpha)x, T(beta)x)).  The cache key holds spec itself, so
-    its id cannot be reused by another spec while the plan is cached.  An
-    empty or invalid grid raises, and nothing is cached for it.
+    pair x -> (T(alpha)x, T(beta)x)).  The key holds spec itself, which
+    compares by identity and is never changed.  An empty or invalid grid
+    raises, and nothing is cached for it.
     """
     times = default_profile_grid(alpha, beta) if grid is None else np.frombuffer(grid)
     if times.size == 0:  # orbit_operator() accepts an empty grid and checks the times
@@ -179,11 +171,9 @@ def residual_profile(spec, x, grid, alpha, beta):
     """Evaluate ||T(t)x - x|| on every t of the grid.
 
     grid=None means default_profile_grid(alpha, beta).  The grid residuals
-    come from one batched orbit(spec, grid, x), so they may differ from
-    one-time-at-a-time norms by rounding (at most 1e-12 on the built-in
-    families); the pair residual is computed exactly as residual_pair
-    computes it.  Everything but the applications to x comes from a cached
-    plan (see the module docstring).
+    may differ from one-time-at-a-time norms by rounding, at most 1e-12 on
+    the built-in families; the pair residual is residual_pair's.  Raises
+    ValueError for an invalid pair, grid or point.
     """
     alpha, beta = check_pair(alpha, beta)
     _warn_if_near_rational(alpha, beta)
@@ -217,7 +207,7 @@ def bruck_map(spec, alpha, beta, lam):
     op_pair = pair_operator(spec, alpha, beta)
 
     def averaged(x):
-        ta, tb = op_pair(np.asarray(x, dtype=float))
+        ta, tb = op_pair(x)
         return lam * ta + (1.0 - lam) * tb
 
     return averaged
@@ -239,9 +229,7 @@ def certify_common_fixed(spec, x, alpha, beta, grid=None, tol=1e-8):
     worst residual over the time grid is <= profile_tolerance(tol).  The
     grid defaults to default_profile_grid(alpha, beta).
     """
-    tol = float(tol)
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
+    tol = _scalar("tol", tol)
     profile = residual_profile(spec, x, grid, alpha, beta)
     ptol = profile_tolerance(tol)
     certified = profile.pair_residual <= tol and profile.max_residual <= ptol

@@ -78,8 +78,6 @@ def _point_arg(text):
         values = tuple(float(part) for part in str(text).split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}")
-    if not values:
-        raise argparse.ArgumentTypeError("expected at least one coordinate")
     return values
 
 

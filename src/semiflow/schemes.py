@@ -38,7 +38,7 @@ from semiflow.semigroups import _checker, _kernel, _pair_kernel, analytic_fixed_
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import check_pair
-from semiflow.vecspace import _norm, _row_norms, as_point
+from semiflow.vecspace import _norm, _row_norms, _scalar, as_point
 
 __all__ = [
     "Schedule",
@@ -182,11 +182,8 @@ class IterationConfig:
 
     def __post_init__(self):
         self.alpha, self.beta = check_pair(self.alpha, self.beta)
-        for name in ("tol", "inner_tol"):
-            value = float(getattr(self, name))
-            if not (value > 0 and math.isfinite(value)):
-                raise ValueError(f"{name} must be positive and finite, got {value!r}")
-            setattr(self, name, value)
+        self.tol = _scalar("tol", self.tol)
+        self.inner_tol = _scalar("inner_tol", self.inner_tol)
         for name in ("max_iter", "inner_cap"):
             value = getattr(self, name)
             if value is not None and not (isinstance(value, (int, np.integer)) and value >= 1):
@@ -352,23 +349,15 @@ def _schedule_of(cfg):
 def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
     """The loop all schemes share: record each iterate and decide when to stop.
 
-    T(alpha), T(beta) and the pair x -> (T(alpha)x, T(beta)x) are compiled
-    once, here, as unchecked kernels (each iterate is a convex combination
-    of the checked start and anchor and of projected images), and handed to
-    ``iterates(op_alpha, op_beta, op_pair)``, whose generator yields x_1,
-    x_2, ... and is sent (T(alpha)x_n, T(beta)x_n) for the x_n it yielded
-    last, so updates reuse those two images.  The driver takes them from one
-    op_pair call per iterate, which lifts x_n once for both.  A scheme that
-    applies both operators to one point calls op_pair too; only the schemes
-    that apply them to different points use op_alpha and op_beta.  Each
-    x_n is recorded, then tested for an inner-solver failure (``inner``
-    holds the implicit scheme's (sweeps, residual, solved) per step), then
-    for convergence, then against the budget n_max.  A (near-)rational pair
-    warns first: its pair residual can vanish off the common fixed set.
-
-    When cfg.start is a (B, d) array (ROW_SCHEMES only), the generator
-    yields (B, d) iterates and each application is one call on the block;
-    see _drive_rows.
+    ``iterates(op_alpha, op_beta, op_pair)`` gets unchecked kernels of
+    T(alpha), T(beta) and x -> (T(alpha)x, T(beta)x): every iterate is a
+    convex combination of the checked start and anchor and of projected
+    images.  Its generator yields x_1, x_2, ... and is sent
+    (T(alpha)x_n, T(beta)x_n) for the x_n it yielded last.  Each x_n is
+    recorded, then tested for an inner-solver failure (``inner`` holds the
+    implicit scheme's (sweeps, residual, solved) per step), then for
+    convergence, then against the budget n_max.  A (near-)rational pair
+    warns first.  A (B, d) cfg.start goes to _drive_rows.
     """
     _warn_if_near_rational(cfg.alpha, cfg.beta)
     op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
@@ -707,12 +696,10 @@ def run_scheme(tag, spec, cfg):
 def run_rows(tag, spec, cfg):
     """Run a scheme of ROW_SCHEMES from every row of the (B, d) array cfg.start.
 
-    The B runs are iterated together, as the rows of one array, so each
-    step applies T(alpha) and T(beta) once to the whole block.  Returns B
-    reports, one per row, in row order; each equals run_scheme's report
-    for that row alone, bit for bit on rotation and decay flows.  On a heat
-    flow the block's matrix products sum in another order, so its records
-    differ by rounding only.
+    The B runs are iterated together, as the rows of one array.  Returns B
+    reports, one per row, in row order; each equals run_scheme's report for
+    that row alone, up to rounding on a heat flow.  Raises ValueError for
+    another scheme or a start that is not a (B, d) array.
     """
     fn = _scheme(tag)
     if tag not in ROW_SCHEMES:

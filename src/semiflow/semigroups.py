@@ -13,17 +13,12 @@ against ground truth:
   positive semidefinite A, on a ball centered at the origin.  The
   eigendecomposition of A is computed once and cached on the spec.
 
-Each family's formula is written once, for one time or a column of times,
-and compiled by ``operator(spec, t)`` (x -> T(t)x, for one point or a
-(B, d) array of rows), ``pair_operator(spec, alpha, beta)`` (x ->
-(T(alpha)x, T(beta)x), lifting x once) and ``orbit_operator(spec, times)``
-(x -> its (len(times), d) rows); ``evaluate`` and ``orbit`` apply one once.
-The compiled callables assume that the spec is never changed (a heat
-spectrum is read-only).  Each public callable checks on every call that its
-argument lies within a small membership slack of the domain; the scheme
-driver applies unchecked kernels, as its iterates stay in the domain.
-Every output is metrically projected back into the domain, so long
-iteration loops cannot drift outside by accumulated rounding.
+Each family's formula is written once, in ``_compile``, and the
+``operator``, ``pair_operator`` and ``orbit_operator`` compilers build on it;
+they assume that the spec is never changed (a heat spectrum is read-only).
+Each public callable checks on every call that its argument lies within a
+small membership slack of the domain, and projects every output back into
+the domain, so long iteration loops cannot drift outside by rounding.
 """
 
 from __future__ import annotations
@@ -33,7 +28,7 @@ from dataclasses import dataclass
 import math
 import numpy as np
 
-from semiflow.vecspace import Ball, Box, _norm, _row_norms, as_point, max_dim, sym_eigendecompose
+from semiflow.vecspace import Ball, Box, _norm, _row_norms, _scalar, as_point, max_dim, sym_eigendecompose
 
 __all__ = [
     "MEMBERSHIP_SLACK",
@@ -68,9 +63,8 @@ PSD_TOL = -1e-12
 
 # orbit_operator() compiles and computes its rows in blocks of about this
 # many entries (32 KB), so its temporaries stay small whatever the number
-# of times (projecting all rows at once was measured slower), and a heat
-# block's matrix product is small enough that BLAS runs it on the calling
-# thread instead of waking a worker thread and its buffers
+# of times, and a heat block's matrix product is small enough that BLAS
+# runs it on the calling thread instead of waking a worker thread
 ORBIT_BLOCK = 4096
 
 
@@ -115,9 +109,7 @@ def rotation(center=(0.0, 0.0), period=1.0, radius=10.0, dim=None):
     center = as_point(center)
     if center.size != 2:
         raise ValueError("rotation center must have exactly 2 coordinates")
-    period = float(period)
-    if not (period > 0 and math.isfinite(period)):
-        raise ValueError("rotation period must be positive and finite")
+    period = _scalar("period", period)
     d = 2 if dim is None else int(dim)
     if d < 2:
         raise ValueError("rotation needs dimension >= 2")
@@ -138,27 +130,20 @@ def decay(dim=2, box_max=10.0):
     d = int(dim)
     if d < 1 or d > max_dim():
         raise ValueError(f"dimension {d} outside [1, {max_dim()}]")
-    box_max = float(box_max)
-    if not (box_max > 0 and math.isfinite(box_max)):
-        raise ValueError("box_max must be positive and finite")
+    box_max = _scalar("box_max", box_max)
     return SemigroupSpec(kind=DECAY, domain=Box(np.zeros(d), np.full(d, box_max)))
 
 
 def heat(matrix, radius=10.0):
     """Smoothing family T(t) = exp(-t A) for symmetric PSD ``matrix``.
 
-    The generator is eigendecomposed once here; evaluate() then applies
-    exp(-t A) x = V exp(-t w) V^T x from the cached factors, which are
-    read-only.  Eigenvalues below zero within tolerance are treated as
-    exactly zero, so T(t) never expands and the origin-centered ball
-    domain is invariant.
+    The generator is eigendecomposed once here (sym_eigendecompose checks
+    its shape, size and symmetry), and T(t) is applied as
+    V exp(-t w) V^T from the cached, read-only factors.  Eigenvalues below
+    zero within tolerance are treated as exactly zero, so T(t) never
+    expands and the origin-centered ball domain is invariant.
     """
-    a = np.asarray(matrix, dtype=float)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"heat generator must be a square matrix, got shape {a.shape}")
-    if a.shape[0] > max_dim():
-        raise ValueError(f"dimension {a.shape[0]} exceeds the cap {max_dim()}")
-    eigvals, eigvecs = sym_eigendecompose(a)
+    eigvals, eigvecs = sym_eigendecompose(matrix)
     if eigvals.min(initial=0.0) < PSD_TOL:
         raise ValueError(
             f"heat generator must be positive semidefinite, found eigenvalue {eigvals.min()}"
@@ -168,7 +153,7 @@ def heat(matrix, radius=10.0):
     eigvals.flags.writeable = eigvecs.flags.writeable = False
     return SemigroupSpec(
         kind=HEAT,
-        domain=Ball(np.zeros(a.shape[0]), radius),
+        domain=Ball(np.zeros(eigvals.size), radius),
         eigvals=eigvals,
         eigvecs=eigvecs,
     )
@@ -251,10 +236,11 @@ def _checker(spec, rows=True, name="point", owner="semigroup"):
 
 
 def _checked(spec, kernel):
-    """kernel, applied only to what _checker(spec) accepts."""
+    """kernel, applied to x as a float array only if _checker(spec) accepts it."""
     check = _checker(spec)
 
     def apply(x):
+        x = np.asarray(x, dtype=float)
         check(x)
         return kernel(x)
 
@@ -301,69 +287,50 @@ def _pair_kernel(spec, alpha, beta):
 def operator(spec, t):
     """Compile T(t) for a fixed time: return the callable x -> T(t)x.
 
-    Requires t >= 0.  Everything that depends on t alone (the rotation's
-    cosine and sine, the heat flow's exp(-t w), the decay's shift) is
-    computed here, once.  Each call still checks that x, a float64 vector,
-    has the flow's dimension and lies inside the domain up to the
-    membership slack, and projects its result back into the domain.  T(0)
-    is the identity: exact for decay, and short-circuited for rotation and
-    heat so no spectral round-off enters at t = 0.
-
-    The callable also takes a float64 (B, d) array and returns T(t) of
-    every row as a new (B, d) array; the argument is never written to,
-    not even at t = 0.  Every row is checked as a point is, with the same
-    messages, and the block is computed with one numpy call per family
-    (heat: ((X V) * exp(-t w)) V^T).  Rotation, decay and t = 0 rows equal
-    the single-point result bit for bit; heat rows differ from it by
-    rounding only (the matrix products sum in another order), well within
-    1e-12 on the built-in families.
+    t must be finite and nonnegative (ValueError otherwise); T(0) is the
+    identity.  The callable takes one point or a (B, d) array of points as
+    rows, as floats, and returns a new array of their images, projected
+    into the domain; the argument is never written to.  It raises
+    ValueError for a point of the wrong dimension or outside the domain
+    beyond MEMBERSHIP_SLACK.  Heat rows may differ from the images of the
+    same points taken one at a time by rounding, within 1e-12 on the
+    built-in families; other rows equal them.
     """
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
+    t = _scalar("time", t, positive=False)
     return _checked(spec, _kernel(spec, t))
 
 
 def pair_operator(spec, alpha, beta):
     """Compile T(alpha) and T(beta) together: return x -> (T(alpha)x, T(beta)x).
 
-    Both times must be positive and finite.  Each call checks x once, as
-    operator() checks it (one point or a (B, d) array of rows), lifts it
-    once (heat: x V), and projects both images back into the domain.  Each
-    image equals operator(spec, t)(x) bit for bit, and the argument is
-    never written to.
+    Both times must be positive and finite (ValueError otherwise).  The
+    callable takes and checks x as operator()'s does, and each image equals
+    operator(spec, t)(x).
     """
-    alpha, beta = float(alpha), float(beta)
-    for t in (alpha, beta):
-        if not (t > 0.0 and math.isfinite(t)):
-            raise ValueError(f"time must be positive and finite, got {t}")
+    alpha = _scalar("time", alpha)
+    beta = _scalar("time", beta)
     return _checked(spec, _pair_kernel(spec, alpha, beta))
 
 
 def evaluate(spec, t, x):
     """Apply T(t) to the point x: operator(spec, t) for a single application."""
-    return operator(spec, t)(np.asarray(x, dtype=float))
+    return operator(spec, t)(x)
 
 
 def orbit_operator(spec, times):
     """Compile T(t_i) for a fixed array of times: return x -> (len(times), d) rows.
 
-    The times must be finite and nonnegative; they are checked, copied and
-    compiled here, once.  Each block of times gets operator()'s formula as
-    one column of times (heat: (exp(-outer(t, w)) * V^T x) @ V^T), so
-    everything that depends on the times alone (heat: the exp of the
-    factors) is computed at compile time.  Each call checks that x is one
-    point of the flow's dimension inside the domain, as operator() checks
-    it, and projects every row back into the domain.  Rows with t = 0 and
-    all decay rows equal operator(spec, t)(x) bit for bit; the other
-    rotation and heat rows differ from it by rounding only (numpy's vector
-    cosine and sine, and the batched matrix product), well within 1e-12 on
-    the built-in families.
+    The times must be finite and nonnegative (ValueError naming the first
+    bad one); they are copied here.  The callable takes one point, checked
+    as operator()'s callable checks it, and returns row i = T(t_i)x,
+    projected into the domain.  Rows with t = 0 and decay rows equal
+    operator(spec, t)(x); other rows may differ from it by rounding, within
+    1e-12 on the built-in families.
     """
     t = np.array(times, dtype=float).ravel()
     bad = ~np.isfinite(t) | (t < 0.0)
     if bad.any():
-        raise ValueError(f"time must be finite and nonnegative, got {float(t[bad][0])}")
+        _scalar("time", t[bad][0], positive=False)  # raises
     step = ORBIT_BLOCK // spec.dim
     lift, blocks = np.asarray, []
     for lo in range(0, t.size, step):

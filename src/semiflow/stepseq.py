@@ -15,11 +15,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from semiflow.semigroups import operator
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
+from semiflow.vecspace import _scalar
 
 __all__ = [
     "GreedyDecomposition",
@@ -43,10 +42,8 @@ def check_pair(alpha, beta):
     so the pair is rejected outright.  Other rational ratios cannot be
     detected from floats; callers that care run a remainder probe and warn.
     """
-    alpha = float(alpha)
-    beta = float(beta)
-    if not (alpha > 0 and math.isfinite(alpha)) or not (beta > 0 and math.isfinite(beta)):
-        raise ValueError("sample times must be positive and finite")
+    alpha = _scalar("alpha", alpha)
+    beta = _scalar("beta", beta)
     if alpha == beta:
         raise ValueError("sample times must differ (equal times have ratio 1)")
     return alpha, beta
@@ -138,9 +135,7 @@ def greedy_decompose(t, beta_scheme, n):
     of positive reals (see ``geometric``, or pass an explicit list with at
     least n entries).
     """
-    t = float(t)
-    if not (t >= 0.0 and math.isfinite(t)):
-        raise ValueError(f"t must be finite and nonnegative, got {t}")
+    t = _scalar("t", t, positive=False)
     n = int(n)
     if n < 1:
         raise ValueError("at least one decomposition step is required")
@@ -152,11 +147,9 @@ def greedy_decompose(t, beta_scheme, n):
     delta = t
     for j in range(n):
         try:
-            b = float(next(it))
+            b = _scalar(f"modulus {j + 1}", next(it))
         except StopIteration:
             raise ValueError(f"modulus scheme exhausted after {j} terms, need {n}") from None
-        if not (b > 0.0 and math.isfinite(b)):
-            raise ValueError(f"modulus {j + 1} must be positive and finite, got {b}")
         k = int(math.floor(delta / b))
         # floor rounding can overshoot by one ulp; never let the remainder go negative
         delta = max(delta - k * b, 0.0)
@@ -182,28 +175,22 @@ def euclid_sequence(alpha, beta, tol=1e-9, max_terms=200):
     recursion with termination ``precision_floor``.
     """
     alpha, beta = check_pair(alpha, beta)
-    tol = float(tol)
-    if not (tol > 0 and math.isfinite(tol)):
-        raise ValueError("tol must be positive and finite")
+    tol = _scalar("tol", tol)
     max_terms = int(max_terms)
     if max_terms < 1:
         raise ValueError("max_terms must be at least 1")
 
     alphas = [max(alpha, beta), min(alpha, beta)]
     ks = []
-    if alphas[-1] < tol:
-        return EuclidSequence(tuple(alphas), tuple(ks), BELOW_TOL)
-    while True:
+    while alphas[-1] >= tol:
         if len(ks) >= max_terms:
             return EuclidSequence(tuple(alphas), tuple(ks), MAX_TERMS)
         k = int(math.floor(alphas[-2] / alphas[-1]))
         if k == 0:
             return EuclidSequence(tuple(alphas), tuple(ks), PRECISION_FLOOR)
-        nxt = max(alphas[-2] - k * alphas[-1], 0.0)
         ks.append(k)
-        alphas.append(nxt)
-        if nxt < tol:
-            return EuclidSequence(tuple(alphas), tuple(ks), BELOW_TOL)
+        alphas.append(max(alphas[-2] - k * alphas[-1], 0.0))
+    return EuclidSequence(tuple(alphas), tuple(ks), BELOW_TOL)
 
 
 def replay_action(spec, z, decomp, n=None):
@@ -218,7 +205,7 @@ def replay_action(spec, z, decomp, n=None):
     n = int(n)
     if not 1 <= n <= decomp.n_terms:
         raise ValueError(f"n must lie in [1, {decomp.n_terms}]")
-    x = operator(spec, 0.0)(np.asarray(z, dtype=float))  # validates membership; T(0) is the identity
+    x = operator(spec, 0.0)(z)  # validates membership; T(0) is the identity
     for j in range(n):
         step = operator(spec, decomp.betas[j])
         for _ in range(decomp.ks[j]):

@@ -76,6 +76,19 @@ def as_point(coords):
     return out
 
 
+def _scalar(name, value, positive=True):
+    """float(value), checked to be finite and positive (nonnegative if not ``positive``).
+
+    Raises ValueError naming ``name``; NaN, infinities and, when positive,
+    zero of either sign are rejected.
+    """
+    v = float(value)
+    if not (0.0 < v < math.inf if positive else 0.0 <= v < math.inf):
+        rule = "positive and finite" if positive else "finite and nonnegative"
+        raise ValueError(f"{name} must be {rule}, got {v}")
+    return v
+
+
 def combine(weights, points):
     """Affine combination sum_i w_i p_i of equal-dimension points.
 
@@ -131,9 +144,7 @@ class Ball:
 
     def __post_init__(self):
         object.__setattr__(self, "center", as_point(self.center))
-        object.__setattr__(self, "radius", float(self.radius))
-        if not (self.radius > 0 and math.isfinite(self.radius)):
-            raise ValueError("ball radius must be positive and finite")
+        object.__setattr__(self, "radius", _scalar("radius", self.radius))
 
     @property
     def dim(self):
