@@ -30,7 +30,7 @@ from semiflow.semigroups import orbit_operator, pair_operator
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import BELOW_TOL, check_pair, euclid_sequence
-from semiflow.vecspace import _scalar
+from semiflow.vecspace import _norm, _scalar
 
 __all__ = [
     "NearRationalWarning",
@@ -65,11 +65,15 @@ def _near_rational(alpha, beta):
 
     Only alpha != beta is enforced as a hard precondition; actual
     irrationality is undecidable in floats, so a short continued-fraction
-    probe looks for the signature of a rational ratio: a remainder of
-    exactly zero, or a quotient >= 1e8.  The verdict depends on the pair
-    alone and is cached.
+    probe of (large / small, 1), free of the pair's scale, looks for the
+    signature of a rational ratio: a remainder of exactly zero, or a
+    quotient >= 1e8 (a first one is caught before the division).  The
+    verdict depends on the pair alone and is cached.
     """
-    probe = euclid_sequence(alpha, beta, tol=1e-12, max_terms=64)
+    small, large = sorted((alpha, beta))
+    if large >= NEAR_RATIONAL_QUOTIENT * small:
+        return True
+    probe = euclid_sequence(large / small, 1.0, tol=1e-12, max_terms=64)
     rational_hit = probe.termination == BELOW_TOL and probe.alphas[-1] == 0.0
     return rational_hit or max(probe.ks, default=0) >= NEAR_RATIONAL_QUOTIENT
 
@@ -130,9 +134,7 @@ def residual_pair(spec, x, alpha, beta):
 
 def _pair_residual(op_pair, x):
     ta, tb = op_pair(x)
-    ra = float(np.linalg.norm(ta - x))
-    rb = float(np.linalg.norm(tb - x))
-    return max(ra, rb)
+    return max(_norm(ta - x), _norm(tb - x))
 
 
 def default_profile_grid(alpha, beta, stop=5.0, step=0.01, start=0.0):

@@ -41,6 +41,7 @@ from semiflow.schemes import (
     run_rows,
     run_scheme,
     SCHEME_TAGS,
+    _scheme,
 )
 from semiflow.semigroups import from_descriptor
 from semiflow.stepseq import euclid_sequence, geometric, greedy_decompose
@@ -142,8 +143,7 @@ class ExperimentConfig:
     json: str | None = None
 
     def __post_init__(self):
-        if self.scheme not in SCHEME_TAGS:
-            raise ValueError(f"unknown scheme {self.scheme!r}; choose from {sorted(SCHEME_TAGS)}")
+        _scheme(self.scheme)
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
 

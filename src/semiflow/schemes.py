@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -322,12 +322,6 @@ class _Recorder:
         )
 
 
-def _resolve_budget(cfg, tag):
-    if cfg.max_iter is None:
-        return DEFAULT_MAX_ITER[tag]
-    return int(cfg.max_iter)
-
-
 def _require_point(spec, cfg, name, tag, rows=False):
     """cfg.<name> ("start" or "u") as a float vector of the flow's dimension inside its domain.
 
@@ -346,23 +340,27 @@ def _schedule_of(cfg):
     return cfg.schedule if cfg.schedule is not None else make_schedule("harmonic", offset=1)
 
 
-def _drive(spec, cfg, tag, iterates, n_max, track_fejer=False, inner=None):
-    """The loop all schemes share: record each iterate and decide when to stop.
+def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
+    """The setup and loop all schemes share: record each iterate and decide when to stop.
 
-    ``iterates(op_alpha, op_beta, op_pair)`` gets unchecked kernels of
-    T(alpha), T(beta) and x -> (T(alpha)x, T(beta)x): every iterate is a
-    convex combination of the checked start and anchor and of projected
-    images.  Its generator yields x_1, x_2, ... and is sent
-    (T(alpha)x_n, T(beta)x_n) for the x_n it yielded last.  Each x_n is
-    recorded, then tested for an inner-solver failure (``inner`` holds the
-    implicit scheme's (sweeps, residual, solved) per step), then for
-    convergence, then against the budget n_max.  A (near-)rational pair
-    warns first.  A (B, d) cfg.start goes to _drive_rows.
+    Checks cfg.start (for a tag of ROW_SCHEMES also a (B, d) array, which
+    goes to _drive_rows), takes n_max = cfg.max_iter or DEFAULT_MAX_ITER[tag],
+    and warns on a (near-)rational pair.  ``iterates(x0, n_max, op_alpha,
+    op_beta, op_pair)`` gets the checked start as a float array and
+    unchecked kernels of T(alpha), T(beta) and x -> (T(alpha)x, T(beta)x):
+    every iterate is a convex combination of the checked start and anchor
+    and of projected images.  Its generator yields x_1, x_2, ... and is
+    sent (T(alpha)x_n, T(beta)x_n) for the x_n it yielded last.  Each x_n
+    is recorded, then tested for an inner-solver failure (``inner`` holds
+    the implicit scheme's (sweeps, residual, solved) per step), then for
+    convergence, then against n_max.
     """
+    x0 = _require_point(spec, cfg, "start", tag, rows=tag in ROW_SCHEMES)
+    n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
     _warn_if_near_rational(cfg.alpha, cfg.beta)
     op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
-    orbit = iterates(_kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
-    if cfg.start is not None and cfg.start.ndim == 2:
+    orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
+    if x0.ndim == 2:
         return _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer)
     rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
     images = None
@@ -434,11 +432,7 @@ def baillon_double(spec, cfg):
     kept: O(max_iter) points, while the cost stays O(max_iter^2)
     applications.
     """
-    tag = "baillon_double"
-    x0 = _require_point(spec, cfg, "start", tag)
-    n_max = _resolve_budget(cfg, tag)
-
-    def iterates(op_alpha, op_beta, _):
+    def iterates(x0, n_max, op_alpha, op_beta, _):
         col = np.empty((n_max + 1, x0.size))  # col[k] = y[k, n]
         row = np.empty((n_max + 1, x0.size))  # row[l] = y[n - 1, l], l < n
         col[0] = x0
@@ -453,7 +447,7 @@ def baillon_double(spec, cfg):
             row[n] = col[n]
             yield total / (n * n)
 
-    return _drive(spec, cfg, tag, iterates, n_max)
+    return _drive(spec, cfg, "baillon_double", iterates)
 
 
 def baillon_power_average(spec, cfg):
@@ -462,11 +456,7 @@ def baillon_power_average(spec, cfg):
     z_k = ((T(alpha) + T(beta))/2)^k x and x_n = (1/n) sum_{k=1..n} z_k;
     each stage costs one application of each sampled operator.
     """
-    tag = "baillon_power_average"
-    x0 = _require_point(spec, cfg, "start", tag, rows=True)
-
-    def iterates(_, __, op_pair):
-        z = x0
+    def iterates(z, _, __, ___, op_pair):
         total = np.zeros(z.shape)
         for n in itertools.count(1):
             ta, tb = op_pair(z)
@@ -474,7 +464,7 @@ def baillon_power_average(spec, cfg):
             total += z
             yield total / n
 
-    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag))
+    return _drive(spec, cfg, "baillon_power_average", iterates)
 
 
 def _double_block_average(op_alpha, op_beta, x, n):
@@ -507,21 +497,18 @@ def mann(spec, cfg):
     nonincreasing along the run; violations beyond rounding slack are
     counted in the report (there should be none).
     """
-    tag = "mann"
     if not (cfg.kappa > 0 and cfg.lam > 0):
         raise ValueError("kappa and lambda must be positive")
     if not cfg.kappa + cfg.lam < 1:
         raise ValueError("kappa + lambda must be < 1")
-    x0 = _require_point(spec, cfg, "start", tag, rows=True)
     rest = 1.0 - cfg.kappa - cfg.lam
 
-    def iterates(*_):
-        x = x0
+    def iterates(x, *_):
         while True:
             ta, tb = yield x
             x = cfg.kappa * ta + cfg.lam * tb + rest * x
 
-    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag), track_fejer=True)
+    return _drive(spec, cfg, "mann", iterates, track_fejer=True)
 
 
 def suzuki_averaged_mann(spec, cfg):
@@ -531,19 +518,16 @@ def suzuki_averaged_mann(spec, cfg):
     Each outer step n recomputes the n-by-n average at the current iterate,
     so step n costs O(n^2) operator applications; budgets default low.
     """
-    tag = "suzuki_averaged_mann"
     if not 0.0 < cfg.lam < 1.0:
         raise ValueError("lambda must lie strictly in (0, 1)")
-    x0 = _require_point(spec, cfg, "start", tag)
 
-    def iterates(op_alpha, op_beta, _):
-        x = x0
+    def iterates(x, _, op_alpha, op_beta, __):
         for n in itertools.count(1):
             yield x
             avg = _double_block_average(op_alpha, op_beta, x, n)
             x = cfg.lam * avg + (1.0 - cfg.lam) * x
 
-    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag), track_fejer=True)
+    return _drive(spec, cfg, "suzuki_averaged_mann", iterates, track_fejer=True)
 
 
 def ishikawa_composed(spec, cfg):
@@ -553,13 +537,10 @@ def ishikawa_composed(spec, cfg):
     step n applies x <- W(V^n x).  Both weights must lie strictly in (0, 1);
     step n costs n+1 operator applications.
     """
-    tag = "ishikawa_composed"
     if not 0.0 < cfg.kappa < 1.0 or not 0.0 < cfg.lam < 1.0:
         raise ValueError("kappa and lambda must lie strictly in (0, 1)")
-    x0 = _require_point(spec, cfg, "start", tag)
 
-    def iterates(op_alpha, op_beta, _):
-        x = x0
+    def iterates(x, _, op_alpha, op_beta, __):
         for n in itertools.count(1):
             yield x
             y = x
@@ -567,7 +548,7 @@ def ishikawa_composed(spec, cfg):
                 y = cfg.kappa * op_beta(y) + (1.0 - cfg.kappa) * y
             x = cfg.lam * op_alpha(y) + (1.0 - cfg.lam) * y
 
-    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag), track_fejer=True)
+    return _drive(spec, cfg, "ishikawa_composed", iterates, track_fejer=True)
 
 
 # ---- anchored schemes ----------------------------------------------------------
@@ -611,18 +592,18 @@ def browder_implicit(spec, cfg):
     For each n, x_n solves x = ((1-lam_n)/2)(T(alpha)x + T(beta)x) + lam_n*u
     with lam_n from the schedule.  The map on the right contracts with
     factor at most 1 - lam_n, so each x_n is found by inner fixed-point
-    iteration, warm-started from the previous outer point.  The report
-    carries the inner sweep counts and final inner residuals; an inner
-    solve that misses inner_tol ends the run with inner_solver_failure.
+    iteration, warm-started from the previous outer point; the first solve
+    starts from cfg.start, or from u when that is None.  The report carries
+    the inner sweep counts and final inner residuals; an inner solve that
+    misses inner_tol ends the run with inner_solver_failure.
     """
-    tag = "browder_implicit"
-    u = _require_point(spec, cfg, "u", tag)
+    u = _require_point(spec, cfg, "u", "browder_implicit")
     sched = _schedule_of(cfg)
-    x0 = u.copy() if cfg.start is None else _require_point(spec, cfg, "start", tag)
+    if cfg.start is None:
+        cfg = replace(cfg, start=u)
     inner = []
 
-    def iterates(_, __, op_pair):
-        x = x0
+    def iterates(x, _, __, ___, op_pair):
         for n in itertools.count(1):
             lam_n = sched(n)
             pull = lam_n * u
@@ -636,7 +617,7 @@ def browder_implicit(spec, cfg):
             inner.append((sweeps, r, ok))
             yield x
 
-    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag), inner=inner)
+    return _drive(spec, cfg, "browder_implicit", iterates, inner=inner)
 
 
 def halpern(spec, cfg):
@@ -648,19 +629,16 @@ def halpern(spec, cfg):
     summable), so on an irrational pair the iterates approach the common
     fixed point nearest the anchor.
     """
-    tag = "halpern"
-    u = _require_point(spec, cfg, "u", tag)
-    x0 = _require_point(spec, cfg, "start", tag, rows=True)
+    u = _require_point(spec, cfg, "u", "halpern")
     sched = _schedule_of(cfg)
 
-    def iterates(*_):
-        x = x0
+    def iterates(x, *_):
         for n in itertools.count(1):
             ta, tb = yield x
             lam_n = sched(n)
             x = 0.5 * (1.0 - lam_n) * (ta + tb) + lam_n * u
 
-    return _drive(spec, cfg, tag, iterates, _resolve_budget(cfg, tag))
+    return _drive(spec, cfg, "halpern", iterates)
 
 
 SCHEME_TAGS = {

@@ -150,7 +150,10 @@ def greedy_decompose(t, beta_scheme, n):
             b = _scalar(f"modulus {j + 1}", next(it))
         except StopIteration:
             raise ValueError(f"modulus scheme exhausted after {j} terms, need {n}") from None
-        k = int(math.floor(delta / b))
+        q = delta / b
+        if q == math.inf:
+            raise ValueError(f"modulus {j + 1} is too small: remainder {delta!r} / {b!r} overflows")
+        k = int(math.floor(q))
         # floor rounding can overshoot by one ulp; never let the remainder go negative
         delta = max(delta - k * b, 0.0)
         betas.append(b)
@@ -185,7 +188,10 @@ def euclid_sequence(alpha, beta, tol=1e-9, max_terms=200):
     while alphas[-1] >= tol:
         if len(ks) >= max_terms:
             return EuclidSequence(tuple(alphas), tuple(ks), MAX_TERMS)
-        k = int(math.floor(alphas[-2] / alphas[-1]))
+        q = alphas[-2] / alphas[-1]
+        if q == math.inf:
+            raise ValueError(f"quotient {alphas[-2]!r} / {alphas[-1]!r} overflows; tol must exceed {alphas[-1]!r}")
+        k = int(math.floor(q))
         if k == 0:
             return EuclidSequence(tuple(alphas), tuple(ks), PRECISION_FLOOR)
         ks.append(k)

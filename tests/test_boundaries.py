@@ -135,3 +135,18 @@ def test_integer_arguments_are_read_as_floats(spec):
             for g, w in zip(got, want):
                 assert g.dtype == np.float64
                 assert g.tobytes() == w.tobytes(), spec.kind
+
+
+@pytest.mark.parametrize("argv, call, field", [
+    pytest.param(("decompose", "--t", "1", "--ratio", "5e-324", "--n", "2"),
+                 lambda: greedy_decompose(1.0, [5e-324], 1), "modulus 1", id="decompose"),
+    pytest.param(("euclid", "--alpha", "1", "--beta", "5e-324", "--tol", "5e-324"),
+                 lambda: euclid_sequence(1.0, 5e-324, tol=5e-324), "tol", id="euclid"),
+])
+def test_an_overflowing_quotient_names_the_field(capsys, argv, call, field):
+    # 1 / 5e-324 is inf, which math.floor cannot turn into an integer
+    with pytest.raises(ValueError, match=field):
+        call()
+    assert main(list(argv)) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: ") and field in out.err

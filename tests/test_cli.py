@@ -587,3 +587,13 @@ def test_heat_descriptor_through_cli(capsys, tmp_path):
     summary = json.loads((tmp_path / "heat.json").read_text())
     final = summary["report"]["final_point"]
     assert abs(final[0] - 2.0) < 1e-8 and abs(final[1]) < 1e-8
+
+
+@pytest.mark.parametrize("alpha, beta", [("1e-13", "2e-13"), ("1", "1e-13")])
+def test_a_pair_of_tiny_times_warns(capsys, alpha, beta):
+    # the probe scales with the pair: both ratios are rational (2, and 1e13 >= 1e8)
+    argv = ["run", "--scheme", "mann", "--semigroup", "rotation:period=1,center=0,0",
+            "--alpha", alpha, "--beta", beta, "--seed", "3", "--max-iter", "3"]
+    with pytest.warns(NearRationalWarning):
+        assert main(argv) == 0
+    assert "converged" in capsys.readouterr().err

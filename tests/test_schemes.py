@@ -779,3 +779,22 @@ def test_start_and_anchor_are_checked_before_iterating(monkeypatch):
                 with pytest.raises(ValueError, match=rf"^{name} {message}"):
                     scheme(spec, cfg(**kw))
     assert calls == []
+
+
+def test_every_scheme_honours_its_default_budget(monkeypatch):
+    # max_iter None takes DEFAULT_MAX_ITER[tag], read at call time; every
+    # other tag gets 4, so a budget read under the wrong tag shows
+    def budgets(tag):
+        for other in DEFAULT_MAX_ITER:
+            monkeypatch.setitem(DEFAULT_MAX_ITER, other, 3 if other == tag else 4)
+
+    spec = rotation(period=1.0, center=(0.5, -0.25))
+    kw = dict(u=[1.0, 0.0], tol=1e-14)
+    for tag in SCHEME_TAGS:
+        budgets(tag)
+        report = run_scheme(tag, spec, cfg(start=[0.0, 2.0], **kw))
+        assert (report.termination, report.n_used) == ("max_iter", 3), tag
+    for tag in ROW_SCHEMES:
+        budgets(tag)
+        reports = run_rows(tag, spec, cfg(start=[[0.0, 2.0], [-1.0, 1.0]], **kw))
+        assert [(r.termination, r.n_used) for r in reports] == [("max_iter", 3)] * 2, tag
