@@ -29,7 +29,7 @@ import numpy as np
 from semiflow.semigroups import orbit_operator, pair_operator
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
-from semiflow.stepseq import BELOW_TOL, check_pair, euclid_sequence
+from semiflow.stepseq import check_pair, euclid_sequence
 from semiflow.vecspace import _norm, _scalar
 
 __all__ = [
@@ -64,23 +64,24 @@ def _near_rational(alpha, beta):
     """Whether the continued-fraction probe of alpha/beta looks rational.
 
     Only alpha != beta is enforced as a hard precondition; actual
-    irrationality is undecidable in floats, so a short continued-fraction
-    probe of (large / small, 1), free of the pair's scale, looks for the
-    signature of a rational ratio: a remainder of exactly zero, or a
-    quotient >= 1e8 (a first one is caught before the division).  The
+    irrationality is undecidable in floats, so a continued-fraction probe
+    of (large / small, 1) down to 1e-12 of the ratio, free of the pair's
+    scale, flags two consecutive remainders a, b with a >= 1e8 * b (b = 0
+    included; a first such pair is caught before the division).  The
     verdict depends on the pair alone and is cached.
     """
     small, large = sorted((alpha, beta))
     if large >= NEAR_RATIONAL_QUOTIENT * small:
         return True
-    probe = euclid_sequence(large / small, 1.0, tol=1e-12, max_terms=64)
-    rational_hit = probe.termination == BELOW_TOL and probe.alphas[-1] == 0.0
-    return rational_hit or max(probe.ks, default=0) >= NEAR_RATIONAL_QUOTIENT
+    ratio = large / small
+    rests = euclid_sequence(ratio, 1.0, tol=1e-12 * ratio, max_terms=64).alphas
+    return any(a >= NEAR_RATIONAL_QUOTIENT * b for a, b in zip(rests, rests[1:]))
 
 
-def _warn_if_near_rational(alpha, beta):
-    """Warn, at the first calling frame outside this package, if the pair
-    looks rational to _near_rational."""
+def _checked_pair(alpha, beta):
+    """check_pair(alpha, beta), with a NearRationalWarning at the first calling
+    frame outside this package if _near_rational flags the pair."""
+    alpha, beta = check_pair(alpha, beta)
     if _near_rational(alpha, beta):
         frame, level = sys._getframe(), 1
         while frame is not None and os.path.dirname(frame.f_code.co_filename) == _PACKAGE_DIR:
@@ -91,6 +92,7 @@ def _warn_if_near_rational(alpha, beta):
             NearRationalWarning,
             stacklevel=level,
         )
+    return alpha, beta
 
 
 @dataclass(frozen=True)
@@ -127,8 +129,7 @@ class Certificate:
 
 def residual_pair(spec, x, alpha, beta):
     """max(||T(alpha)x - x||, ||T(beta)x - x||) for the two sampled times."""
-    alpha, beta = check_pair(alpha, beta)
-    _warn_if_near_rational(alpha, beta)
+    alpha, beta = _checked_pair(alpha, beta)
     return _pair_residual(pair_operator(spec, alpha, beta), np.asarray(x, dtype=float))
 
 
@@ -177,8 +178,7 @@ def residual_profile(spec, x, grid, alpha, beta):
     the built-in families; the pair residual is residual_pair's.  Raises
     ValueError for an invalid pair, grid or point.
     """
-    alpha, beta = check_pair(alpha, beta)
-    _warn_if_near_rational(alpha, beta)
+    alpha, beta = _checked_pair(alpha, beta)
     if grid is not None:
         grid = np.asarray(grid, dtype=float).ravel().tobytes()
     times, orbit_rows, op_pair = _plan(spec, alpha, beta, grid)
@@ -201,11 +201,10 @@ def bruck_map(spec, alpha, beta, lam):
     interior requirement is what makes the averaging see both operators.
     Returns a closure suitable for plugging into generic fixed-point code.
     """
-    alpha, beta = check_pair(alpha, beta)
+    alpha, beta = _checked_pair(alpha, beta)
     lam = float(lam)
     if not 0.0 < lam < 1.0:
         raise ValueError(f"averaging weight must lie strictly in (0, 1), got {lam}")
-    _warn_if_near_rational(alpha, beta)
     op_pair = pair_operator(spec, alpha, beta)
 
     def averaged(x):

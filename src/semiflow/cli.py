@@ -162,11 +162,7 @@ class ExperimentConfig:
         return argv
 
     def to_dict(self):
-        out = dataclasses.asdict(self)
-        for key in ("u", "x0"):
-            if out[key] is not None:
-                out[key] = list(out[key])
-        return out
+        return dataclasses.asdict(self)
 
 
 def _experiment_from_args(args):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from semiflow.characterize import _warn_if_near_rational
+from semiflow.characterize import _checked_pair
 from semiflow.semigroups import _checker, _kernel, _pair_kernel, analytic_fixed_set, fixed_set_distance
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
@@ -128,7 +128,8 @@ def make_schedule(kind, offset=1, p=1.0):
     else:
         raise ValueError(f"unknown schedule kind {kind!r}")
     sched = Schedule(kind=kind, offset=offset, p=p)
-    assert 0.0 < sched(2) < sched(1) < 1.0
+    if not 0.0 < sched(2) < sched(1) < 1.0:  # an exponent near 0 rounds the weights to 1
+        raise ValueError(f"schedule exponent {p} gives weights {sched(1)!r}, {sched(2)!r}, not decreasing below 1")
     return sched
 
 
@@ -156,7 +157,7 @@ class IterationConfig:
 
     alpha, beta  sample times (positive, distinct)
     kappa, lam   averaging weights; which apply depends on the scheme
-    schedule     anchor weights for browder_implicit and halpern
+    schedule     anchor weights for browder_implicit and halpern (harmonic:1 if None)
     max_iter     outer iteration budget (scheme default when None)
     tol          convergence tolerance on pair residual and step norm
     inner_tol    Browder inner solver residual target
@@ -182,6 +183,8 @@ class IterationConfig:
 
     def __post_init__(self):
         self.alpha, self.beta = check_pair(self.alpha, self.beta)
+        if self.schedule is None:
+            self.schedule = make_schedule("harmonic", offset=1)
         self.tol = _scalar("tol", self.tol)
         self.inner_tol = _scalar("inner_tol", self.inner_tol)
         for name in ("max_iter", "inner_cap"):
@@ -304,9 +307,7 @@ class _Recorder:
             self.records.append(self._record(n, pair_residual, step_norm, point, fsd))
         self._last = (n, pair_residual, step_norm, point, fsd)
 
-    def finish(self, tag, termination, inner_steps=None, inner_residuals=None):
-        if self._last is None:
-            raise RuntimeError("no iterates were produced")
+    def finish(self, tag, termination, inner=None):
         n = self._last[0]
         if not self.records or self.records[-1].n != n:
             self.records.append(self._record(*self._last))
@@ -317,8 +318,8 @@ class _Recorder:
             n_used=n,
             termination=termination,
             fejer_violations=self.fejer_violations,
-            inner_steps=inner_steps,
-            inner_residuals=inner_residuals,
+            inner_steps=None if inner is None else [e[0] for e in inner],
+            inner_residuals=None if inner is None else [e[1] for e in inner],
         )
 
 
@@ -334,10 +335,6 @@ def _require_point(spec, cfg, name, tag, rows=False):
     x = np.array(x, dtype=float)
     _checker(spec, rows, name, "the semigroup")(x)
     return x
-
-
-def _schedule_of(cfg):
-    return cfg.schedule if cfg.schedule is not None else make_schedule("harmonic", offset=1)
 
 
 def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
@@ -357,7 +354,7 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     """
     x0 = _require_point(spec, cfg, "start", tag, rows=tag in ROW_SCHEMES)
     n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
-    _warn_if_near_rational(cfg.alpha, cfg.beta)
+    _checked_pair(cfg.alpha, cfg.beta)
     op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
     orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
     if x0.ndim == 2:
@@ -380,9 +377,7 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
         images, x_prev = (ta, tb), x
     else:
         termination = MAX_ITER
-    if inner is None:
-        return rec.finish(tag, termination)
-    return rec.finish(tag, termination, [e[0] for e in inner], [e[1] for e in inner])
+    return rec.finish(tag, termination, inner)
 
 
 def _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer):
@@ -598,14 +593,13 @@ def browder_implicit(spec, cfg):
     misses inner_tol ends the run with inner_solver_failure.
     """
     u = _require_point(spec, cfg, "u", "browder_implicit")
-    sched = _schedule_of(cfg)
     if cfg.start is None:
         cfg = replace(cfg, start=u)
     inner = []
 
     def iterates(x, _, __, ___, op_pair):
         for n in itertools.count(1):
-            lam_n = sched(n)
+            lam_n = cfg.schedule(n)
             pull = lam_n * u
             half = 0.5 * (1.0 - lam_n)
 
@@ -630,7 +624,7 @@ def halpern(spec, cfg):
     fixed point nearest the anchor.
     """
     u = _require_point(spec, cfg, "u", "halpern")
-    sched = _schedule_of(cfg)
+    sched = cfg.schedule
 
     def iterates(x, *_):
         for n in itertools.count(1):

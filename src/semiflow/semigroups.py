@@ -235,9 +235,9 @@ def _checker(spec, rows=True, name="point", owner="semigroup"):
     return check
 
 
-def _checked(spec, kernel):
-    """kernel, applied to x as a float array only if _checker(spec) accepts it."""
-    check = _checker(spec)
+def _checked(spec, kernel, rows=True):
+    """kernel, applied to x as a float array only if _checker(spec, rows) accepts it."""
+    check = _checker(spec, rows)
 
     def apply(x):
         x = np.asarray(x, dtype=float)
@@ -337,12 +337,10 @@ def orbit_operator(spec, times):
         lift, rows, _ = _compile(spec, t[lo:lo + step, None])  # lift does not depend on t
         blocks.append((slice(lo, lo + step), rows))
     zero = t == 0.0
-    check, domain = _checker(spec, rows=False), spec.domain
+    domain = spec.domain
     project_rows, shape = domain.project_rows, (t.size, spec.dim)
 
     def apply(x):
-        x = np.asarray(x, dtype=float)
-        check(x)
         x0 = domain.project(x)  # T(0)x, as operator(spec, 0.0) computes it
         out = np.empty(shape)
         lifted = lift(x)
@@ -351,7 +349,7 @@ def orbit_operator(spec, times):
         out[zero] = x0
         return out
 
-    return apply
+    return _checked(spec, apply, rows=False)
 
 
 def orbit(spec, times, x):
@@ -442,19 +440,17 @@ def from_descriptor(text):
     kind = kind.strip()
     params = _split_params(body)
 
-    def take(name, default=None):
-        return params.pop(name, default)
-
+    take = params.pop
     if kind == ROTATION:
         center = _floats(take("center", "0,0"))
         period = float(take("period", "1"))
         radius = float(take("radius", "10"))
-        dim = take("dim")
+        dim = take("dim", None)
         spec = rotation(center, period, radius, dim=None if dim is None else int(dim))
     elif kind == DECAY:
         spec = decay(int(take("dim", "2")), float(take("M", "10")))
     elif kind == HEAT:
-        path = take("matrix")
+        path = take("matrix", None)
         if path is None:
             raise ValueError("heat descriptor needs matrix=<path>")
         a = np.loadtxt(path, ndmin=2)

@@ -13,7 +13,7 @@ a decomposition, one modulus at a time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from semiflow.semigroups import operator
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
@@ -75,13 +75,7 @@ class GreedyDecomposition:
         return float(sum(k * b for k, b in zip(self.ks[:n], self.betas[:n])))
 
     def to_dict(self):
-        return {
-            "t": self.t,
-            "betas": list(self.betas),
-            "ks": list(self.ks),
-            "deltas": list(self.deltas),
-            "n_terms": self.n_terms,
-        }
+        return {**asdict(self), "n_terms": self.n_terms}
 
 
 @dataclass(frozen=True)
@@ -100,11 +94,7 @@ class EuclidSequence:
     termination: str
 
     def to_dict(self):
-        return {
-            "alphas": list(self.alphas),
-            "ks": list(self.ks),
-            "termination": self.termination,
-        }
+        return asdict(self)
 
 
 def geometric(ratio):

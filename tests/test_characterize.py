@@ -441,3 +441,40 @@ def test_evaluate_matches_bruck_on_fixed_points_of_both():
     u = bruck_map(spec, 1.0, SQRT2, 0.25)
     z = np.zeros(2)
     assert np.array_equal(u(z), evaluate(spec, 1.0, z))
+
+
+# ---- near-rational rule ------------------------------------------------------------
+
+@pytest.mark.parametrize("alpha, beta", [(1.0, 7.0 / 3.0), (0.1, 0.3), (1.0, 1.000000000000001)])
+def test_pairs_within_rounding_of_a_rational_warn(alpha, beta):
+    # each probe ends on a remainder far below the one before it
+    with pytest.warns(NearRationalWarning):
+        residual_pair(rotation(period=1.0), np.zeros(2), alpha, beta)
+
+
+@pytest.mark.parametrize("lo, hi", [(1e3, 1e4), (1e4, 1e5)])
+def test_generic_large_ratios_are_rarely_flagged(lo, hi):
+    # the probe stops at 1e-12 of the ratio instead of an absolute 1e-12,
+    # below which every remainder of a large ratio rounds to an exact zero;
+    # a float ratio is still a dyadic rational, so about 2 in 10^4 of them
+    # reach a zero remainder above that tolerance
+    near_rational = characterize._near_rational.__wrapped__
+    ratios = np.exp(np.random.default_rng(7).uniform(math.log(lo), math.log(hi), 2000))
+    assert sum(near_rational(1.0, r) for r in ratios.tolist()) <= 2
+
+
+def test_every_small_rational_ratio_is_flagged_at_every_scale():
+    near_rational = characterize._near_rational.__wrapped__
+    missed = [
+        (s, p, q)
+        for s in (1.0, 0.1, 0.7, 3.0)
+        for q in range(1, 20)
+        for p in range(1, 40 * q)
+        if p != q and math.gcd(p, q) == 1 and not near_rational(s * p, s * q)
+    ]
+    assert missed == []
+
+
+def test_bruck_map_warns_before_it_checks_the_weight():
+    with pytest.warns(NearRationalWarning), pytest.raises(ValueError, match="averaging weight"):
+        bruck_map(rotation(period=1.0), 1.0, 2.0, 1.5)

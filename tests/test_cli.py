@@ -597,3 +597,33 @@ def test_a_pair_of_tiny_times_warns(capsys, alpha, beta):
     with pytest.warns(NearRationalWarning):
         assert main(argv) == 0
     assert "converged" in capsys.readouterr().err
+
+
+def test_serialized_keys_are_the_dataclass_fields(capsys):
+    from semiflow.stepseq import EuclidSequence, GreedyDecomposition
+
+    code, out, _ = run_cli(capsys, "euclid", "--alpha", "1", "--beta", SQRT2_STR)
+    assert code == 0
+    fields = {f.name for f in dataclasses.fields(EuclidSequence)}
+    assert set(json.loads(out)) == fields | {"spec_version"}
+    code, out, _ = run_cli(capsys, "decompose", "--t", "3.141592653589793", "--ratio", "0.5")
+    assert code == 0
+    fields = {f.name for f in dataclasses.fields(GreedyDecomposition)}
+    assert set(json.loads(out)) == fields | {"n_terms", "spec_version"}
+
+
+def test_a_run_on_a_pair_within_rounding_of_a_rational_warns(capsys):
+    argv = ["run", "--scheme", "mann", "--semigroup", "rotation:period=1,center=0,0",
+            "--alpha", "1", "--beta", "1.000000000000001", "--seed", "3", "--max-iter", "3"]
+    with pytest.warns(NearRationalWarning):
+        main(argv)
+    capsys.readouterr()
+
+
+def test_a_vanishing_schedule_exponent_is_a_usage_error(capsys):
+    code, _, err = run_cli(
+        capsys, "run", "--scheme", "halpern", "--semigroup", "rotation:period=1,center=0,0",
+        "--alpha", "1", "--beta", SQRT2_STR, "--u=1,0", "--x0=0,2", "--schedule", "power:1e-16,1",
+    )
+    assert code == 64
+    assert "exponent 1e-16" in err

@@ -798,3 +798,24 @@ def test_every_scheme_honours_its_default_budget(monkeypatch):
         budgets(tag)
         reports = run_rows(tag, spec, cfg(start=[[0.0, 2.0], [-1.0, 1.0]], **kw))
         assert [(r.termination, r.n_used) for r in reports] == [("max_iter", 3)] * 2, tag
+
+
+def test_a_vanishing_power_exponent_is_a_named_error():
+    # 2**-1e-16 and 3**-1e-16 round to the same weight just below 1
+    with pytest.raises(ValueError, match=r"exponent 1e-16"):
+        make_schedule("power", 1, p=1e-16)
+    with pytest.raises(ValueError, match=r"exponent 1e-16"):
+        parse_schedule("power:1e-16,1")
+
+
+def test_a_config_without_schedule_runs_harmonic_1():
+    assert cfg().schedule == make_schedule("harmonic", offset=1)
+    spec = rotation(period=1.0, center=(0.5, -0.25))
+    for scheme in (halpern, browder_implicit):
+        reports = [
+            scheme(spec, cfg(start=[0.0, 2.0], u=[1.0, 0.0], max_iter=60, schedule=schedule))
+            for schedule in (None, parse_schedule("harmonic:1"))
+        ]
+        texts = [json.dumps(r.to_dict(), sort_keys=True) for r in reports]
+        assert texts[0] == texts[1], scheme.__name__
+        assert reports[0].final_point.tobytes() == reports[1].final_point.tobytes()
