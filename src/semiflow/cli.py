@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import re
 import sys
 import warnings
@@ -104,8 +105,8 @@ def _grid_arg(text):
         start, stop, step = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected start:stop:step floats, got {text!r}")
-    if not (start >= 0.0 and stop >= start and step > 0.0):
-        raise argparse.ArgumentTypeError("grid needs 0 <= start <= stop and step > 0")
+    if not (0.0 <= start <= stop < math.inf and 0.0 < step < math.inf):
+        raise argparse.ArgumentTypeError("grid needs finite 0 <= start <= stop and step > 0")
     return {"start": start, "stop": stop, "step": step}
 
 
@@ -298,11 +299,9 @@ def _cmd_sweep(args):
     spec = from_descriptor(base.semigroup)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    cfgs = []
-    for seed in args.seeds:
-        stem = out_dir / f"{base.scheme}_seed{seed}"
-        csv_path, json_path = str(stem.with_suffix(".csv")), str(stem.with_suffix(".json"))
-        cfgs.append(dataclasses.replace(base, seed=seed, csv=csv_path, json=json_path))
+    stem = str(out_dir / base.scheme)
+    cfgs = [dataclasses.replace(base, seed=s, csv=f"{stem}_seed{s}.csv", json=f"{stem}_seed{s}.json")
+            for s in args.seeds]
     if base.scheme in ROW_SCHEMES and len(cfgs) > 1:
         # every seed at once, as the rows of one array; each report equals
         # that seed's own run within rounding

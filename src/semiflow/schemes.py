@@ -69,6 +69,10 @@ INNER_SOLVER_FAILURE = "inner_solver_failure"
 # counts as a monotonicity violation
 FEJER_SLACK = 1e-10
 
+# iterates past n = 100 that a run records: 128, 181, 256, 362, ... (the
+# powers of sqrt(2) from 2**7, rounded), up to past 2**63
+THINNED_KEPT = frozenset(int(round(2.0 ** (7 + k / 2.0))) for k in range(114))
+
 # iteration budgets used when the config leaves max_iter unset
 DEFAULT_MAX_ITER = {
     "baillon_double": 200,
@@ -259,12 +263,12 @@ class ConvergenceReport:
 class _Recorder:
     """Trace bookkeeping shared by all schemes.
 
-    Records every iterate up to n = 100 and then thins geometrically
-    (n = 128, 181, 256, 362, ...), always keeping the final iterate.  When
-    asked, it also counts steps on which the distance to the analytic fixed
-    set rose by more than FEJER_SLACK.  The distance is only computed for
-    iterates that are kept, unless that count needs it on every step.
-    A caller that has the distance already passes it to add().
+    Records every iterate up to n = 100 and then those in THINNED_KEPT,
+    always keeping the final iterate.  When asked, it also counts steps on
+    which the distance to the analytic fixed set rose by more than
+    FEJER_SLACK.  The distance is only computed for iterates that are kept,
+    unless that count needs it on every step.  A caller that has the
+    distance already passes it to add().
     """
 
     def __init__(self, spec, track_fejer=False, record_all=False):
@@ -274,12 +278,7 @@ class _Recorder:
         self.track_fejer = track_fejer
         self.fejer_violations = 0 if track_fejer else None
         self._prev_fsd = None
-        self._thin_exp = 0
-        self._next_kept = self._threshold()
         self._last = None
-
-    def _threshold(self):
-        return int(round(2.0 ** (7 + self._thin_exp / 2.0)))
 
     def _record(self, n, pair_residual, step_norm, point, fsd):
         return IterateRecord(
@@ -297,13 +296,7 @@ class _Recorder:
             if self._prev_fsd is not None and fsd > self._prev_fsd + FEJER_SLACK:
                 self.fejer_violations += 1
             self._prev_fsd = fsd
-        # n runs 1, 2, 3, ..., so each threshold is met exactly once
-        take = self.record_all or n <= 100
-        if n == self._next_kept:
-            take = True
-            self._thin_exp += 1
-            self._next_kept = self._threshold()
-        if take:
+        if self.record_all or n <= 100 or n in THINNED_KEPT:
             self.records.append(self._record(n, pair_residual, step_norm, point, fsd))
         self._last = (n, pair_residual, step_norm, point, fsd)
 

@@ -23,9 +23,10 @@ the domain, so long iteration loops cannot drift outside by rounding.
 
 from __future__ import annotations
 
+import math
+import re
 from dataclasses import dataclass
 
-import math
 import numpy as np
 
 from semiflow.vecspace import Ball, Box, _norm, _row_norms, _scalar, as_point, max_dim, sym_eigendecompose
@@ -362,14 +363,13 @@ def analytic_fixed_set(spec):
     """Closed-form common fixed set of the whole family {T(t) : t >= 0}."""
     d = spec.dim
     if spec.kind == ROTATION:
-        embedded = np.zeros(d)
-        embedded[:2] = spec.center
+        # the domain's center is spec.center embedded in d dimensions
         if d == 2:
-            return FixedSetDescriptor(kind="singleton", point=embedded)
+            return FixedSetDescriptor(kind="singleton", point=spec.domain.center)
         # coordinates beyond the rotating plane are free
         return FixedSetDescriptor(
             kind="affine_subspace",
-            basepoint=embedded,
+            basepoint=spec.domain.center,
             basis=np.eye(d)[:, 2:],
         )
     if spec.kind == DECAY:
@@ -404,24 +404,19 @@ def fixed_set_distance(descriptor, x):
 # ---- textual descriptors (CLI) ----------------------------------------------
 
 def _split_params(body):
-    """Parse "k1=v1,k2=a,b,..." where a value may itself contain commas."""
+    """Parse "k1=v1,k2=a,b,..." where a value may itself contain commas:
+    the body is split only at a comma that starts a new "key=" item."""
     params = {}
-    if not body:
-        return params
-    key = None
-    for token in body.split(","):
-        if "=" in token:
-            key, _, value = token.partition("=")
-            key = key.strip()
-            if not key:
-                raise ValueError("empty parameter name in semigroup descriptor")
-            if key in params:
-                raise ValueError(f"duplicate parameter {key!r} in semigroup descriptor")
-            params[key] = value.strip()
-        else:
-            if key is None:
-                raise ValueError(f"stray value {token!r} in semigroup descriptor")
-            params[key] += "," + token.strip()
+    for item in re.split(r",(?=[^,]*=)", body) if body else ():
+        key, eq, value = item.partition("=")
+        key = key.strip()
+        if not eq:
+            raise ValueError(f"stray value {item!r} in semigroup descriptor")
+        if not key:
+            raise ValueError("empty parameter name in semigroup descriptor")
+        if key in params:
+            raise ValueError(f"duplicate parameter {key!r} in semigroup descriptor")
+        params[key] = value.strip()
     return params
 
 

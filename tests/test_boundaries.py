@@ -150,3 +150,10 @@ def test_an_overflowing_quotient_names_the_field(capsys, argv, call, field):
     assert main(list(argv)) == 64
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: ") and field in out.err
+
+
+@pytest.mark.parametrize("grid", ["0:inf:1", "0:5:inf"])
+def test_a_grid_that_is_not_finite_names_the_flag(capsys, grid):
+    assert main([*VERIFY, "--point", "0,0", "--grid", grid]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: argument --grid: ")

@@ -627,3 +627,15 @@ def test_a_vanishing_schedule_exponent_is_a_usage_error(capsys):
     )
     assert code == 64
     assert "exponent 1e-16" in err
+
+
+def test_the_package_exports_every_module_all():
+    from semiflow import characterize, schemes, semigroups, stepseq, vecspace
+
+    missing = [
+        f"{module.__name__}.{name}"
+        for module in (vecspace, semigroups, stepseq, characterize, schemes)
+        for name in module.__all__
+        if getattr(semiflow, name, None) is not getattr(module, name)
+    ]
+    assert missing == []

@@ -542,3 +542,11 @@ def test_descriptor_errors():
         from_descriptor("heat:")  # matrix path is required
     with pytest.raises(ValueError):
         from_descriptor("decay:3")  # stray value without a key
+
+
+def test_descriptor_heat_path_may_hold_a_comma_and_a_space(tmp_path):
+    path = tmp_path / "m, 1.txt"
+    np.savetxt(path, np.diag([0.0, 1.0]))
+    spec = from_descriptor(f"heat:matrix={path},radius=3")
+    assert spec.domain.radius == 3.0
+    assert np.allclose(np.sort(spec.eigvals), [0.0, 1.0], atol=1e-12)
