@@ -65,19 +65,19 @@ def _near_rational(alpha, beta):
 
     Only alpha != beta is enforced as a hard precondition; actual
     irrationality is undecidable in floats, so a continued-fraction probe
-    of (large / small, 1) down to tol = 1e-12 of the ratio, free of the
-    pair's scale, flags two consecutive remainders a, b with
-    a >= 1e8 * max(b, tol): a remainder below tol is rounding, and counts
-    as tol (a first such pair is caught before the division).  The verdict
+    of (large / small, 1) down to 1e-12 of the ratio, free of the pair's
+    scale, flags two consecutive remainders a, b with a >= 1e8 * max(b, u),
+    u the ratio's ulp: a remainder below the ratio's rounding counts as it
+    (a first such pair is caught before the division).  The verdict
     depends on the pair alone and is cached.
     """
     small, large = sorted((alpha, beta))
     if large >= NEAR_RATIONAL_QUOTIENT * small:
         return True
     ratio = large / small
-    tol = 1e-12 * ratio
-    rests = euclid_sequence(ratio, 1.0, tol=tol, max_terms=64).alphas
-    return any(a >= NEAR_RATIONAL_QUOTIENT * max(b, tol) for a, b in zip(rests, rests[1:]))
+    ulp = float(np.spacing(ratio))
+    rests = euclid_sequence(ratio, 1.0, tol=1e-12 * ratio, max_terms=64).alphas
+    return any(a >= NEAR_RATIONAL_QUOTIENT * max(b, ulp) for a, b in zip(rests, rests[1:]))
 
 
 def _checked_pair(alpha, beta):

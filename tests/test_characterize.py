@@ -480,12 +480,20 @@ def test_bruck_map_warns_before_it_checks_the_weight():
         bruck_map(rotation(period=1.0), 1.0, 2.0, 1.5)
 
 
-def test_a_remainder_below_the_probe_tolerance_counts_as_rounding():
+def test_a_remainder_below_the_ratios_rounding_counts_as_that_rounding():
     # this ratio's remainders end on 1.86e-09 and then an exact 0 from
-    # rounding; measured against the tolerance, 1.86e-09 is no large quotient
+    # rounding; against the ratio's ulp (1.1e-13), 1.86e-09 is no large quotient
     with warnings.catch_warnings():
         warnings.simplefilter("error", NearRationalWarning)
         residual_pair(rotation(period=1.0), np.zeros(2), 1.0, 531.8069904018193)
     near_rational = characterize._near_rational.__wrapped__
     ratios = np.exp(np.random.default_rng(11).uniform(math.log(1e3), math.log(1e5), 20000))
     assert [r for r in ratios.tolist() if near_rational(1.0, r)] == []
+
+
+@pytest.mark.parametrize("alpha,beta", [(1.0, 20000.0), (1.0, 12345.5), (3.0, 40000.0)])
+def test_rational_pairs_with_a_large_numerator_warn(alpha, beta):
+    # the last nonzero remainder of p/q is 1/q, far above the ratio's ulp,
+    # however large p is
+    with pytest.warns(NearRationalWarning):
+        residual_pair(rotation(period=1.0), np.zeros(2), alpha, beta)
