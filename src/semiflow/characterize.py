@@ -12,13 +12,14 @@ builds the averaged two-operator map whose fixed points are exactly the
 common fixed points of the pair on strictly convex spaces.
 
 The point-free part of a profile is compiled once per (flow, pair, grid)
-and cached (see ``_plan``), as is the pair's continued-fraction probe; the
-warning the probe triggers is still issued on every call.
+and cached (see ``_plan``), as is the pair's near-rational verdict; the
+warning it triggers is still issued on every call.
 """
 
 from __future__ import annotations
 
 import functools
+import math
 import os
 import sys
 import warnings
@@ -27,9 +28,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from semiflow.semigroups import orbit_operator, pair_operator
-# not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
+# evaluate and euclid_sequence are not called here: the benchmark's tracer
+# (bench/spans.py) wraps them under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
-from semiflow.stepseq import check_pair, euclid_sequence
+from semiflow.stepseq import check_pair, euclid_sequence  # noqa: F401
 from semiflow.vecspace import _norm, _scalar
 
 __all__ = [
@@ -44,13 +46,17 @@ __all__ = [
     "profile_tolerance",
 ]
 
-# a continued-fraction quotient at or above this makes the ratio
-# numerically indistinguishable from a rational
+# a ratio at or above this, or one within 1/(this * q^2) of some p/q, is
+# numerically indistinguishable from a rational (see _near_rational)
 NEAR_RATIONAL_QUOTIENT = 10**8
 
 # profile plans kept at once; one plan of the 504-time default grid on a
 # d=64 heat flow holds about 258 KB of factors
 PLAN_CACHE_SIZE = 8
+
+# times a profile grid may hold: 200 times the default grid's 505; an orbit
+# of this many d=64 points takes 51 MB
+MAX_GRID_TIMES = 100_000
 
 _PACKAGE_DIR = os.path.dirname(__file__)
 
@@ -61,23 +67,38 @@ class NearRationalWarning(UserWarning):
 
 @functools.lru_cache  # bounded: the last 128 pairs
 def _near_rational(alpha, beta):
-    """Whether the continued-fraction probe of alpha/beta looks rational.
+    """Whether the pair's ratio is within rounding of a small rational.
 
-    Only alpha != beta is enforced as a hard precondition; actual
-    irrationality is undecidable in floats, so a continued-fraction probe
-    of (large / small, 1) down to 1e-12 of the ratio, free of the pair's
-    scale, flags two consecutive remainders a, b with a >= 1e8 * max(b, u),
-    u the ratio's ulp: a remainder below the ratio's rounding counts as it
-    (a first such pair is caught before the division).  The verdict
-    depends on the pair alone and is cached.
+    Let x be the exact ratio large/small of the two floats, u the ulp of
+    the float quotient large/small, and K = NEAR_RATIONAL_QUOTIENT = 1e8.
+    The pair is flagged when large >= K*small, or when some p/q with
+
+        |x - p/q| <= max(1/(K*q^2), 4*u)
+
+    has q <= 100 or 1/(K*q^2) >= 4*u: the ulp term covers the rounding of
+    the two floats for small q, and no larger q is tried whose own bound
+    falls below it.  Every p/q within 1/(2q^2) of x is a convergent of x
+    (Legendre), so only convergents are checked, in integers: with
+    x = n/d, the remainder r left after convergent p/q gives
+    |x - p/q| = r/(d*q) exactly.  The verdict depends on the pair alone
+    and is cached.
     """
     small, large = sorted((alpha, beta))
     if large >= NEAR_RATIONAL_QUOTIENT * small:
         return True
-    ratio = large / small
-    ulp = float(np.spacing(ratio))
-    rests = euclid_sequence(ratio, 1.0, tol=1e-12 * ratio, max_terms=64).alphas
-    return any(a >= NEAR_RATIONAL_QUOTIENT * max(b, ulp) for a, b in zip(rests, rests[1:]))
+    (nl, dl), (ns, ds) = large.as_integer_ratio(), small.as_integer_ratio()
+    # x = n/d; w = 1/(4u), an integer power of two since x < 1e8
+    n, d, w = nl * ds, dl * ns, int(0.25 / math.ulp(large / small))
+    q_max = max(100, math.isqrt(w // NEAR_RATIONAL_QUOTIENT))
+    d0, q_prev, q = d, 1, 0
+    while True:
+        a, r = divmod(n, d)
+        q_prev, q = q, a * q + q_prev
+        if q > q_max:
+            return False
+        if r * q * NEAR_RATIONAL_QUOTIENT <= d0 or r * w <= d0 * q:
+            return True
+        n, d = d, r
 
 
 def _checked_pair(alpha, beta):
@@ -144,9 +165,13 @@ def default_profile_grid(alpha, beta, stop=5.0, step=0.01, start=0.0):
     """Uniform grid on [start, stop] plus the pair-derived times.
 
     The extra points alpha, beta, alpha+beta and |alpha-beta| make the
-    profile sensitive to structure at the sampled times themselves.
+    profile sensitive to structure at the sampled times themselves.  A
+    uniform part of more than MAX_GRID_TIMES times raises ValueError before
+    anything is allocated.
     """
     alpha, beta = check_pair(alpha, beta)
+    if not (stop + 0.5 * step - start) / step <= MAX_GRID_TIMES:  # an inf or nan count fails too
+        raise ValueError(f"grid {start}:{stop}:{step} has more than MAX_GRID_TIMES = {MAX_GRID_TIMES} times")
     base = np.arange(start, stop + 0.5 * step, step)
     extra = [alpha, beta, alpha + beta, abs(alpha - beta)]
     # sorted and deduplicated by hand: np.unique imports numpy.ma, about

@@ -429,8 +429,7 @@ def baillon_double(spec, cfg):
             col[0] = op_beta(col[0])
             for k in range(1, n + 1):
                 col[k] = op_alpha(col[k - 1])
-            for l in range(1, n):
-                row[l] = op_alpha(row[l])
+            row[1:n] = op_alpha(row[1:n])
             total += col[1 : n + 1].sum(axis=0) + row[1:n].sum(axis=0)
             row[n] = col[n]
             yield total / (n * n)
@@ -468,8 +467,7 @@ def _double_block_average(op_alpha, op_beta, x, n):
         row[l] = cur
     total = np.zeros(d)
     for _ in range(n):
-        for l in range(n):
-            row[l] = op_alpha(row[l])
+        row = op_alpha(row)
         total += row.sum(axis=0)
     return total / (n * n)
 

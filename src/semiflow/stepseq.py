@@ -4,9 +4,8 @@ Two recursions live here.  ``greedy_decompose`` splits a time budget t into
 integer multiples of a shrinking sequence of moduli, keeping the running
 remainder below the current modulus.  ``euclid_sequence`` runs the
 subtractive remainder recursion on a pair of sample times; its remainders
-shrink to zero exactly when the ratio of the pair is irrational, which makes
-it the executable probe for incommensurability used elsewhere in the
-package.  ``replay_action`` pushes a point through the operator family along
+shrink to zero exactly when the ratio of the pair is irrational.
+``replay_action`` pushes a point through the operator family along
 a decomposition, one modulus at a time.
 """
 
@@ -40,7 +39,7 @@ def check_pair(alpha, beta):
 
     Equal times mean ratio 1, which defeats every construction downstream,
     so the pair is rejected outright.  Other rational ratios cannot be
-    detected from floats; callers that care run a remainder probe and warn.
+    detected from floats; callers that care test the ratio and warn.
     """
     alpha = _scalar("alpha", alpha)
     beta = _scalar("beta", beta)

@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from semiflow.characterize import certify_common_fixed
+from semiflow.characterize import MAX_GRID_TIMES, certify_common_fixed, default_profile_grid
 from semiflow.cli import main
 from semiflow.schemes import IterationConfig
 from semiflow.semigroups import (
@@ -157,3 +157,21 @@ def test_a_grid_that_is_not_finite_names_the_flag(capsys, grid):
     assert main([*VERIFY, "--point", "0,0", "--grid", grid]) == 64
     out = capsys.readouterr()
     assert out.out == "" and out.err.startswith("error: argument --grid: ")
+
+
+@pytest.mark.parametrize("grid", ["0:1e300:1e-300", "0:1e12:1"])
+def test_a_grid_too_long_names_the_grid_before_allocating(capsys, monkeypatch, grid):
+    def arange(*args, **kwargs):
+        raise AssertionError("np.arange was called")
+
+    monkeypatch.setattr(np, "arange", arange)
+    assert main([*VERIFY, "--point", "0,0", "--grid", grid]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith("error: grid 0.0:") and "MAX_GRID_TIMES" in out.err
+
+
+def test_the_grid_cap_counts_the_uniform_times():
+    grid = default_profile_grid(1.0, 1.5, stop=MAX_GRID_TIMES - 1.0, step=1.0)
+    assert grid.size == MAX_GRID_TIMES + 3  # 0.5, 1.5 and 2.5 join the integers 0 .. MAX_GRID_TIMES - 1
+    with pytest.raises(ValueError, match="^grid 0.0:100000.0:1.0 has more than MAX_GRID_TIMES"):
+        default_profile_grid(1.0, 1.5, stop=float(MAX_GRID_TIMES), step=1.0)

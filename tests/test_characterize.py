@@ -1,5 +1,6 @@
 import math
 import warnings
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -454,10 +455,9 @@ def test_pairs_within_rounding_of_a_rational_warn(alpha, beta):
 
 @pytest.mark.parametrize("lo, hi", [(1e3, 1e4), (1e4, 1e5)])
 def test_generic_large_ratios_are_rarely_flagged(lo, hi):
-    # the probe stops at 1e-12 of the ratio instead of an absolute 1e-12,
-    # below which every remainder of a large ratio rounds to an exact zero;
-    # a float ratio is still a dyadic rational, so about 2 in 10^4 of them
-    # reach a zero remainder above that tolerance
+    # a float ratio is an exact dyadic rational, but with a denominator far
+    # beyond the last q the rule checks; a generic ratio near 1e5 comes within
+    # max(1e-8/q^2, 4 ulp) of some checked p/q about 4 times in 10^7
     near_rational = characterize._near_rational.__wrapped__
     ratios = np.exp(np.random.default_rng(7).uniform(math.log(lo), math.log(hi), 2000))
     assert sum(near_rational(1.0, r) for r in ratios.tolist()) <= 2
@@ -495,5 +495,52 @@ def test_a_remainder_below_the_ratios_rounding_counts_as_that_rounding():
 def test_rational_pairs_with_a_large_numerator_warn(alpha, beta):
     # the last nonzero remainder of p/q is 1/q, far above the ratio's ulp,
     # however large p is
+    with pytest.warns(NearRationalWarning):
+        residual_pair(rotation(period=1.0), np.zeros(2), alpha, beta)
+
+
+def _flagged_by_definition(alpha, beta):
+    """_near_rational's stated inequality, tried at every q up to its bound."""
+    small, large = sorted((alpha, beta))
+    if large >= 1e8 * small:
+        return True
+    x = Fraction(large) / Fraction(small)
+    n, d = x.numerator, x.denominator
+    u_num, u_den = (4 * Fraction(math.ulp(large / small))).as_integer_ratio()
+    k = 10**8
+    for q in range(1, max(100, math.isqrt(u_den // (u_num * k))) + 1):
+        p = (2 * n * q + d) // (2 * d)  # the p nearest x*q
+        e = abs(n * q - p * d)  # |x - p/q| = e / (d*q)
+        if e * k * q <= d or e * u_den <= u_num * d * q:
+            return True
+    return False
+
+
+def test_the_rule_is_its_inequality():
+    # rationals s*p/q nudged by a relative 1e-17 up to 1e-9, 1e-13 or 1e-14 in
+    # turn: q < 3000 near ratio 10, q < 100 with ratios up to 1e5 (where the
+    # ulp term decides) and q < 1000 with ratios up to 1e4 (where it must not)
+    rng = np.random.default_rng(2)
+    verdicts = []
+    for i in range(120):
+        q_hi, ratio_hi, rel_hi = ((3000, 20, -9), (100, 10**5, -13), (1000, 10**4, -14))[i % 3]
+        q = int(rng.integers(1, q_hi))
+        p = int(rng.integers(q + 1, ratio_hi * q))
+        rel = float(10.0 ** rng.uniform(-17, rel_hi)) * float(rng.choice([-1, 1]))
+        s = float(rng.uniform(0.1, 10.0))
+        alpha, beta = s * q, s * p * (1.0 + rel)
+        verdicts.append((characterize._near_rational.__wrapped__(alpha, beta), _flagged_by_definition(alpha, beta)))
+    assert [got for got, want in verdicts if got != want] == []
+    assert 20 <= sum(want for _, want in verdicts) <= 100
+
+
+@pytest.mark.parametrize("alpha, beta", [
+    (4.800000000000001, 99092.5), (5.300000000000001, 94206.8), (37.099999999999994, 659447.6),
+    (35.0, 576349.8999999999), (5.300000000000001, 99323.0), (37.099999999999994, 659158.5),
+    (35.0, 636479.8999999999), (5.300000000000001, 96803.8), (37.099999999999994, 677626.6),
+])
+def test_rationals_with_a_six_figure_numerator_warn(alpha, beta):
+    # s*(q, p) with q < 60 and p < 1e6, rounded to floats: each ratio lies
+    # within 1e-8/q^2 of p/q, a margin that remainders computed in floats lose
     with pytest.warns(NearRationalWarning):
         residual_pair(rotation(period=1.0), np.zeros(2), alpha, beta)

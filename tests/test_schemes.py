@@ -419,6 +419,42 @@ def test_baillon_double_memory_is_linear_in_the_budget():
     assert peak < 1_000_000
 
 
+def _double_average_point_by_point(t_alpha, t_beta, x, n):
+    """(1/n^2) sum_{k,l=1..n} T(alpha)^k T(beta)^l x, one point at a time."""
+    total = np.zeros(x.size)
+    y_l = x
+    for _ in range(n):
+        y_l = t_beta(y_l)
+        y = y_l
+        for _ in range(n):
+            y = t_alpha(y)
+            total += y
+    return total / (n * n)
+
+
+def _path_laplacian(d):
+    return np.diag(np.r_[1.0, np.full(d - 2, 2.0), 1.0]) - np.eye(d, k=1) - np.eye(d, k=-1)
+
+
+def test_double_averages_apply_blocks_as_points():
+    # heat rows go through one matrix product per block, whose rounding may
+    # differ from that of one point at a time
+    spec = heat(_path_laplacian(16))
+    t_alpha, t_beta = operator(spec, 1.0), operator(spec, SQRT2)
+    x0 = np.random.default_rng(4).uniform(-1.0, 1.0, 16)
+    report = baillon_double(spec, cfg(start=x0, max_iter=12, tol=1e-15, record_all=True))
+    assert [rec.n for rec in report.iterates_recorded] == list(range(1, 13))
+    for rec in report.iterates_recorded:
+        want = _double_average_point_by_point(t_alpha, t_beta, x0, rec.n)
+        assert np.max(np.abs(rec.point - want)) <= 1e-12
+    report = suzuki_averaged_mann(spec, cfg(start=x0, lam=0.5, max_iter=8, tol=1e-15, record_all=True))
+    x = x0
+    for rec in report.iterates_recorded:
+        assert np.max(np.abs(rec.point - x)) <= 1e-12
+        x = 0.5 * _double_average_point_by_point(t_alpha, t_beta, x, rec.n) + 0.5 * x
+    assert rec.n == 8
+
+
 # ---- baillon power average ----------------------------------------------------------
 
 def test_power_average_heat_geometric_sum():
