@@ -166,10 +166,11 @@ def default_profile_grid(alpha, beta, stop=5.0, step=0.01, start=0.0):
 
     The extra points alpha, beta, alpha+beta and |alpha-beta| make the
     profile sensitive to structure at the sampled times themselves.  A
-    uniform part of more than MAX_GRID_TIMES times raises ValueError before
-    anything is allocated.
+    uniform part of more than MAX_GRID_TIMES times, or a step that is not
+    positive and finite, raises ValueError before anything is allocated.
     """
     alpha, beta = check_pair(alpha, beta)
+    step = _scalar("step", step)
     if not (stop + 0.5 * step - start) / step <= MAX_GRID_TIMES:  # an inf or nan count fails too
         raise ValueError(f"grid {start}:{stop}:{step} has more than MAX_GRID_TIMES = {MAX_GRID_TIMES} times")
     base = np.arange(start, stop + 0.5 * step, step)

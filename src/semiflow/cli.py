@@ -181,8 +181,6 @@ def _sample_point(domain, seed):
         d = domain.center.size
         g = rng.standard_normal(d)
         norm = float(np.linalg.norm(g))
-        if norm == 0.0:
-            return domain.center.copy()
         r = domain.radius * float(rng.uniform()) ** (1.0 / d)
         return domain.center + (r / norm) * g
     return rng.uniform(domain.lower, domain.upper)

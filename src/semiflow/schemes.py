@@ -193,18 +193,15 @@ class IterationConfig:
         self.inner_tol = _scalar("inner_tol", self.inner_tol)
         for name in ("max_iter", "inner_cap"):
             value = getattr(self, name)
-            if value is not None and not (isinstance(value, (int, np.integer)) and value >= 1):
+            ok = isinstance(value, (int, np.integer)) and not isinstance(value, bool) and value >= 1
+            if value is not None and not ok:
                 raise ValueError(f"{name} must be a positive integer, got {value!r}")
         if self.u is not None:
             self.u = as_point(self.u)
         if self.start is not None:
             start = np.asarray(self.start, dtype=float)
-            if start.ndim == 2:
-                start = np.array([as_point(row) for row in start])
-                start.flags.writeable = False
-                self.start = start
-            else:
-                self.start = as_point(start)
+            self.start = np.array([as_point(row) for row in start]) if start.ndim == 2 else as_point(start)
+            self.start.flags.writeable = False
 
 
 @dataclass(frozen=True)
@@ -539,7 +536,7 @@ def ishikawa_composed(spec, cfg):
 
 # ---- anchored schemes ----------------------------------------------------------
 
-def _banach_solve(step_map, z0, tol, cap, contraction, trace=None):
+def _banach_solve(step_map, z0, tol, cap, contraction):
     """Fixed-point iteration of a contraction, with an a-priori budget.
 
     The residual ||step_map(z) - z|| shrinks at least by ``contraction``
@@ -554,8 +551,6 @@ def _banach_solve(step_map, z0, tol, cap, contraction, trace=None):
     z = np.asarray(z0, dtype=float)
     fz = step_map(z)
     r = _norm(fz - z)
-    if trace is not None:
-        trace.append(r)
     if r <= tol:
         return fz, 0, r, True
     q = min(contraction, 1.0 - INNER_LAMBDA_FLOOR)
@@ -567,8 +562,6 @@ def _banach_solve(step_map, z0, tol, cap, contraction, trace=None):
         fz = step_map(z)
         r = _norm(fz - z)
         sweeps += 1
-        if trace is not None:
-            trace.append(r)
     return (fz, sweeps, r, True) if r <= tol else (z, sweeps, r, False)
 
 

@@ -87,17 +87,23 @@ class SemigroupSpec:
 
 @dataclass(frozen=True, eq=False)
 class FixedSetDescriptor:
-    """Closed-form description of a common fixed set.
+    """Closed-form common fixed set: the affine set basepoint + span(basis).
 
-    kind is one of ``singleton``, ``affine_subspace``.
-    An affine subspace is basepoint + span(basis columns); the basis columns
-    are orthonormal and may be empty, which degenerates to a singleton.
+    basis is a (d, k) array of orthonormal columns; with k = 0 the set is
+    the single point basepoint.  kind ("singleton" or "affine_subspace")
+    and point (the basepoint) are read from these two fields.
     """
 
-    kind: str
-    point: np.ndarray | None = None
-    basepoint: np.ndarray | None = None
-    basis: np.ndarray | None = None
+    basepoint: np.ndarray
+    basis: np.ndarray
+
+    @property
+    def kind(self):
+        return "affine_subspace" if self.basis.shape[1] else "singleton"
+
+    @property
+    def point(self):
+        return self.basepoint
 
 
 def rotation(center=(0.0, 0.0), period=1.0, radius=10.0, dim=None):
@@ -251,7 +257,7 @@ def _checked(spec, kernel, rows=True):
 def _kernel(spec, t):
     """operator(spec, t) without the check, for points known to lie in the domain."""
     if t == 0.0:
-        step, block = np.asarray, np.copy  # T(0) is the identity
+        step = block = np.copy  # T(0) is the identity
     else:
         lift, rows, point = _compile(spec, t)
 
@@ -363,24 +369,13 @@ def analytic_fixed_set(spec):
     """Closed-form common fixed set of the whole family {T(t) : t >= 0}."""
     d = spec.dim
     if spec.kind == ROTATION:
-        # the domain's center is spec.center embedded in d dimensions
-        if d == 2:
-            return FixedSetDescriptor(kind="singleton", point=spec.domain.center)
+        # the domain's center is spec.center embedded in d dimensions;
         # coordinates beyond the rotating plane are free
-        return FixedSetDescriptor(
-            kind="affine_subspace",
-            basepoint=spec.domain.center,
-            basis=np.eye(d)[:, 2:],
-        )
+        return FixedSetDescriptor(spec.domain.center, np.eye(d)[:, 2:])
     if spec.kind == DECAY:
-        return FixedSetDescriptor(kind="singleton", point=np.zeros(d))
+        return FixedSetDescriptor(np.zeros(d), np.zeros((d, 0)))
     if spec.kind == HEAT:
-        kernel = spec.eigvecs[:, spec.eigvals <= KERNEL_TOL]
-        return FixedSetDescriptor(
-            kind="affine_subspace",
-            basepoint=np.zeros(d),
-            basis=kernel,
-        )
+        return FixedSetDescriptor(np.zeros(d), spec.eigvecs[:, spec.eigvals <= KERNEL_TOL])
     raise ValueError(f"unknown semigroup kind {spec.kind!r}")
 
 
@@ -390,14 +385,9 @@ def fixed_set_distance(descriptor, x):
     A (B, d) array gives the B distances of its rows, each within rounding
     of the distance of that row alone (one matrix product for all rows).
     """
-    x = np.asarray(x, dtype=float)
-    if descriptor.kind == "singleton":
-        r = x - descriptor.point
-    elif descriptor.kind == "affine_subspace":
-        r = x - descriptor.basepoint
+    r = np.asarray(x, dtype=float) - descriptor.basepoint
+    if descriptor.basis.size:  # an empty basis would subtract zeros, at twice the cost
         r -= (r @ descriptor.basis) @ descriptor.basis.T
-    else:
-        raise ValueError(f"unknown fixed set kind {descriptor.kind!r}")
     return _norm(r) if r.ndim == 1 else _row_norms(r)
 
 

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 from semiflow.characterize import MAX_GRID_TIMES, certify_common_fixed, default_profile_grid
-from semiflow.cli import main
-from semiflow.schemes import IterationConfig
+from semiflow.cli import ExperimentConfig, main
+from semiflow.schemes import IterationConfig, make_schedule
 from semiflow.semigroups import (
     decay,
     from_descriptor,
@@ -23,7 +23,7 @@ from semiflow.semigroups import (
     rotation,
 )
 from semiflow.stepseq import BELOW_TOL, check_pair, euclid_sequence, greedy_decompose
-from semiflow.vecspace import HARD_DIM_CAP, Ball
+from semiflow.vecspace import HARD_DIM_CAP, Ball, Box, combine, dist
 
 SQRT2 = math.sqrt(2.0)
 
@@ -68,6 +68,14 @@ OTHER_SITES = (
     ("heat square", r"square matrix", lambda: heat(np.ones((2, 3)))),
     ("heat cap", r"dimension 65", lambda: heat(np.eye(HARD_DIM_CAP + 1))),
     ("descriptor empty key", r"empty parameter name", lambda: from_descriptor("rotation:=1")),
+    ("experiment seed", r"seed must be nonnegative",
+     lambda: ExperimentConfig("mann", "rotation", 1.0, SQRT2, seed=-1)),
+    ("harmonic exponent", r"fixed exponent of 1", lambda: make_schedule("harmonic", 1, p=0.5)),
+    ("combine empty", r"at least one point", lambda: combine([], [])),
+    ("combine weights", r"weights must be finite", lambda: combine([math.nan, 1.0], [[0.0], [1.0]])),
+    ("dist dimension", r"dimension mismatch", lambda: dist([0, 0], [0, 0, 0])),
+    ("Box bounds", r"equal dimension", lambda: Box([0, 0], [1, 1, 1])),
+    ("partial_sum n", r"n must lie in", lambda: greedy_decompose(1.0, [0.5], 1).partial_sum(2)),
 )
 
 CASES = [
@@ -175,3 +183,9 @@ def test_the_grid_cap_counts_the_uniform_times():
     assert grid.size == MAX_GRID_TIMES + 3  # 0.5, 1.5 and 2.5 join the integers 0 .. MAX_GRID_TIMES - 1
     with pytest.raises(ValueError, match="^grid 0.0:100000.0:1.0 has more than MAX_GRID_TIMES"):
         default_profile_grid(1.0, 1.5, stop=float(MAX_GRID_TIMES), step=1.0)
+
+
+@pytest.mark.parametrize("step", [0.0, -0.0, -1.0, math.nan, math.inf])
+def test_a_bad_grid_step_is_named(step):
+    with pytest.raises(ValueError, match="^step must be positive and finite"):
+        default_profile_grid(1.0, SQRT2, step=step)

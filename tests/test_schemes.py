@@ -123,6 +123,13 @@ def test_config_validates_pair_and_tol():
         cfg(inner_cap=0)
 
 
+@pytest.mark.parametrize("name", ["max_iter", "inner_cap"])
+@pytest.mark.parametrize("value", [True, False])
+def test_config_budgets_reject_bools(name, value):
+    with pytest.raises(ValueError, match=rf"^{name} must be a positive integer, got {value}$"):
+        cfg(start=[1.0, 0.0], **{name: value})
+
+
 def test_mann_weight_preconditions():
     spec = decay(dim=1)
     with pytest.raises(ValueError):
@@ -574,11 +581,14 @@ def test_browder_inner_residual_contraction_bound():
     u = np.array([3.0, 4.0])
     lam = 0.1
 
-    def step(z):
-        return 0.5 * (1 - lam) * (evaluate(spec, 1.0, z) + evaluate(spec, SQRT2, z)) + lam * u
+    trace = []  # the residual ||step(z) - z|| of every sweep, as the solver computes it
 
-    trace = []
-    _, sweeps, r, ok = _banach_solve(step, np.zeros(2), 1e-12, 10**5, 1.0 - lam, trace=trace)
+    def step(z):
+        fz = 0.5 * (1 - lam) * (evaluate(spec, 1.0, z) + evaluate(spec, SQRT2, z)) + lam * u
+        trace.append(np.linalg.norm(fz - z))
+        return fz
+
+    _, sweeps, r, ok = _banach_solve(step, np.zeros(2), 1e-12, 10**5, 1.0 - lam)
     assert ok and r <= 1e-12
     for m, res in enumerate(trace):
         assert res <= (1.0 - lam) ** m * trace[0] + 1e-12

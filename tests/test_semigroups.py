@@ -80,6 +80,17 @@ def test_time_zero_is_identity_bitwise():
             assert np.array_equal(evaluate(spec, 0.0, x), x)
 
 
+@pytest.mark.parametrize("spec", builtin_specs(), ids=lambda s: s.kind)
+def test_time_zero_returns_a_new_array(spec):
+    identity = operator(spec, 0.0)
+    for x in (sample_inside(spec, np.random.default_rng(8), 3), np.array([0.5, 0.25])):
+        before = x.copy()
+        y = identity(x)
+        assert y is not x and not np.shares_memory(y, x)
+        y[...] = 7.0
+        assert np.array_equal(x, before)
+
+
 # ---- family laws ------------------------------------------------------------------
 
 def test_composition_law():
@@ -475,6 +486,45 @@ def test_heat_fixed_set_is_kernel():
     fs = analytic_fixed_set(heat(np.diag([0.0, 0.0, 3.0])))
     assert fs.kind == "affine_subspace"
     assert fs.basis.shape == (3, 2)
+
+
+def fixed_set_specs():
+    """Fixed sets of every built-in shape: points, a line, a plane, heat kernels of 1, 2 and 0 columns."""
+    rng = np.random.default_rng(6)
+    return builtin_specs() + [
+        rotation(center=(0.5, -0.25), dim=3),
+        rotation(dim=4),
+        non_diagonal_heat(rng, [0.0, 0.0, 0.5, 1.0]),
+        heat(np.array([[2.0, -1.0], [-1.0, 2.0]])),
+    ]
+
+
+def test_fixed_set_bases_are_orthonormal_columns():
+    for spec in fixed_set_specs():
+        fs = analytic_fixed_set(spec)
+        d, k = fs.basis.shape
+        assert fs.basepoint.shape == (d,) and d == spec.dim
+        assert np.abs(fs.basis.T @ fs.basis - np.eye(k)).max(initial=0.0) <= 1e-12
+        assert fs.kind == ("affine_subspace" if k else "singleton")
+
+
+def test_a_heat_flow_without_kernel_fixes_one_point():
+    fs = analytic_fixed_set(heat(np.array([[2.0, -1.0], [-1.0, 2.0]])))
+    assert fs.kind == "singleton" and fs.basis.shape == (2, 0)
+    assert fs.point is fs.basepoint
+    assert np.array_equal(fs.point, [0.0, 0.0])
+
+
+def test_fixed_set_distance_is_the_residual_of_the_projection():
+    rng = np.random.default_rng(7)
+    for spec in fixed_set_specs():
+        fs = analytic_fixed_set(spec)
+        xs = sample_inside(spec, rng, 6)
+        r = xs - fs.basepoint
+        want = np.linalg.norm(r - (r @ fs.basis) @ fs.basis.T, axis=1)
+        assert np.abs(fixed_set_distance(fs, xs) - want).max() <= 1e-12
+        for x, w in zip(xs, want):
+            assert abs(fixed_set_distance(fs, x) - w) <= 1e-12
 
 
 def test_fixed_set_distance_values():
