@@ -91,9 +91,11 @@ def _seeds_arg(text):
     if any(s < 0 for s in seeds):
         raise argparse.ArgumentTypeError("seeds must be nonnegative")
     # a repeated seed would write the same files twice and count twice in sweep.json
-    for i, seed in enumerate(seeds):
-        if seed in seeds[:i]:
+    seen = set()
+    for seed in seeds:
+        if seed in seen:
             raise argparse.ArgumentTypeError(f"seed {seed} is repeated")
+        seen.add(seed)
     return seeds
 
 

@@ -73,6 +73,9 @@ FEJER_SLACK = 1e-10
 # powers of sqrt(2) from 2**7, rounded), up to past 2**63
 THINNED_KEPT = frozenset(int(round(2.0 ** (7 + k / 2.0))) for k in range(114))
 
+# the longest block of iterates _drive takes before testing them (see _drive)
+DRIVE_BLOCK = 256
+
 # iteration budgets used when the config leaves max_iter unset
 DEFAULT_MAX_ITER = {
     "baillon_double": 200,
@@ -341,6 +344,16 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     is recorded, then tested for an inner-solver failure (``inner`` holds
     the implicit scheme's (sweeps, residual, solved) per step), then for
     convergence, then against n_max.
+
+    The iterates are taken a block at a time, and the block's pair
+    residuals and step norms with one _row_norms call each, which equal
+    _norm's bit for bit.  After n iterates, a ROW_SCHEMES run takes a block
+    of min(DRIVE_BLOCK, max(8, n // 8)) more, so a run that converges
+    inside a block computes at most max(8, n // 8) - 1 iterates past its
+    last and discards them.  The other schemes take blocks of 1, so none
+    runs ahead: their step n costs O(n) operator applications or more
+    (O(n^2) for suzuki_averaged_mann), and the implicit scheme's inner
+    failure must stop the run at once.
     """
     x0 = _require_point(spec, cfg, "start", tag, rows=tag in ROW_SCHEMES)
     n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
@@ -350,23 +363,37 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     if x0.ndim == 2:
         return _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer)
     rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
-    images = None
-    x_prev = None
-    for n in range(1, n_max + 1):
-        x = orbit.send(images)
-        ta, tb = op_pair(x)
-        pair = max(_norm(ta - x), _norm(tb - x))
-        step = 0.0 if x_prev is None else _norm(x - x_prev)
-        rec.add(n, pair, step, x)
+    termination = MAX_ITER
+    images = prev = None  # prev: the last iterate tested
+    n = 0
+    while n < n_max:
+        size = min(n_max - n, DRIVE_BLOCK, max(8, n // 8)) if tag in ROW_SCHEMES else 1
+        xs, tas, tbs = [], [], []
+        for _ in range(size):
+            x = orbit.send(images)
+            images = op_pair(x)
+            xs.append(x)
+            tas.append(images[0])
+            tbs.append(images[1])
+        # rows: the iterate before the block (x_1 itself for x_1, whose step is
+        # 0.0), the block's iterates, their T(alpha) images, their T(beta) images;
+        # one concatenate costs less than np.array or np.stack on small arrays
+        rows = np.concatenate([xs[0] if prev is None else prev, *xs, *tas, *tbs]).reshape(3 * size + 1, -1)
+        block, ta, tb = rows[1:].reshape(3, size, -1)
+        pair = np.maximum(_row_norms(ta - block), _row_norms(tb - block))
+        step = _row_norms(block - rows[:size])
+        hits = np.flatnonzero(np.maximum(pair, step) <= cfg.tol)
+        used = int(hits[0]) + 1 if hits.size else size
+        for i, (pair_i, step_i) in enumerate(zip(pair[:used].tolist(), step[:used].tolist())):
+            rec.add(n + 1 + i, pair_i, step_i, xs[i])
+        n += used
         if inner is not None and not inner[-1][2]:
             termination = INNER_SOLVER_FAILURE
             break
-        if pair <= cfg.tol and step <= cfg.tol:
+        if hits.size:
             termination = CONVERGED
             break
-        images, x_prev = (ta, tb), x
-    else:
-        termination = MAX_ITER
+        prev = xs[-1]
     return rec.finish(tag, termination, inner)
 
 

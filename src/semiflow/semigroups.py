@@ -183,7 +183,7 @@ def _compile(spec, t):
             c, s, lead = math.cos(angle), math.sin(angle), ()
         else:
             c, s, lead = np.cos(angle), np.sin(angle), t.shape[:1]
-        cx, cy = spec.center
+        cx, cy = spec.center.tolist()
 
         def rows(xs, out=None):
             dx = xs[..., :1] - cx
@@ -195,8 +195,9 @@ def _compile(spec, t):
             return ys
 
         def point(x):
-            dx = x[0] - cx
-            dy = x[1] - cy
+            # Python floats: the same IEEE operations as numpy scalars, cheaper
+            dx = x.item(0) - cx
+            dy = x.item(1) - cy
             y = x.copy()
             y[0] = cx + c * dx - s * dy
             y[1] = cy + s * dx + c * dy

@@ -1,9 +1,11 @@
 """Independent oracles the test suite checks the library against.
 
-Nothing here imports package internals beyond the public constructors.
-The quadratic-ring elements replay the remainder recursions in exact
-rational arithmetic; the scalar recursions replay scheme updates one
-coordinate at a time with plain Python floats.
+Nothing here imports package internals beyond the public constructors,
+except the per-step scheme driver, which keeps the driver's kernels and
+recorder and replaces only its loop.  The quadratic-ring elements replay
+the remainder recursions in exact rational arithmetic; the scalar
+recursions replay scheme updates one coordinate at a time with plain
+Python floats.
 """
 
 from __future__ import annotations
@@ -145,3 +147,45 @@ def browder_heat_diag_solution(u2, lam_n, c):
     semigroup factor c; the kernel coordinate passes through unchanged.
     """
     return lam_n * u2 / (1.0 - (1.0 - lam_n) * c)
+
+
+# ---- the scheme driver, one iterate at a time -------------------------------
+
+def per_step_drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
+    """schemes._drive for one start, testing every iterate as soon as it is made.
+
+    Takes each iterate's pair residual and step norm with one 1-D norm
+    each, records it, then stops on an inner-solver failure, on
+    convergence or at the budget, and never computes an iterate past the
+    last.  A stand-in for schemes._drive (same arguments, same report);
+    the start must be one point inside the domain.
+    """
+    import numpy as np
+
+    from semiflow import schemes
+    from semiflow.semigroups import _kernel, _pair_kernel
+    from semiflow.vecspace import _norm
+
+    x0 = np.array(cfg.start, dtype=float)
+    n_max = schemes.DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
+    op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
+    orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
+    rec = schemes._Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
+    images = None
+    x_prev = None
+    for n in range(1, n_max + 1):
+        x = orbit.send(images)
+        ta, tb = op_pair(x)
+        pair = max(_norm(ta - x), _norm(tb - x))
+        step = 0.0 if x_prev is None else _norm(x - x_prev)
+        rec.add(n, pair, step, x)
+        if inner is not None and not inner[-1][2]:
+            termination = schemes.INNER_SOLVER_FAILURE
+            break
+        if pair <= cfg.tol and step <= cfg.tol:
+            termination = schemes.CONVERGED
+            break
+        images, x_prev = (ta, tb), x
+    else:
+        termination = schemes.MAX_ITER
+    return rec.finish(tag, termination, inner)

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import math
@@ -454,6 +455,13 @@ def test_sweep_rejects_repeated_seeds(capsys, tmp_path):
     assert code == 64
     assert "seed 3 is repeated" in err
     assert not (tmp_path / "sw").exists()
+
+
+def test_a_long_seed_list_names_its_first_repeated_seed():
+    seeds = list(range(20000))
+    assert cli._seeds_arg(",".join(map(str, seeds))) == tuple(seeds)
+    with pytest.raises(argparse.ArgumentTypeError, match=r"^seed 19999 is repeated$"):
+        cli._seeds_arg(",".join(map(str, seeds + [19999, 7])))
 
 
 def row_sweep_semigroups(tmp_path):

@@ -10,6 +10,7 @@ from semiflow import schemes
 from semiflow.characterize import NearRationalWarning, certify_common_fixed, residual_pair, residual_profile
 from semiflow.schemes import (
     DEFAULT_MAX_ITER,
+    DRIVE_BLOCK,
     IterationConfig,
     ROW_SCHEMES,
     SCHEME_TAGS,
@@ -45,6 +46,7 @@ from .oracles import (
     heat_diag_coordinate_factor,
     mann_decay_orbit,
     midpoint_rotation_matrix,
+    per_step_drive,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -292,6 +294,101 @@ def test_unchecked_driver_is_bitwise_the_checked_operators(monkeypatch):
     monkeypatch.setattr(schemes, "_pair_kernel", checked_pair)
     assert run_all() == unchecked
     assert checked == [spec.kind for _, spec, _, _ in runs for _ in range(2)]
+
+
+def block_specs():
+    """Rotation d=2 and d=3 off-centre, decay d=3 and the path-Laplacian heat d=4."""
+    return [
+        rotation(period=1.0, center=(0.5, -0.25)),
+        rotation(period=1.0, center=(0.5, -0.25), dim=3, radius=5.0),
+        decay(dim=3),
+        heat(_path_laplacian(4)),
+    ]
+
+
+def block_cases():
+    """(tag, spec, start, anchor) for every tag of ROW_SCHEMES on every block_specs() flow."""
+    rng = np.random.default_rng(18)
+    cases = []
+    for spec in block_specs():
+        starts = row_starts(spec, rng, 3)
+        cases.extend((tag, spec, starts[1], starts[2]) for tag in ROW_SCHEMES)
+    return cases
+
+
+def run_per_step(monkeypatch, tag, spec, c):
+    """run_scheme's report from the per-step reference driver."""
+    with monkeypatch.context() as m:
+        m.setattr(schemes, "_drive", per_step_drive)
+        return run_scheme(tag, spec, c)
+
+
+def block_bounds(n_max):
+    """The (first, last) iterate of each block _drive takes on a ROW_SCHEMES run."""
+    bounds, n = [], 0
+    while n < n_max:
+        size = min(n_max - n, DRIVE_BLOCK, max(8, n // 8))
+        bounds.append((n + 1, n + size))
+        n += size
+    return bounds
+
+
+@pytest.mark.parametrize("budget", [1, 7, 8, 9, 255, 256, 257, 2049])
+def test_block_driver_equals_the_per_step_driver_at_every_budget(monkeypatch, budget):
+    for tag, spec, start, u in block_cases():
+        c = cfg(start=start, u=u, max_iter=budget, tol=1e-15)
+        assert report_bits(run_scheme(tag, spec, c)) == report_bits(run_per_step(monkeypatch, tag, spec, c)), (
+            tag, spec.kind, spec.dim)
+
+
+def test_block_driver_stops_where_the_per_step_driver_does(monkeypatch):
+    # tolerances read off the per-step run stop it on a block's first or
+    # last iterate or inside it, and the block driver must stop there too
+    budget = 300
+    blocks = block_bounds(budget)
+    firsts = {first for first, _ in blocks}
+    lasts = {last for _, last in blocks}
+    targets = sorted({n for b in (blocks[0], blocks[1], blocks[12]) for n in (b[0], (b[0] + b[1]) // 2, b[1])})
+    hit = set()
+    for tag, spec, start, u in block_cases():
+        trace = run_per_step(monkeypatch, tag, spec, cfg(start=start, u=u, max_iter=budget, tol=1e-15, record_all=True))
+        worst = [max(r.pair_residual, r.step_norm) for r in trace.iterates_recorded]
+        for n in targets:
+            if n > len(worst):
+                continue
+            c = cfg(start=start, u=u, max_iter=budget, tol=max(worst[n - 1], 5e-324))
+            report = run_scheme(tag, spec, c)
+            assert report_bits(report) == report_bits(run_per_step(monkeypatch, tag, spec, c)), (
+                tag, spec.kind, spec.dim, n)
+            assert report.termination == "converged"
+            hit.add("first" if report.n_used in firsts else "last" if report.n_used in lasts else "inside")
+    assert hit == {"first", "last", "inside"}
+
+
+def test_block_driver_records_every_iterate_as_the_per_step_driver(monkeypatch):
+    for tag, spec, start, u in block_cases():
+        for tol in (1e-15, 1e-2):
+            c = cfg(start=start, u=u, max_iter=257, tol=tol, record_all=True)
+            report = run_scheme(tag, spec, c)
+            assert [r.n for r in report.iterates_recorded] == list(range(1, report.n_used + 1))
+            assert report_bits(report) == report_bits(run_per_step(monkeypatch, tag, spec, c)), (
+                tag, spec.kind, spec.dim, tol)
+
+
+def test_converged_runs_discard_a_bounded_overshoot(monkeypatch):
+    # a run that converges inside a block has computed the rest of the block
+    calls = count_applications(monkeypatch)
+    spec = rotation(period=1.0, center=(0.5, -0.25))
+    used = []
+    for tag, per_iter in (("mann", 2), ("halpern", 2), ("baillon_power_average", 4)):
+        for tol in (1e-1, 1e-2, 3e-3):
+            calls.clear()
+            report = run_scheme(tag, spec, cfg(start=[1.0, 0.0], u=[1.0, 0.0], max_iter=5000, tol=tol))
+            assert report.termination == "converged"
+            n = report.n_used
+            assert per_iter * n <= len(calls) <= per_iter * (n + max(8, n // 8)), (tag, tol)
+            used.append(n)
+    assert min(used) < 64 < max(used)
 
 
 def test_driver_checks_only_the_start_and_the_anchor(monkeypatch):

@@ -211,6 +211,22 @@ def test_operator_is_bitwise_the_per_call_evaluator():
                 assert np.array_equal(evaluate(spec, t, x), expected), (spec.kind, t)
 
 
+def test_rotation_point_step_is_the_numpy_scalar_formula():
+    # the point step computes on Python floats, the same IEEE operations
+    # as the formula on numpy float64 scalars
+    rng = np.random.default_rng(13)
+    for spec in (rotation(center=(0.5, -0.25), period=1.0), rotation(center=(-3.1, 7.7), period=1.7, dim=3)):
+        cx, cy = spec.center
+        for t in (1.0, SQRT2, 7.3):
+            angle = 2.0 * math.pi * t / spec.period
+            c, s = math.cos(angle), math.sin(angle)
+            point = _compile(spec, t)[2]
+            for x in rng.uniform(-40.0, 40.0, size=(5000, spec.dim)):
+                dx, dy = x[0] - cx, x[1] - cy
+                expected = np.array([cx + c * dx - s * dy, cy + s * dx + c * dy, *x[2:]])
+                assert point(x).tobytes() == expected.tobytes(), (t, x)
+
+
 def test_operator_keeps_the_evaluate_errors():
     for spec in (decay(dim=2), rotation(period=1.0)):
         inside, far = np.array([1.0, 1.0]), np.array([20.0, 1.0])

@@ -5,6 +5,8 @@ from semiflow.vecspace import (
     HARD_DIM_CAP,
     Ball,
     Box,
+    _norm,
+    _row_norms,
     as_point,
     combine,
     dist,
@@ -71,6 +73,13 @@ def test_dist_examples_and_triangle_inequality():
         d = int(rng.integers(1, 9))
         a, b, c = rng.normal(size=(3, d))
         assert dist(a, c) <= dist(a, b) + dist(b, c) + 1e-12
+
+
+def test_row_norms_are_the_row_norms_bit_for_bit():
+    rng = np.random.default_rng(8)
+    for d in (1, 2, 3, 4, 6, 16, 64):
+        ys = rng.normal(scale=10.0 ** rng.integers(-8, 8, size=(300, 1)), size=(300, d))
+        assert _row_norms(ys).tolist() == [_norm(y) for y in ys], d
 
 
 def test_ball_membership_and_projection():
