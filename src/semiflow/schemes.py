@@ -34,7 +34,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from semiflow.characterize import _checked_pair
-from semiflow.semigroups import _checker, _kernel, _pair_kernel, analytic_fixed_set, fixed_set_distance
+from semiflow.semigroups import _checker, _float_pair, _kernel, _pair_kernel, analytic_fixed_set, fixed_set_distance
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import check_pair
@@ -190,6 +190,8 @@ class IterationConfig:
 
     def __post_init__(self):
         self.alpha, self.beta = check_pair(self.alpha, self.beta)
+        # Python floats: a numpy float32 weight would round the float path's products to float32
+        self.kappa, self.lam = float(self.kappa), float(self.lam)
         if self.schedule is None:
             self.schedule = make_schedule("harmonic", offset=1)
         self.tol = _scalar("tol", self.tol)
@@ -330,6 +332,103 @@ def _require_point(spec, cfg, name, tag, rows=False):
     return x
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """An explicit update x_{n+1} = update(w_n, x_n, T(alpha)x_n, T(beta)x_n, anchor).
+
+    w_n is weight(n), or None without a weight.  update takes numpy
+    arrays, or one coordinate of each as Python floats, and does the same
+    IEEE operations in the same order on both, so the two give the same
+    bits.  Called as a scheme's ``iterates`` (see _drive), it is the
+    generator of the array path.
+    """
+
+    update: object
+    weight: object = None
+    anchor: np.ndarray | None = None
+
+    def __call__(self, x, *_):
+        update, weight, anchor = self.update, self.weight, self.anchor
+        for n in itertools.count(1):
+            ta, tb = yield x
+            x = update(None if weight is None else weight(n), x, ta, tb, anchor)
+
+
+def _block_norms(rows):
+    """The pair residuals and step norms of a block's iterates, as lists of floats.
+
+    rows: the iterate before the block (x_1 itself for x_1, whose step is
+    0.0), the block's iterates, their T(alpha) images, their T(beta)
+    images.  One _row_norms call each, which equal _norm's bit for bit.
+    """
+    size = len(rows) // 3
+    block, ta, tb = rows[1:].reshape(3, size, -1)
+    pair = np.maximum(_row_norms(ta - block), _row_norms(tb - block))
+    return pair.tolist(), _row_norms(block - rows[:size]).tolist()
+
+
+def _array_blocks(orbit, op_pair):
+    """take(size) -> (iterates, pair residuals, step norms) of the next size iterates of orbit.
+
+    A block of one is tested with two _norm calls, which cost less than the
+    block's arrays and give the same bits.
+    """
+    images = prev = None
+
+    def take(size):
+        nonlocal images, prev
+        xs, tas, tbs = [], [], []
+        for _ in range(size):
+            x = orbit.send(images)
+            images = op_pair(x)
+            xs.append(x)
+            tas.append(images[0])
+            tbs.append(images[1])
+        if size == 1:
+            ta, tb = images
+            pair = [max(_norm(ta - x), _norm(tb - x))]
+            step = [0.0 if prev is None else _norm(x - prev)]
+        else:
+            # one concatenate costs less than np.array or np.stack on small arrays
+            rows = np.concatenate([xs[0] if prev is None else prev, *xs, *tas, *tbs])
+            pair, step = _block_norms(rows.reshape(3 * size + 1, -1))
+        prev = xs[-1]
+        return xs, pair, step
+
+    return take
+
+
+def _float_blocks(float_pair, rule, x):
+    """_array_blocks for a _Rule from one d=2 start x, iterated on Python floats.
+
+    Each iterate's images come from one float_pair call (see
+    _float_pair), and its successor from two calls of rule.update, one per
+    coordinate.  A block's rows are built with one np.array call, and its
+    iterates are returned as those rows.
+    """
+    update, weight = rule.update, rule.weight
+    u0, u1 = (None, None) if rule.anchor is None else rule.anchor.tolist()
+    x0, x1 = p0, p1 = x.tolist()  # p: the iterate before the block
+    n = 1  # (x0, x1) is x_n
+
+    def take(size):
+        nonlocal x0, x1, p0, p1, n
+        xs, tas, tbs = [p0, p1], [], []  # xs: the iterate before the block, then the block's
+        for _ in range(size):
+            a0, a1, b0, b1 = float_pair(x0, x1)
+            xs += (x0, x1)
+            tas += (a0, a1)
+            tbs += (b0, b1)
+            w = None if weight is None else weight(n)
+            p0, p1 = x0, x1
+            x0, x1 = update(w, x0, a0, b0, u0), update(w, x1, a1, b1, u1)
+            n += 1
+        rows = np.array(xs + tas + tbs).reshape(3 * size + 1, 2)
+        return rows[1 : size + 1], *_block_norms(rows)
+
+    return take
+
+
 def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     """The setup and loop all schemes share: record each iterate and decide when to stop.
 
@@ -345,55 +444,49 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     the implicit scheme's (sweeps, residual, solved) per step), then for
     convergence, then against n_max.
 
-    The iterates are taken a block at a time, and the block's pair
-    residuals and step norms with one _row_norms call each, which equal
-    _norm's bit for bit.  After n iterates, a ROW_SCHEMES run takes a block
-    of min(DRIVE_BLOCK, max(8, n // 8)) more, so a run that converges
-    inside a block computes at most max(8, n // 8) - 1 iterates past its
-    last and discards them.  The other schemes take blocks of 1, so none
-    runs ahead: their step n costs O(n) operator applications or more
-    (O(n^2) for suzuki_averaged_mann), and the implicit scheme's inner
-    failure must stop the run at once.
+    The iterates are taken a block at a time (_array_blocks), and the
+    block's pair residuals and step norms with one _row_norms call each
+    (_block_norms).  After n iterates, a ROW_SCHEMES run takes a block of
+    min(DRIVE_BLOCK, max(8, n // 8)) more, so a run that converges inside
+    a block computes at most max(8, n // 8) - 1 iterates past its last and
+    discards them.  The other schemes take blocks of 1, so none runs
+    ahead: their step n costs O(n) operator applications or more (O(n^2)
+    for suzuki_averaged_mann), and the implicit scheme's inner failure
+    must stop the run at once.  When ``iterates`` is a _Rule, the start is
+    one point and the flow has a float pair (a d=2 rotation, see
+    _float_pair), the blocks are iterated on Python floats instead
+    (_float_blocks).  Either way the report is bit for bit the one a test
+    of each iterate with two _norm calls gives.
     """
     x0 = _require_point(spec, cfg, "start", tag, rows=tag in ROW_SCHEMES)
     n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
     _checked_pair(cfg.alpha, cfg.beta)
-    op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
-    orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
-    if x0.ndim == 2:
-        return _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer)
+    float_pair = None
+    if isinstance(iterates, _Rule) and x0.ndim == 1:
+        float_pair = _float_pair(spec, cfg.alpha, cfg.beta)
+    if float_pair is not None:
+        take = _float_blocks(float_pair, iterates, x0)
+    else:
+        op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
+        orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
+        if x0.ndim == 2:
+            return _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer)
+        take = _array_blocks(orbit, op_pair)
     rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
     termination = MAX_ITER
-    images = prev = None  # prev: the last iterate tested
     n = 0
     while n < n_max:
         size = min(n_max - n, DRIVE_BLOCK, max(8, n // 8)) if tag in ROW_SCHEMES else 1
-        xs, tas, tbs = [], [], []
-        for _ in range(size):
-            x = orbit.send(images)
-            images = op_pair(x)
-            xs.append(x)
-            tas.append(images[0])
-            tbs.append(images[1])
-        # rows: the iterate before the block (x_1 itself for x_1, whose step is
-        # 0.0), the block's iterates, their T(alpha) images, their T(beta) images;
-        # one concatenate costs less than np.array or np.stack on small arrays
-        rows = np.concatenate([xs[0] if prev is None else prev, *xs, *tas, *tbs]).reshape(3 * size + 1, -1)
-        block, ta, tb = rows[1:].reshape(3, size, -1)
-        pair = np.maximum(_row_norms(ta - block), _row_norms(tb - block))
-        step = _row_norms(block - rows[:size])
-        hits = np.flatnonzero(np.maximum(pair, step) <= cfg.tol)
-        used = int(hits[0]) + 1 if hits.size else size
-        for i, (pair_i, step_i) in enumerate(zip(pair[:used].tolist(), step[:used].tolist())):
-            rec.add(n + 1 + i, pair_i, step_i, xs[i])
-        n += used
+        for x, pair, step in zip(*take(size)):
+            n += 1
+            rec.add(n, pair, step, x)
+            if pair <= cfg.tol and step <= cfg.tol:
+                termination = CONVERGED
+                break
         if inner is not None and not inner[-1][2]:
             termination = INNER_SOLVER_FAILURE
+        if termination != MAX_ITER:
             break
-        if hits.size:
-            termination = CONVERGED
-            break
-        prev = xs[-1]
     return rec.finish(tag, termination, inner)
 
 
@@ -511,14 +604,13 @@ def mann(spec, cfg):
         raise ValueError("kappa and lambda must be positive")
     if not cfg.kappa + cfg.lam < 1:
         raise ValueError("kappa + lambda must be < 1")
-    rest = 1.0 - cfg.kappa - cfg.lam
+    kappa, lam = cfg.kappa, cfg.lam
+    rest = 1.0 - kappa - lam
 
-    def iterates(x, *_):
-        while True:
-            ta, tb = yield x
-            x = cfg.kappa * ta + cfg.lam * tb + rest * x
+    def update(_, x, ta, tb, __):
+        return kappa * ta + lam * tb + rest * x
 
-    return _drive(spec, cfg, "mann", iterates, track_fejer=True)
+    return _drive(spec, cfg, "mann", _Rule(update), track_fejer=True)
 
 
 def suzuki_averaged_mann(spec, cfg):
@@ -635,15 +727,11 @@ def halpern(spec, cfg):
     fixed point nearest the anchor.
     """
     u = _require_point(spec, cfg, "u", "halpern")
-    sched = cfg.schedule
 
-    def iterates(x, *_):
-        for n in itertools.count(1):
-            ta, tb = yield x
-            lam_n = sched(n)
-            x = 0.5 * (1.0 - lam_n) * (ta + tb) + lam_n * u
+    def update(lam_n, x, ta, tb, u):
+        return 0.5 * (1.0 - lam_n) * (ta + tb) + lam_n * u
 
-    return _drive(spec, cfg, "halpern", iterates)
+    return _drive(spec, cfg, "halpern", _Rule(update, cfg.schedule, u))
 
 
 SCHEME_TAGS = {

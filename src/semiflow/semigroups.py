@@ -68,6 +68,10 @@ PSD_TOL = -1e-12
 # runs it on the calling thread instead of waking a worker thread
 ORBIT_BLOCK = 4096
 
+# the relative margin inside a rotation's ball below which _float_pair
+# leaves an image unprojected (see _float_pair)
+FLOAT_PAIR_MARGIN = 2.0 ** -30
+
 
 @dataclass(frozen=True, eq=False)
 class SemigroupSpec:
@@ -169,14 +173,17 @@ def heat(matrix, radius=10.0):
 def _compile(spec, t):
     """T(t) before projection, for a float t or a (B, 1) column of times.
 
-    Returns (lift, rows, point).  lift(xs) is the part that does not depend
+    Returns (lift, rows, turn).  lift(xs) is the part that does not depend
     on t (heat: the eigen-coordinates xs V; otherwise xs itself), so an
     orbit or a pair lifts its point once.  rows(lift(xs), out=None) is T(t) of every
     row of a (B, d) array, or of one (d,) point at every time of a column;
-    decay and heat points take it too.  point is the rotation's cheaper
-    scalar-indexed step for one point, None for the other families.
+    decay and heat points take it too.  turn is the rotation's formula,
+    (x0, x1) -> (y0, y1) on the first two coordinates, written once: rows
+    applies it to numpy columns, and _point_step and _float_pair to one
+    point's coordinates as Python floats, the same IEEE operations.  It is
+    None for the other families.
     """
-    lift = point = None
+    lift = turn = None
     if spec.kind == ROTATION:
         angle = 2.0 * math.pi * t / spec.period
         if isinstance(t, float):
@@ -185,23 +192,16 @@ def _compile(spec, t):
             c, s, lead = np.cos(angle), np.sin(angle), t.shape[:1]
         cx, cy = spec.center.tolist()
 
+        def turn(x0, x1):
+            dx = x0 - cx
+            dy = x1 - cy
+            return cx + c * dx - s * dy, cy + s * dx + c * dy
+
         def rows(xs, out=None):
-            dx = xs[..., :1] - cx
-            dy = xs[..., 1:2] - cy
             ys = np.empty(lead + xs.shape) if out is None else out
             ys[...] = xs
-            ys[..., :1] = cx + c * dx - s * dy
-            ys[..., 1:2] = cy + s * dx + c * dy
+            ys[..., :1], ys[..., 1:2] = turn(xs[..., :1], xs[..., 1:2])
             return ys
-
-        def point(x):
-            # Python floats: the same IEEE operations as numpy scalars, cheaper
-            dx = x.item(0) - cx
-            dy = x.item(1) - cy
-            y = x.copy()
-            y[0] = cx + c * dx - s * dy
-            y[1] = cy + s * dx + c * dy
-            return y
     elif spec.kind == DECAY:
         def rows(xs, out=None):
             return np.maximum(xs - t, 0.0, out=out)
@@ -216,7 +216,18 @@ def _compile(spec, t):
             return np.matmul(coords * factors, vt, out=out)
     else:
         raise ValueError(f"unknown semigroup kind {spec.kind!r}")
-    return lift or np.asarray, rows, point
+    return lift or np.asarray, rows, turn
+
+
+def _point_step(turn):
+    """The rotation's step for one point, cheaper than rows: turn on its
+    first two coordinates as Python floats, the others copied."""
+    def point(x):
+        y = x.copy()
+        y[0], y[1] = turn(x.item(0), x.item(1))
+        return y
+
+    return point
 
 
 def _checker(spec, rows=True, name="point", owner="semigroup"):
@@ -260,12 +271,12 @@ def _kernel(spec, t):
     if t == 0.0:
         step = block = np.copy  # T(0) is the identity
     else:
-        lift, rows, point = _compile(spec, t)
+        lift, rows, turn = _compile(spec, t)
 
         def block(xs):
             return rows(lift(xs))
 
-        step = point or block
+        step = block if turn is None else _point_step(turn)
     domain = spec.domain
 
     def apply(x):
@@ -278,9 +289,10 @@ def _kernel(spec, t):
 
 def _pair_kernel(spec, alpha, beta):
     """pair_operator(spec, alpha, beta) without the check (see _kernel)."""
-    lift, rows_a, point_a = _compile(spec, alpha)
-    _, rows_b, point_b = _compile(spec, beta)  # lift does not depend on t
+    lift, rows_a, turn_a = _compile(spec, alpha)
+    _, rows_b, turn_b = _compile(spec, beta)  # lift does not depend on t
     domain = spec.domain
+    point_a, point_b = (None, None) if turn_a is None else (_point_step(turn_a), _point_step(turn_b))
 
     def apply(x):
         if x.ndim == 1 and point_a is not None:
@@ -288,6 +300,43 @@ def _pair_kernel(spec, alpha, beta):
         lifted = lift(x)
         project = domain.project_rows if x.ndim == 2 else domain.project
         return project(rows_a(lifted)), project(rows_b(lifted))
+
+    return apply
+
+
+def _float_pair(spec, alpha, beta):
+    """_pair_kernel for one point of a d=2 rotation, on its coordinates as Python floats.
+
+    Returns (x0, x1) -> (a0, a1, b0, b1), the coordinates of T(alpha)x and
+    T(beta)x, each the bits of _pair_kernel's image, or None for any other
+    flow.  An image is returned unprojected only when the sum of squares q
+    of its offset from the center, taken in floats, is at most
+    (R * (1 - FLOAT_PAIR_MARGIN))**2: Ball.project's dot product of that
+    offset is within a few ulps of q, so its norm is at most R and it would
+    return the image unchanged.  Every other image, NaN included, goes
+    through Ball.project on an array.
+    """
+    if spec.kind != ROTATION or spec.dim != 2:
+        return None
+    domain = spec.domain
+    cx, cy = domain.center.tolist()
+    limit = domain.radius * (1.0 - FLOAT_PAIR_MARGIN)
+    limit *= limit
+    # beyond these, an underflow's absolute error or an overflow could outgrow the margin
+    if not 2.0 ** -1000 <= limit <= 2.0 ** 1000:
+        return None
+    turn_a, turn_b = _compile(spec, alpha)[2], _compile(spec, beta)[2]
+
+    def apply(x0, x1):
+        a0, a1 = turn_a(x0, x1)
+        b0, b1 = turn_b(x0, x1)
+        oa0, oa1, ob0, ob1 = a0 - cx, a1 - cy, b0 - cx, b1 - cy
+        # written so that a NaN sum fails the guard too
+        if not oa0 * oa0 + oa1 * oa1 <= limit:
+            a0, a1 = domain.project(np.array([a0, a1])).tolist()
+        if not ob0 * ob0 + ob1 * ob1 <= limit:
+            b0, b1 = domain.project(np.array([b0, b1])).tolist()
+        return a0, a1, b0, b1
 
     return apply
 

@@ -30,6 +30,7 @@ from semiflow.schemes import (
     suzuki_averaged_mann,
 )
 from semiflow.semigroups import (
+    _float_pair,
     _kernel,
     _pair_kernel,
     analytic_fixed_set,
@@ -132,6 +133,20 @@ def test_config_budgets_reject_bools(name, value):
         cfg(start=[1.0, 0.0], **{name: value})
 
 
+def test_numpy_scalar_weights_run_as_python_floats():
+    # float32 times a Python float stays float32 (NEP 50), so the config
+    # converts kappa and lam, and mann's float iteration of a d=2 rotation
+    # gives the bits of the same run with Python floats
+    spec = rotation(period=1.0, center=(0.5, -0.25))
+    kappa, lam = np.float32(0.3), np.float32(0.2)
+    reports = [
+        mann(spec, cfg(start=[2.0, 1.0], kappa=k, lam=l, max_iter=300, tol=1e-12))
+        for k, l in ((kappa, lam), (float(kappa), float(lam)))
+    ]
+    assert type(cfg(kappa=kappa, lam=lam).kappa) is float
+    assert report_bits(reports[0]) == report_bits(reports[1])
+
+
 def test_mann_weight_preconditions():
     spec = decay(dim=1)
     with pytest.raises(ValueError):
@@ -147,9 +162,10 @@ def test_mann_weight_preconditions():
 def count_applications(monkeypatch, shapes=False):
     """Count every application of the kernels the scheme driver compiles.
 
-    A call of a compiled pair counts as two applications, one at alpha and
-    one at beta.  Returns the list of times applied, or of (time, argument
-    shape) pairs with ``shapes``.
+    A call of a compiled pair, or of the float pair of a d=2 rotation,
+    counts as two applications, one at alpha and one at beta.  Returns the
+    list of times applied, or of (time, argument shape) pairs with
+    ``shapes`` (a float pair's argument has shape (2,)).
     """
     calls = []
 
@@ -171,8 +187,20 @@ def count_applications(monkeypatch, shapes=False):
 
         return counted
 
+    def counting_float_pair(spec, alpha, beta):
+        apply = _float_pair(spec, alpha, beta)
+        if apply is None:
+            return None
+
+        def counted(x0, x1):
+            calls.extend([(alpha, (2,)), (beta, (2,))] if shapes else [alpha, beta])
+            return apply(x0, x1)
+
+        return counted
+
     monkeypatch.setattr(schemes, "_kernel", counting_kernel)
     monkeypatch.setattr(schemes, "_pair_kernel", counting_pair_kernel)
+    monkeypatch.setattr(schemes, "_float_pair", counting_float_pair)
     return calls
 
 
@@ -267,8 +295,9 @@ def report_bits(report):
 
 
 def test_unchecked_driver_is_bitwise_the_checked_operators(monkeypatch):
-    # the driver applies unchecked kernels; the same runs replayed through
-    # the public, checked callables must give the same bits
+    # the driver applies unchecked kernels, and iterates one d=2 rotation
+    # start on floats; the same runs replayed through the public, checked
+    # callables, with the float pair disabled, must give the same bits
     rng = np.random.default_rng(41)
     runs = []
     for spec in row_specs():
@@ -292,6 +321,7 @@ def test_unchecked_driver_is_bitwise_the_checked_operators(monkeypatch):
 
     monkeypatch.setattr(schemes, "_kernel", operator)
     monkeypatch.setattr(schemes, "_pair_kernel", checked_pair)
+    monkeypatch.setattr(schemes, "_float_pair", lambda *_: None)
     assert run_all() == unchecked
     assert checked == [spec.kind for _, spec, _, _ in runs for _ in range(2)]
 
@@ -307,12 +337,16 @@ def block_specs():
 
 
 def block_cases():
-    """(tag, spec, start, anchor) for every tag of ROW_SCHEMES on every block_specs() flow."""
+    """(tag, spec, start, anchor) for every tag of ROW_SCHEMES on every block_specs() flow,
+    and on a radius-1 rotation from a start on its boundary."""
     rng = np.random.default_rng(18)
     cases = []
     for spec in block_specs():
         starts = row_starts(spec, rng, 3)
         cases.extend((tag, spec, starts[1], starts[2]) for tag in ROW_SCHEMES)
+    # its first images go through the exact projection on the float path
+    small = rotation(period=1.0, center=(0.5, -0.25), radius=1.0)
+    cases.extend((tag, small, np.array([1.5, -0.25]), np.array([0.5, 0.75])) for tag in ROW_SCHEMES)
     return cases
 
 

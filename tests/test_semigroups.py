@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 
 from semiflow.semigroups import (
+    FLOAT_PAIR_MARGIN,
     ORBIT_BLOCK,
     _compile,
+    _float_pair,
     _kernel,
     _pair_kernel,
+    _point_step,
     analytic_fixed_set,
     decay,
     evaluate,
@@ -220,7 +223,7 @@ def test_rotation_point_step_is_the_numpy_scalar_formula():
         for t in (1.0, SQRT2, 7.3):
             angle = 2.0 * math.pi * t / spec.period
             c, s = math.cos(angle), math.sin(angle)
-            point = _compile(spec, t)[2]
+            point = _point_step(_compile(spec, t)[2])
             for x in rng.uniform(-40.0, 40.0, size=(5000, spec.dim)):
                 dx, dy = x[0] - cx, x[1] - cy
                 expected = np.array([cx + c * dx - s * dy, cy + s * dx + c * dy, *x[2:]])
@@ -426,6 +429,45 @@ def test_kernels_are_the_public_callables_without_the_check(monkeypatch):
             pair(x)
         assert calls == ["project"] * 3 + ["project_rows"] * 3, spec.kind
         monkeypatch.undo()
+
+
+def test_float_pair_is_the_pair_kernel_bit_for_bit(monkeypatch):
+    # the float pair leaves an image unprojected only where a margin proves
+    # that Ball.project would return it unchanged; points inside, on shells
+    # at R(1 + k eps), |k| <= 8, around the boundary and around the guard's
+    # threshold, and with a NaN coordinate
+    rng = np.random.default_rng(29)
+    k = rng.integers(-8, 9, 3000) * np.finfo(float).eps
+    scales = np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, 4000)), 1.0 + k, (1.0 - FLOAT_PAIR_MARGIN) * (1.0 + k)])
+    original = vecspace.Ball.project
+    # radii where, without the margin, q <= R**2 holds for some images that
+    # Ball.project moves
+    for spec in (rotation(period=1.0, radius=3.7), rotation(period=1.7, center=(0.5, -0.25), radius=0.37)):
+        dom = spec.domain
+        g = rng.normal(size=(scales.size, 2))
+        points = dom.center + (dom.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
+        points[:2] = [[math.nan, 0.0], [0.0, math.nan]]
+        assert len(points) >= 10_000
+        for alpha, beta in ((1.0, SQRT2), (0.3, 7.3)):
+            kernel = _pair_kernel(spec, alpha, beta)
+            expected = [np.concatenate(kernel(x)).tobytes() for x in points]
+            moved = []
+
+            def counted(self, y):
+                out = original(self, y)
+                moved.append(out is not y)
+                return out
+
+            with monkeypatch.context() as m:
+                m.setattr(vecspace.Ball, "project", counted)
+                pair = _float_pair(spec, alpha, beta)
+                got = [np.array(pair(*x)).tobytes() for x in points.tolist()]
+            assert got == expected, (spec.domain.radius, alpha, beta)
+            # the exact projection ran, moved some images and left others, and was skipped for most
+            assert 0 < sum(moved) < len(moved) < len(points), (spec.domain.radius, alpha, beta)
+    # any other flow, and radii whose squares leave the guard's exact range, have none
+    for spec in (decay(dim=2), heat(np.eye(2)), rotation(dim=3), rotation(radius=1e-160), rotation(radius=1e160)):
+        assert _float_pair(spec, 1.0, SQRT2) is None
 
 
 def one_pass_orbit(spec, times, x):
