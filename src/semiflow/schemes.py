@@ -34,7 +34,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from semiflow.characterize import _checked_pair
-from semiflow.semigroups import _checker, _float_pair, _kernel, _pair_kernel, analytic_fixed_set, fixed_set_distance
+from semiflow.semigroups import (
+    _checker, _float_pair, _kernel, _pair_kernel, _parse_value, analytic_fixed_set, fixed_set_distance,
+)
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import check_pair
@@ -145,13 +147,13 @@ def parse_schedule(text):
     kind, _, body = str(text).partition(":")
     kind = kind.strip()
     if kind == "harmonic":
-        return make_schedule("harmonic", offset=int(body or 1))
+        return make_schedule("harmonic", offset=_parse_value(int, body or "1", "schedule offset"))
     if kind == "power":
         parts = [part for part in body.split(",") if part]
         if not 1 <= len(parts) <= 2:
             raise ValueError(f"power schedule expects p[,offset], got {text!r}")
-        p = float(parts[0])
-        offset = int(parts[1]) if len(parts) == 2 else 1
+        p = _parse_value(float, parts[0], "schedule exponent")
+        offset = _parse_value(int, parts[1], "schedule offset") if len(parts) == 2 else 1
         return make_schedule("power", offset=offset, p=p)
     raise ValueError(f"unknown schedule kind {kind!r}")
 
@@ -359,10 +361,11 @@ def _block_norms(rows):
 
     rows: the iterate before the block (x_1 itself for x_1, whose step is
     0.0), the block's iterates, their T(alpha) images, their T(beta)
-    images.  One _row_norms call each, which equal _norm's bit for bit.
+    images.  One _row_norms call each, which equal _norm's bit for bit; a
+    block of (B, d) iterates gives a list of B floats per iterate.
     """
     size = len(rows) // 3
-    block, ta, tb = rows[1:].reshape(3, size, -1)
+    block, ta, tb = rows[1:].reshape(3, size, *rows.shape[1:])
     pair = np.maximum(_row_norms(ta - block), _row_norms(tb - block))
     return pair.tolist(), _row_norms(block - rows[:size]).tolist()
 
@@ -370,8 +373,9 @@ def _block_norms(rows):
 def _array_blocks(orbit, op_pair):
     """take(size) -> (iterates, pair residuals, step norms) of the next size iterates of orbit.
 
-    A block of one is tested with two _norm calls, which cost less than the
-    block's arrays and give the same bits.
+    The iterates are points or (B, d) arrays of B of them.  A block of one
+    point is tested with two _norm calls, which cost less than the block's
+    arrays and give the same bits.
     """
     images = prev = None
 
@@ -384,14 +388,14 @@ def _array_blocks(orbit, op_pair):
             xs.append(x)
             tas.append(images[0])
             tbs.append(images[1])
-        if size == 1:
+        if size == 1 and x.ndim == 1:
             ta, tb = images
             pair = [max(_norm(ta - x), _norm(tb - x))]
             step = [0.0 if prev is None else _norm(x - prev)]
         else:
             # one concatenate costs less than np.array or np.stack on small arrays
             rows = np.concatenate([xs[0] if prev is None else prev, *xs, *tas, *tbs])
-            pair, step = _block_norms(rows.reshape(3 * size + 1, -1))
+            pair, step = _block_norms(rows.reshape(3 * size + 1, *x.shape))
         prev = xs[-1]
         return xs, pair, step
 
@@ -432,9 +436,9 @@ def _float_blocks(float_pair, rule, x):
 def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     """The setup and loop all schemes share: record each iterate and decide when to stop.
 
-    Checks cfg.start (for a tag of ROW_SCHEMES also a (B, d) array, which
-    goes to _drive_rows), takes n_max = cfg.max_iter or DEFAULT_MAX_ITER[tag],
-    and warns on a (near-)rational pair.  ``iterates(x0, n_max, op_alpha,
+    Checks cfg.start (for a tag of ROW_SCHEMES also a (B, d) array of B
+    starts), takes n_max = cfg.max_iter or DEFAULT_MAX_ITER[tag], and
+    warns on a (near-)rational pair.  ``iterates(x0, n_max, op_alpha,
     op_beta, op_pair)`` gets the checked start as a float array and
     unchecked kernels of T(alpha), T(beta) and x -> (T(alpha)x, T(beta)x):
     every iterate is a convex combination of the checked start and anchor
@@ -457,6 +461,13 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     _float_pair), the blocks are iterated on Python floats instead
     (_float_blocks).  Either way the report is bit for bit the one a test
     of each iterate with two _norm calls gives.
+
+    B starts are iterated as the rows of one array, through the same
+    blocks.  Each row has its own _Recorder, which sees the row until its
+    own termination, and for the Fejer count the distances of a (B, d)
+    iterate's rows are taken with one fixed_set_distance call.  A row that
+    has ended is still updated, but no longer recorded, until every row
+    has ended.  Returns one report, or one per row.
     """
     x0 = _require_point(spec, cfg, "start", tag, rows=tag in ROW_SCHEMES)
     n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
@@ -469,59 +480,34 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     else:
         op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
         orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
-        if x0.ndim == 2:
-            return _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer)
         take = _array_blocks(orbit, op_pair)
-    rec = _Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all)
-    termination = MAX_ITER
-    n = 0
-    while n < n_max:
-        size = min(n_max - n, DRIVE_BLOCK, max(8, n // 8)) if tag in ROW_SCHEMES else 1
-        for x, pair, step in zip(*take(size)):
-            n += 1
-            rec.add(n, pair, step, x)
-            if pair <= cfg.tol and step <= cfg.tol:
-                termination = CONVERGED
-                break
-        if inner is not None and not inner[-1][2]:
-            termination = INNER_SOLVER_FAILURE
-        if termination != MAX_ITER:
-            break
-    return rec.finish(tag, termination, inner)
-
-
-def _drive_rows(spec, cfg, tag, orbit, op_pair, n_max, track_fejer):
-    """_drive's loop for B runs iterated as the rows of one array.
-
-    The pair residual, the step and (for the Fejer count) the fixed-set
-    distance are taken per row, and each row has its own _Recorder, which
-    sees the row until its own termination.  The block is iterated until
-    every row has ended, so a row that has ended is still updated but no
-    longer recorded.  Returns one report per row.
-    """
-    recs = [_Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all) for _ in cfg.start]
+    recs = [_Recorder(spec, track_fejer, cfg.record_all) for _ in range(len(x0) if x0.ndim == 2 else 1)]
     ends = [MAX_ITER] * len(recs)
     live = range(len(recs))
-    images = None
-    x_prev = None
-    for n in range(1, n_max + 1):
-        x = orbit.send(images)
-        ta, tb = op_pair(x)
-        pair = np.maximum(_row_norms(ta - x), _row_norms(tb - x))
-        step = np.zeros(len(x)) if x_prev is None else _row_norms(x - x_prev)
-        done = ((pair <= cfg.tol) & (step <= cfg.tol)).tolist()
-        # Python floats, as the serial loop records them
-        pair, step = pair.tolist(), step.tolist()
-        fsd = fixed_set_distance(recs[0].fixed_set, x).tolist() if track_fejer else [None] * len(x)
+    tol = cfg.tol
+    n = 0
+    while live and n < n_max:
+        size = min(n_max - n, DRIVE_BLOCK, max(8, n // 8)) if tag in ROW_SCHEMES else 1
+        xs, pair, step = take(size)
+        if x0.ndim == 1:
+            runs = [(xs, pair, step, itertools.repeat(None))]
+        else:
+            fsd = ([fixed_set_distance(recs[0].fixed_set, x).tolist() for x in xs] if track_fejer
+                   else [[None] * len(recs)] * size)
+            runs = list(zip(zip(*xs), zip(*pair), zip(*step), zip(*fsd)))
         for i in live:
-            recs[i].add(n, pair[i], step[i], x[i], fsd[i])
-            if done[i]:
-                ends[i] = CONVERGED
-        live = [i for i in live if not done[i]]
-        if not live:
-            break
-        images, x_prev = (ta, tb), x
-    return [rec.finish(tag, end) for rec, end in zip(recs, ends)]
+            add = recs[i].add
+            for m, x, p, s, f in zip(itertools.count(n + 1), *runs[i]):
+                add(m, p, s, x, f)
+                if p <= tol and s <= tol:
+                    ends[i] = CONVERGED
+                    break
+        n += size
+        if inner is not None and not inner[-1][2]:
+            ends = [INNER_SOLVER_FAILURE]
+        live = [i for i in live if ends[i] == MAX_ITER]
+    reports = [rec.finish(tag, end, inner) for rec, end in zip(recs, ends)]
+    return reports if x0.ndim == 2 else reports[0]
 
 
 # ---- averaging schemes ---------------------------------------------------------

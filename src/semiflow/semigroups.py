@@ -464,6 +464,14 @@ def _floats(text):
     return [float(part) for part in text.split(",")]
 
 
+def _parse_value(convert, text, field):
+    """convert(text), whose ValueError is raised again naming ``field`` and the text."""
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ValueError(f"{field}={text}: {exc}") from None
+
+
 def from_descriptor(text):
     """Build a SemigroupSpec from a textual descriptor.
 
@@ -475,21 +483,20 @@ def from_descriptor(text):
     kind = kind.strip()
     params = _split_params(body)
 
-    take = params.pop
+    def take(key, default, convert=float):
+        text = params.pop(key, default)
+        return None if text is None else _parse_value(convert, text, f"semigroup parameter {key}")
+
     if kind == ROTATION:
-        center = _floats(take("center", "0,0"))
-        period = float(take("period", "1"))
-        radius = float(take("radius", "10"))
-        dim = take("dim", None)
-        spec = rotation(center, period, radius, dim=None if dim is None else int(dim))
+        spec = rotation(take("center", "0,0", _floats), take("period", "1"), take("radius", "10"),
+                        dim=take("dim", None, int))
     elif kind == DECAY:
-        spec = decay(int(take("dim", "2")), float(take("M", "10")))
+        spec = decay(take("dim", "2", int), take("M", "10"))
     elif kind == HEAT:
-        path = take("matrix", None)
-        if path is None:
+        a = take("matrix", None, lambda path: np.loadtxt(path, ndmin=2))
+        if a is None:
             raise ValueError("heat descriptor needs matrix=<path>")
-        a = np.loadtxt(path, ndmin=2)
-        spec = heat(a, float(take("radius", "10")))
+        spec = heat(a, take("radius", "10"))
     else:
         raise ValueError(f"unknown semigroup kind {kind!r}")
     if params:

@@ -189,3 +189,45 @@ def per_step_drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     else:
         termination = schemes.MAX_ITER
     return rec.finish(tag, termination, inner)
+
+
+def per_step_rows(spec, cfg, tag, iterates, track_fejer=False, inner=None):
+    """per_step_drive for a (B, d) array of starts, iterated as the rows of one array.
+
+    Tests each (B, d) iterate as soon as it is made: its rows' pair
+    residuals and steps with one row-norm call each, and for the Fejer
+    count its rows' distances with one fixed_set_distance call, so a heat
+    flow's rows round as they do in the block driver.  Each row is recorded
+    until it converges or the budget is spent, and no iterate past the
+    last row's end is computed.  Returns one report per row.
+    """
+    import numpy as np
+
+    from semiflow import schemes
+    from semiflow.semigroups import _kernel, _pair_kernel, fixed_set_distance
+    from semiflow.vecspace import _row_norms
+
+    x0 = np.array(cfg.start, dtype=float)
+    n_max = schemes.DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
+    op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
+    orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
+    recs = [schemes._Recorder(spec, track_fejer=track_fejer, record_all=cfg.record_all) for _ in x0]
+    ends = [schemes.MAX_ITER] * len(recs)
+    live = range(len(recs))
+    images = None
+    x_prev = None
+    for n in range(1, n_max + 1):
+        x = orbit.send(images)
+        ta, tb = op_pair(x)
+        pair = np.maximum(_row_norms(ta - x), _row_norms(tb - x)).tolist()
+        step = [0.0] * len(x) if x_prev is None else _row_norms(x - x_prev).tolist()
+        fsd = fixed_set_distance(recs[0].fixed_set, x).tolist() if track_fejer else [None] * len(x)
+        for i in live:
+            recs[i].add(n, pair[i], step[i], x[i], fsd[i])
+            if pair[i] <= cfg.tol and step[i] <= cfg.tol:
+                ends[i] = schemes.CONVERGED
+        live = [i for i in live if ends[i] == schemes.MAX_ITER]
+        if not live:
+            break
+        images, x_prev = (ta, tb), x
+    return [rec.finish(tag, end) for rec, end in zip(recs, ends)]

@@ -6,13 +6,14 @@ reject one fixed bad input each.
 """
 
 import math
+import re
 
 import numpy as np
 import pytest
 
 from semiflow.characterize import MAX_GRID_TIMES, certify_common_fixed, default_profile_grid
 from semiflow.cli import ExperimentConfig, main
-from semiflow.schemes import IterationConfig, make_schedule
+from semiflow.schemes import IterationConfig, make_schedule, parse_schedule
 from semiflow.semigroups import (
     decay,
     from_descriptor,
@@ -128,6 +129,27 @@ def test_cli_argument_errors_exit_64(capsys, tmp_path, monkeypatch, argv, flag):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and flag in err
     assert not (tmp_path / "x").exists()
+
+
+@pytest.mark.parametrize("flag, value, field", [
+    pytest.param("--semigroup", "rotation:period=abc", "semigroup parameter period=abc", id="period"),
+    pytest.param("--semigroup", "rotation:center=a,b", "semigroup parameter center=a,b", id="center"),
+    pytest.param("--semigroup", "decay:dim=2.5", "semigroup parameter dim=2.5", id="dim"),
+    pytest.param("--semigroup", "heat:matrix=bad.txt", "semigroup parameter matrix=bad.txt", id="matrix file"),
+    pytest.param("--schedule", "harmonic:x", "schedule offset=x", id="harmonic offset"),
+    pytest.param("--schedule", "power:abc", "schedule exponent=abc", id="power exponent"),
+    pytest.param("--schedule", "power:0.5,x", "schedule offset=x", id="power offset"),
+])
+def test_a_value_that_is_not_a_number_names_its_field(capsys, monkeypatch, tmp_path, flag, value, field):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "bad.txt").write_text("1 a\n2 3\n")
+    parse = from_descriptor if flag == "--semigroup" else parse_schedule
+    with pytest.raises(ValueError, match=f"^{re.escape(field)}: "):
+        parse(value)
+    argv = ["run", "--scheme", "halpern", "--semigroup", "rotation", "--alpha", "1", "--beta", str(SQRT2), "--u=1,0"]
+    assert main([*argv, flag, value]) == 64
+    out = capsys.readouterr()
+    assert out.out == "" and out.err.startswith(f"error: {field}: ")
 
 
 @pytest.mark.parametrize("spec", [rotation(period=1.0), decay(dim=2), heat(np.diag([0.0, 1.0]))], ids=lambda s: s.kind)

@@ -2,6 +2,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from semiflow.schemes import (
     _Recorder,
     _banach_solve,
     _double_block_average,
+    _float_blocks,
     baillon_double,
     baillon_power_average,
     browder_implicit,
@@ -48,6 +50,7 @@ from .oracles import (
     mann_decay_orbit,
     midpoint_rotation_matrix,
     per_step_drive,
+    per_step_rows,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -288,6 +291,25 @@ def test_rows_apply_each_operator_once_per_step_to_the_block(monkeypatch):
         assert {shape for _, shape in calls} == {(3, 2)}
 
 
+def test_one_start_is_iterated_as_a_point(monkeypatch):
+    # rows and one start share the driver's loop, but one start is iterated
+    # as a (d,) point, or on floats for mann and halpern on a d=2 rotation:
+    # as a (1, d) row it would cost several times more per iterate
+    calls = count_applications(monkeypatch, shapes=True)
+    float_path = []
+    monkeypatch.setattr(schemes, "_float_blocks", lambda *args: float_path.append(1) or _float_blocks(*args))
+    rng = np.random.default_rng(7)
+    for spec in (rotation(period=1.0, center=(0.5, -0.25)), decay(dim=3), heat(_path_laplacian(4))):
+        _, start, u = row_starts(spec, rng, 3)
+        for tag in ROW_SCHEMES:
+            calls.clear()
+            float_path.clear()
+            report = run_scheme(tag, spec, cfg(start=start, u=u, max_iter=40, tol=1e-15))
+            assert report.n_used > 8  # more than one block
+            assert calls and {shape for _, shape in calls} == {(spec.dim,)}, (tag, spec.kind)
+            assert bool(float_path) == (spec.kind == "rotation" and tag != "baillon_power_average"), (tag, spec.kind)
+
+
 def report_bits(report):
     """A report's JSON text and the bytes of every point it holds."""
     points = [r.point.tobytes() for r in report.iterates_recorded]
@@ -336,18 +358,27 @@ def block_specs():
     ]
 
 
-def block_cases():
-    """(tag, spec, start, anchor) for every tag of ROW_SCHEMES on every block_specs() flow,
-    and on a radius-1 rotation from a start on its boundary."""
+def block_flows():
+    """(spec, starts, anchor) for every block_specs() flow, and for a radius-1 rotation.
+
+    starts has three rows: a common fixed point, the start block_cases()
+    runs alone, and the anchor.  The radius-1 rotation's start lies on its
+    boundary, so its first images go through the exact projection on the
+    float path.
+    """
     rng = np.random.default_rng(18)
-    cases = []
+    flows = []
     for spec in block_specs():
         starts = row_starts(spec, rng, 3)
-        cases.extend((tag, spec, starts[1], starts[2]) for tag in ROW_SCHEMES)
-    # its first images go through the exact projection on the float path
+        flows.append((spec, starts, starts[2]))
     small = rotation(period=1.0, center=(0.5, -0.25), radius=1.0)
-    cases.extend((tag, small, np.array([1.5, -0.25]), np.array([0.5, 0.75])) for tag in ROW_SCHEMES)
-    return cases
+    flows.append((small, np.array([[0.5, -0.25], [1.5, -0.25], [0.5, 0.75]]), np.array([0.5, 0.75])))
+    return flows
+
+
+def block_cases():
+    """(tag, spec, start, anchor) for every tag of ROW_SCHEMES on every block_flows() flow."""
+    return [(tag, spec, starts[1], u) for spec, starts, u in block_flows() for tag in ROW_SCHEMES]
 
 
 def run_per_step(monkeypatch, tag, spec, c):
@@ -355,6 +386,27 @@ def run_per_step(monkeypatch, tag, spec, c):
     with monkeypatch.context() as m:
         m.setattr(schemes, "_drive", per_step_drive)
         return run_scheme(tag, spec, c)
+
+
+def rows_checked_per_step(monkeypatch, tag, spec, c):
+    """run_rows' reports, each checked against the per-step drivers'.
+
+    Bit for bit against the per-step driver of rows, and on a rotation or
+    on decay also against the per-step driver's run from the row alone.  A
+    heat flow's rows go through matrix products, which round differently
+    from one point's, so a row whose residual reaches the tolerance by
+    rounding may stop an iterate earlier or later than its run alone.
+    """
+    reports = run_rows(tag, spec, c)
+    with monkeypatch.context() as m:
+        m.setattr(schemes, "_drive", per_step_rows)
+        assert [report_bits(r) for r in reports] == [report_bits(r) for r in run_rows(tag, spec, c)], (
+            tag, spec.kind, spec.dim)
+    if spec.kind != "heat":
+        for x0, report in zip(c.start, reports):
+            alone = run_per_step(monkeypatch, tag, spec, replace(c, start=x0))
+            assert report_bits(report) == report_bits(alone), (tag, spec.kind, spec.dim, x0)
+    return reports
 
 
 def block_bounds(n_max):
@@ -373,30 +425,47 @@ def test_block_driver_equals_the_per_step_driver_at_every_budget(monkeypatch, bu
         c = cfg(start=start, u=u, max_iter=budget, tol=1e-15)
         assert report_bits(run_scheme(tag, spec, c)) == report_bits(run_per_step(monkeypatch, tag, spec, c)), (
             tag, spec.kind, spec.dim)
+    for spec, starts, u in block_flows():
+        for tag in ROW_SCHEMES:
+            rows_checked_per_step(monkeypatch, tag, spec, cfg(start=starts, u=u, max_iter=budget, tol=1e-15))
 
 
 def test_block_driver_stops_where_the_per_step_driver_does(monkeypatch):
     # tolerances read off the per-step run stop it on a block's first or
-    # last iterate or inside it, and the block driver must stop there too
+    # last iterate or inside it, and the block driver must stop there too,
+    # on one start and on rows of starts
     budget = 300
     blocks = block_bounds(budget)
     firsts = {first for first, _ in blocks}
     lasts = {last for _, last in blocks}
     targets = sorted({n for b in (blocks[0], blocks[1], blocks[12]) for n in (b[0], (b[0] + b[1]) // 2, b[1])})
-    hit = set()
-    for tag, spec, start, u in block_cases():
-        trace = run_per_step(monkeypatch, tag, spec, cfg(start=start, u=u, max_iter=budget, tol=1e-15, record_all=True))
-        worst = [max(r.pair_residual, r.step_norm) for r in trace.iterates_recorded]
-        for n in targets:
-            if n > len(worst):
-                continue
-            c = cfg(start=start, u=u, max_iter=budget, tol=max(worst[n - 1], 5e-324))
-            report = run_scheme(tag, spec, c)
-            assert report_bits(report) == report_bits(run_per_step(monkeypatch, tag, spec, c)), (
-                tag, spec.kind, spec.dim, n)
-            assert report.termination == "converged"
-            hit.add("first" if report.n_used in firsts else "last" if report.n_used in lasts else "inside")
+
+    def where(n):
+        return "first" if n in firsts else "last" if n in lasts else "inside"
+
+    hit, row_hit, apart = set(), set(), 0
+    for spec, starts, u in block_flows():
+        for tag in ROW_SCHEMES:
+            trace = run_per_step(monkeypatch, tag, spec,
+                                 cfg(start=starts[1], u=u, max_iter=budget, tol=1e-15, record_all=True))
+            worst = [max(r.pair_residual, r.step_norm) for r in trace.iterates_recorded]
+            for n in targets:
+                if n > len(worst):
+                    continue
+                c = cfg(start=starts[1], u=u, max_iter=budget, tol=max(worst[n - 1], 5e-324))
+                report = run_scheme(tag, spec, c)
+                assert report_bits(report) == report_bits(run_per_step(monkeypatch, tag, spec, c)), (
+                    tag, spec.kind, spec.dim, n)
+                assert report.termination == "converged"
+                hit.add(where(report.n_used))
+                # the same tolerance on rows: the fixed point ends at once, the others elsewhere
+                reports = rows_checked_per_step(monkeypatch, tag, spec, replace(c, start=starts))
+                row_hit.update(where(r.n_used) for r in reports if r.termination == "converged")
+                ends = {next(k for k, (first, last) in enumerate(blocks) if first <= r.n_used <= last) for r in reports}
+                apart += len(ends) > 1
     assert hit == {"first", "last", "inside"}
+    assert row_hit == {"first", "last", "inside"}
+    assert apart  # some runs' rows end in different blocks
 
 
 def test_block_driver_records_every_iterate_as_the_per_step_driver(monkeypatch):
