@@ -131,17 +131,17 @@ class ExperimentConfig:
     semigroup: str
     alpha: float
     beta: float
-    kappa: float = 0.25
-    lam: float = 0.25
+    kappa: float = IterationConfig.kappa
+    lam: float = IterationConfig.lam
     schedule: str | None = None
-    max_iter: int | None = None
-    tol: float = 1e-8
-    inner_tol: float = 1e-10
-    inner_cap: int = 100_000
+    max_iter: int | None = IterationConfig.max_iter
+    tol: float = IterationConfig.tol
+    inner_tol: float = IterationConfig.inner_tol
+    inner_cap: int = IterationConfig.inner_cap
     u: tuple | None = None
     x0: tuple | None = None
     seed: int = 0
-    record_all: bool = False
+    record_all: bool = IterationConfig.record_all
     csv: str | None = None
     json: str | None = None
 
@@ -304,7 +304,8 @@ def _cmd_sweep(args):
             for s in args.seeds]
     if base.scheme in ROW_SCHEMES and len(cfgs) > 1:
         # every seed at once, as the rows of one array; each report equals
-        # that seed's own run within rounding
+        # that seed's own run, except that a heat row rounds differently
+        # and may stop one iterate away
         starts = np.array([_sample_point(spec.domain, cfg.seed) for cfg in cfgs])
         reports = run_rows(base.scheme, spec, _iteration_config(spec, base, start=starts))
     else:

@@ -71,9 +71,9 @@ INNER_SOLVER_FAILURE = "inner_solver_failure"
 # counts as a monotonicity violation
 FEJER_SLACK = 1e-10
 
-# iterates past n = 100 that a run records: 128, 181, 256, 362, ... (the
-# powers of sqrt(2) from 2**7, rounded), up to past 2**63
-THINNED_KEPT = frozenset(int(round(2.0 ** (7 + k / 2.0))) for k in range(114))
+# the iterates a run records unless it records all: 1, ..., 100, then 128,
+# 181, 256, 362, ... (the powers of sqrt(2) from 2**7, rounded), up to past 2**63
+KEPT = frozenset(range(1, 101)) | {int(round(2.0 ** (7 + k / 2.0))) for k in range(114)}
 
 # the longest block of iterates _drive takes before testing them (see _drive)
 DRIVE_BLOCK = 256
@@ -267,8 +267,8 @@ class ConvergenceReport:
 class _Recorder:
     """Trace bookkeeping shared by all schemes.
 
-    Records every iterate up to n = 100 and then those in THINNED_KEPT,
-    always keeping the final iterate.  When asked, it also counts steps on
+    Records the iterates in KEPT (every iterate with record_all), always
+    keeping the final iterate.  When asked, it also counts steps on
     which the distance to the analytic fixed set rose by more than
     FEJER_SLACK.  The distance is only computed for iterates that are kept,
     unless that count needs it on every step.  A caller that has the
@@ -300,7 +300,7 @@ class _Recorder:
             if self._prev_fsd is not None and fsd > self._prev_fsd + FEJER_SLACK:
                 self.fejer_violations += 1
             self._prev_fsd = fsd
-        if self.record_all or n <= 100 or n in THINNED_KEPT:
+        if self.record_all or n in KEPT:
             self.records.append(self._record(n, pair_residual, step_norm, point, fsd))
         self._last = (n, pair_residual, step_norm, point, fsd)
 
@@ -754,9 +754,12 @@ def run_rows(tag, spec, cfg):
     """Run a scheme of ROW_SCHEMES from every row of the (B, d) array cfg.start.
 
     The B runs are iterated together, as the rows of one array.  Returns B
-    reports, one per row, in row order; each equals run_scheme's report for
-    that row alone, up to rounding on a heat flow.  Raises ValueError for
-    another scheme or a start that is not a (B, d) array.
+    reports, one per row, in row order.  On a rotation or decay flow each
+    equals run_scheme's report for that row alone bit for bit.  A heat
+    flow's rows round differently, so a row may stop one iterate earlier
+    or later than its run alone; the records both keep agree within
+    rounding.  Raises ValueError for another scheme or a start that is
+    not a (B, d) array.
     """
     fn = _scheme(tag)
     if tag not in ROW_SCHEMES:

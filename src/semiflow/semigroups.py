@@ -175,13 +175,14 @@ def _compile(spec, t):
 
     Returns (lift, rows, turn).  lift(xs) is the part that does not depend
     on t (heat: the eigen-coordinates xs V; otherwise xs itself), so an
-    orbit or a pair lifts its point once.  rows(lift(xs), out=None) is T(t) of every
-    row of a (B, d) array, or of one (d,) point at every time of a column;
-    decay and heat points take it too.  turn is the rotation's formula,
-    (x0, x1) -> (y0, y1) on the first two coordinates, written once: rows
-    applies it to numpy columns, and _point_step and _float_pair to one
-    point's coordinates as Python floats, the same IEEE operations.  It is
-    None for the other families.
+    orbit or a pair lifts its point once.  rows(lift(xs), out=None) is T(t)
+    of one (d,) point, of every row of a (B, d) array, or of one point at
+    every time of a column.  turn is the rotation's formula, (x0, x1) ->
+    (y0, y1) on the first two coordinates, written once: rows applies it to
+    numpy columns, and to one point's coordinates as Python floats when t
+    is a float and no out is given, which is cheaper there; _float_pair
+    applies it likewise.  Both do the same IEEE operations.  turn is None
+    for the other families.
     """
     lift = turn = None
     if spec.kind == ROTATION:
@@ -198,6 +199,10 @@ def _compile(spec, t):
             return cx + c * dx - s * dy, cy + s * dx + c * dy
 
         def rows(xs, out=None):
+            if xs.ndim == 1 and out is None and not lead:
+                ys = xs.copy()
+                ys[0], ys[1] = turn(xs.item(0), xs.item(1))
+                return ys
             ys = np.empty(lead + xs.shape) if out is None else out
             ys[...] = xs
             ys[..., :1], ys[..., 1:2] = turn(xs[..., :1], xs[..., 1:2])
@@ -217,17 +222,6 @@ def _compile(spec, t):
     else:
         raise ValueError(f"unknown semigroup kind {spec.kind!r}")
     return lift or np.asarray, rows, turn
-
-
-def _point_step(turn):
-    """The rotation's step for one point, cheaper than rows: turn on its
-    first two coordinates as Python floats, the others copied."""
-    def point(x):
-        y = x.copy()
-        y[0], y[1] = turn(x.item(0), x.item(1))
-        return y
-
-    return point
 
 
 def _checker(spec, rows=True, name="point", owner="semigroup"):
@@ -269,34 +263,28 @@ def _checked(spec, kernel, rows=True):
 def _kernel(spec, t):
     """operator(spec, t) without the check, for points known to lie in the domain."""
     if t == 0.0:
-        step = block = np.copy  # T(0) is the identity
+        step = np.copy  # T(0) is the identity
     else:
-        lift, rows, turn = _compile(spec, t)
+        lift, rows, _ = _compile(spec, t)
 
-        def block(xs):
+        def step(xs):
             return rows(lift(xs))
-
-        step = block if turn is None else _point_step(turn)
     domain = spec.domain
 
     def apply(x):
-        if x.ndim == 2:
-            return domain.project_rows(block(x))
-        return domain.project(step(x))
+        project = domain.project_rows if x.ndim == 2 else domain.project
+        return project(step(x))
 
     return apply
 
 
 def _pair_kernel(spec, alpha, beta):
     """pair_operator(spec, alpha, beta) without the check (see _kernel)."""
-    lift, rows_a, turn_a = _compile(spec, alpha)
-    _, rows_b, turn_b = _compile(spec, beta)  # lift does not depend on t
+    lift, rows_a, _ = _compile(spec, alpha)
+    _, rows_b, _ = _compile(spec, beta)  # lift does not depend on t
     domain = spec.domain
-    point_a, point_b = (None, None) if turn_a is None else (_point_step(turn_a), _point_step(turn_b))
 
     def apply(x):
-        if x.ndim == 1 and point_a is not None:
-            return domain.project(point_a(x)), domain.project(point_b(x))
         lifted = lift(x)
         project = domain.project_rows if x.ndim == 2 else domain.project
         return project(rows_a(lifted)), project(rows_b(lifted))
@@ -472,33 +460,35 @@ def _parse_value(convert, text, field):
         raise ValueError(f"{field}={text}: {exc}") from None
 
 
+# each family's constructor and descriptor keys: key -> (constructor argument, parser);
+# a key left out of a descriptor takes the constructor's default
+_DESCRIPTORS = {
+    ROTATION: (rotation, {"center": ("center", _floats), "period": ("period", float),
+                          "radius": ("radius", float), "dim": ("dim", int)}),
+    DECAY: (decay, {"dim": ("dim", int), "M": ("box_max", float)}),
+    HEAT: (heat, {"matrix": ("matrix", lambda path: np.loadtxt(path, ndmin=2)), "radius": ("radius", float)}),
+}
+
+
 def from_descriptor(text):
     """Build a SemigroupSpec from a textual descriptor.
 
     Examples: ``rotation:period=1,center=0,0``, ``decay:dim=2,M=10``,
-    ``heat:matrix=/path/to/matrix.txt``.  Optional keys: ``radius`` for
-    rotation and heat, ``dim`` for rotation.
+    ``heat:matrix=/path/to/matrix.txt``.  The keys are those of the
+    family's constructor (``M`` is decay's ``box_max``); ``matrix`` is
+    required, and every other key left out takes the constructor's
+    default.  Unknown keys are reported before any value is read.
     """
     kind, _, body = str(text).partition(":")
     kind = kind.strip()
     params = _split_params(body)
-
-    def take(key, default, convert=float):
-        text = params.pop(key, default)
-        return None if text is None else _parse_value(convert, text, f"semigroup parameter {key}")
-
-    if kind == ROTATION:
-        spec = rotation(take("center", "0,0", _floats), take("period", "1"), take("radius", "10"),
-                        dim=take("dim", None, int))
-    elif kind == DECAY:
-        spec = decay(take("dim", "2", int), take("M", "10"))
-    elif kind == HEAT:
-        a = take("matrix", None, lambda path: np.loadtxt(path, ndmin=2))
-        if a is None:
-            raise ValueError("heat descriptor needs matrix=<path>")
-        spec = heat(a, take("radius", "10"))
-    else:
+    if kind not in _DESCRIPTORS:
         raise ValueError(f"unknown semigroup kind {kind!r}")
-    if params:
-        raise ValueError(f"unknown semigroup parameters: {sorted(params)}")
-    return spec
+    build, keys = _DESCRIPTORS[kind]
+    unknown = sorted(params.keys() - keys.keys())
+    if unknown:
+        raise ValueError(f"unknown semigroup parameters: {unknown}")
+    if kind == HEAT and "matrix" not in params:
+        raise ValueError("heat descriptor needs matrix=<path>")
+    return build(**{name: _parse_value(parse, params[key], f"semigroup parameter {key}")
+                    for key, (name, parse) in keys.items() if key in params})

@@ -93,7 +93,7 @@ def combine(weights, points):
     """Affine combination sum_i w_i p_i of equal-dimension points.
 
     The weights must sum to 1 within 1e-12; with nonnegative weights this is
-    the convex combination used throughout the iteration schemes.
+    a convex combination.
     """
     pts = [as_point(p) for p in points]
     if not pts:

@@ -15,6 +15,7 @@ import semiflow
 from semiflow import cli
 from semiflow.characterize import NearRationalWarning
 from semiflow.cli import ExperimentConfig, _build_parser, _experiment_from_args, main
+from semiflow.schemes import IterationConfig
 
 SQRT2_STR = "1.4142135623730951"
 
@@ -421,6 +422,14 @@ def test_config_round_trip():
     assert _experiment_from_args(parser.parse_args(minimal)) == expected
     with pytest.raises(ValueError):
         ExperimentConfig(scheme="bogus", semigroup="decay:dim=1", alpha=1.0, beta=2.0)
+
+
+def test_run_defaults_are_the_iteration_defaults():
+    run = {f.name: f.default for f in dataclasses.fields(ExperimentConfig)}
+    shared = [f for f in dataclasses.fields(IterationConfig) if f.name in run]
+    assert {f.name for f in shared} >= {"kappa", "lam", "max_iter", "tol", "inner_tol", "inner_cap", "record_all"}
+    for f in shared:
+        assert run[f.name] == f.default and type(run[f.name]) is type(f.default), f.name
 
 
 # ---- sweep -------------------------------------------------------------------------

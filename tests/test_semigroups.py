@@ -11,7 +11,6 @@ from semiflow.semigroups import (
     _float_pair,
     _kernel,
     _pair_kernel,
-    _point_step,
     analytic_fixed_set,
     decay,
     evaluate,
@@ -215,19 +214,20 @@ def test_operator_is_bitwise_the_per_call_evaluator():
 
 
 def test_rotation_point_step_is_the_numpy_scalar_formula():
-    # the point step computes on Python floats, the same IEEE operations
-    # as the formula on numpy float64 scalars
+    # rows steps a (d,) point on Python floats, the same IEEE
+    # operations as the formula on numpy float64 scalars
     rng = np.random.default_rng(13)
     for spec in (rotation(center=(0.5, -0.25), period=1.0), rotation(center=(-3.1, 7.7), period=1.7, dim=3)):
         cx, cy = spec.center
         for t in (1.0, SQRT2, 7.3):
             angle = 2.0 * math.pi * t / spec.period
             c, s = math.cos(angle), math.sin(angle)
-            point = _point_step(_compile(spec, t)[2])
+            rows = _compile(spec, t)[1]
             for x in rng.uniform(-40.0, 40.0, size=(5000, spec.dim)):
                 dx, dy = x[0] - cx, x[1] - cy
                 expected = np.array([cx + c * dx - s * dy, cy + s * dx + c * dy, *x[2:]])
-                assert point(x).tobytes() == expected.tobytes(), (t, x)
+                y = rows(x)
+                assert y.shape == x.shape and y.tobytes() == expected.tobytes(), (t, x)
 
 
 def test_operator_keeps_the_evaluate_errors():
@@ -639,6 +639,19 @@ def test_descriptor_heat_reads_matrix(tmp_path):
     assert np.allclose(np.sort(spec.eigvals), [0.0, 1.0], atol=1e-12)
 
 
+def test_descriptor_keys_left_out_take_the_constructor_defaults(tmp_path):
+    spec, ref = from_descriptor("rotation:"), rotation()
+    assert spec.center.tolist() == ref.center.tolist() and spec.period == ref.period
+    assert spec.domain.radius == ref.domain.radius and spec.dim == ref.dim
+    spec, ref = from_descriptor("decay:"), decay()
+    assert spec.domain.lower.tolist() == ref.domain.lower.tolist()
+    assert spec.domain.upper.tolist() == ref.domain.upper.tolist()
+    path = tmp_path / "gen.txt"
+    np.savetxt(path, np.diag([0.0, 1.0]))
+    spec, ref = from_descriptor(f"heat:matrix={path}"), heat(np.diag([0.0, 1.0]))
+    assert spec.domain.radius == ref.domain.radius
+
+
 def test_descriptor_errors():
     with pytest.raises(ValueError):
         from_descriptor("swirl:period=1")
@@ -650,6 +663,11 @@ def test_descriptor_errors():
         from_descriptor("heat:")  # matrix path is required
     with pytest.raises(ValueError):
         from_descriptor("decay:3")  # stray value without a key
+    # an unknown key is reported before any value is read or found missing
+    for text in ("rotation:period=abc,bogus=2", "decay:M=x,dim=2.5,spin=1", "heat:matrix=missing.txt,bogus=2",
+                 "heat:bogus=2"):
+        with pytest.raises(ValueError, match=r"^unknown semigroup parameters: \['(bogus|spin)'\]$"):
+            from_descriptor(text)
 
 
 def test_descriptor_heat_path_may_hold_a_comma_and_a_space(tmp_path):
