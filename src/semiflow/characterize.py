@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from semiflow.semigroups import orbit_operator, pair_operator
+from semiflow.semigroups import _pair_kernel, orbit_operator, pair_operator
 # evaluate and euclid_sequence are not called here: the benchmark's tracer
 # (bench/spans.py) wraps them under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
@@ -187,15 +187,15 @@ def _plan(spec, alpha, beta, grid):
     """The point-free part of a residual profile of (spec, alpha, beta) on
     a grid, given as its float64 bytes or None for the default grid.
 
-    Returns (times as a tuple of floats, compiled orbit over them, compiled
-    pair x -> (T(alpha)x, T(beta)x)).  The key holds spec itself, which
-    compares by identity and is never changed.  An empty or invalid grid
-    raises, and nothing is cached for it.
+    Returns (times as a tuple of floats, compiled orbit over them, unchecked
+    pair x -> (T(alpha)x, T(beta)x) for points the orbit has checked).  The
+    key holds spec itself, which compares by identity and is never changed.
+    An empty or invalid grid raises, and nothing is cached for it.
     """
     times = default_profile_grid(alpha, beta) if grid is None else np.frombuffer(grid)
     if times.size == 0:  # orbit_operator() accepts an empty grid and checks the times
         raise ValueError("the profile grid must contain at least one time")
-    return tuple(times.tolist()), orbit_operator(spec, times), pair_operator(spec, alpha, beta)
+    return tuple(times.tolist()), orbit_operator(spec, times), _pair_kernel(spec, alpha, beta)
 
 
 def residual_profile(spec, x, grid, alpha, beta):
@@ -211,6 +211,7 @@ def residual_profile(spec, x, grid, alpha, beta):
         grid = np.asarray(grid, dtype=float).ravel().tobytes()
     times, orbit_rows, op_pair = _plan(spec, alpha, beta, grid)
     x = np.asarray(x, dtype=float)
+    # the orbit is the one check of x: it must run before the unchecked pair
     moved = orbit_rows(x)
     moved -= x
     residuals = np.sqrt(np.einsum("ij,ij->i", moved, moved))

@@ -19,6 +19,8 @@ they assume that the spec is never changed (a heat spectrum is read-only).
 Each public callable checks on every call that its argument lies within a
 small membership slack of the domain, and projects every output back into
 the domain, so long iteration loops cannot drift outside by rounding.
+Inside the package a point is checked once where it enters: the scheme
+driver, a certificate and a replay apply the unchecked kernels after that.
 """
 
 from __future__ import annotations
@@ -229,20 +231,17 @@ def _checker(spec, rows=True, name="point", owner="semigroup"):
 
     check(x) raises unless x is one float64 point of the flow's dimension
     inside the domain up to the membership slack, or, with ``rows``, a
-    (B, d) array of such points as rows.  Its messages call x ``name``.
+    (B, d) array of such points as rows (one exterior_distance call for
+    all of them).  Its messages call x ``name``.
     """
-    domain, shape = spec.domain, (spec.dim,)
+    domain, shape, max_ndim = spec.domain, (spec.dim,), 2 if rows else 1
 
     def check(x):
-        if x.shape == shape:
-            inside = domain.exterior_distance(x) <= MEMBERSHIP_SLACK
-        elif rows and x.ndim == 2 and x.shape[1:] == shape:
-            inside = (domain.exterior_distance_rows(x) <= MEMBERSHIP_SLACK).all()
-        else:
+        if x.ndim > max_ndim or x.shape[-1:] != shape:
             row_shape = x.shape[1:] if rows and x.ndim == 2 else x.shape
             raise ValueError(f"{name} has shape {row_shape}, {owner} expects {shape}")
         # written so that a NaN distance fails it too
-        if not inside:
+        if not (domain.exterior_distance(x) <= MEMBERSHIP_SLACK).all():
             raise ValueError(f"{name} lies outside the domain beyond the membership slack")
 
     return check
@@ -453,10 +452,10 @@ def _floats(text):
 
 
 def _parse_value(convert, text, field):
-    """convert(text), whose ValueError is raised again naming ``field`` and the text."""
+    """convert(text), whose ValueError or OSError is raised as a ValueError naming ``field`` and the text."""
     try:
         return convert(text)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         raise ValueError(f"{field}={text}: {exc}") from None
 
 

@@ -118,10 +118,10 @@ def _norm(v):
 
 
 def _row_norms(ys):
-    """Euclidean norm of every row of a float (B, d) array.
+    """Euclidean norm of a 1-D float vector, or of every row of a (B, d) array.
 
-    Each equals _norm of that row bit for bit: numpy.vecdot and the 1-D dot
-    reach the same BLAS dot kernel, which numpy.einsum does not.
+    Each equals _norm of that vector or row bit for bit: numpy.vecdot and
+    the 1-D dot reach the same BLAS dot kernel, which numpy.einsum does not.
     """
     return np.sqrt(np.vecdot(ys, ys))
 
@@ -151,12 +151,9 @@ class Ball:
         return self.center.size
 
     def exterior_distance(self, x):
-        """Distance from x to the ball (0 when inside, NaN for a NaN coordinate)."""
-        return max(_norm(np.asarray(x, float) - self.center) - self.radius, 0.0)
-
-    def exterior_distance_rows(self, ys):
-        """exterior_distance of every row of a float (B, d) array."""
-        return np.maximum(_row_norms(ys - self.center) - self.radius, 0.0)
+        """Distance from a point x to the ball, or the distances of the rows
+        of a (B, d) array: 0 inside, NaN for a NaN coordinate."""
+        return np.maximum(_row_norms(np.asarray(x, float) - self.center) - self.radius, 0.0)
 
     def contains(self, x, slack=0.0):
         return self.exterior_distance(x) <= slack
@@ -204,12 +201,9 @@ class Box:
         return self.lower.size
 
     def exterior_distance(self, x):
+        """As Ball.exterior_distance, for the box."""
         x = np.asarray(x, dtype=float)
-        return _norm(np.clip(x, self.lower, self.upper) - x)
-
-    def exterior_distance_rows(self, ys):
-        """exterior_distance of every row of a float (B, d) array."""
-        return _row_norms(np.clip(ys, self.lower, self.upper) - ys)
+        return _row_norms(np.clip(x, self.lower, self.upper) - x)
 
     def contains(self, x, slack=0.0):
         return self.exterior_distance(x) <= slack

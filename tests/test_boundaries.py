@@ -136,6 +136,8 @@ def test_cli_argument_errors_exit_64(capsys, tmp_path, monkeypatch, argv, flag):
     pytest.param("--semigroup", "rotation:center=a,b", "semigroup parameter center=a,b", id="center"),
     pytest.param("--semigroup", "decay:dim=2.5", "semigroup parameter dim=2.5", id="dim"),
     pytest.param("--semigroup", "heat:matrix=bad.txt", "semigroup parameter matrix=bad.txt", id="matrix file"),
+    pytest.param("--semigroup", "heat:matrix=nonexistent.txt", "semigroup parameter matrix=nonexistent.txt",
+                 id="matrix file missing"),
     pytest.param("--schedule", "harmonic:x", "schedule offset=x", id="harmonic offset"),
     pytest.param("--schedule", "power:abc", "schedule exponent=abc", id="power exponent"),
     pytest.param("--schedule", "power:0.5,x", "schedule offset=x", id="power offset"),

@@ -44,6 +44,7 @@ from semiflow.semigroups import (
     pair_operator,
     rotation,
 )
+from semiflow.stepseq import geometric, greedy_decompose, replay_action
 from semiflow.vecspace import Ball
 
 from .oracles import (
@@ -515,30 +516,39 @@ def test_converged_runs_discard_a_bounded_overshoot(monkeypatch):
 
 def test_driver_checks_only_the_start_and_the_anchor(monkeypatch):
     calls = []
-    for name in ("exterior_distance", "exterior_distance_rows"):
-        original = getattr(Ball, name)
+    original = Ball.exterior_distance
 
-        def counted(self, x, name=name, original=original):
-            calls.append((name, x.shape))
-            return original(self, x)
+    def counted(self, x):
+        calls.append(x.shape)
+        return original(self, x)
 
-        monkeypatch.setattr(Ball, name, counted)
+    monkeypatch.setattr(Ball, "exterior_distance", counted)
     spec = rotation(period=1.0, center=(0.5, -0.25))
     kw = dict(u=[1.0, 0.0], max_iter=500, tol=1e-14)
     report = halpern(spec, cfg(start=[0.0, 2.0], **kw))
     assert report.n_used == 500
-    assert calls == [("exterior_distance", (2,))] * 2
+    assert calls == [(2,)] * 2
     calls.clear()
     reports = run_rows("halpern", spec, cfg(start=[[0.0, 2.0], [-1.0, 1.0], [3.0, 0.0]], **kw))
     assert [r.n_used for r in reports] == [500] * 3
-    assert calls == [("exterior_distance", (2,)), ("exterior_distance_rows", (3, 2))]
+    assert calls == [(2,), (3, 2)]
+    # a certificate checks its point once, in its orbit, and a replay once, on entry
+    certify_common_fixed(spec, [0.5, -0.25], 1.0, SQRT2)  # warms the plan
+    calls.clear()
+    assert certify_common_fixed(spec, [0.5, -0.25], 1.0, SQRT2).verdict == "certified"
+    assert calls == [(2,)]
+    calls.clear()
+    decomp = greedy_decompose(2.0 * math.pi, geometric(0.5), 6)
+    assert sum(decomp.ks) >= 10
+    replay_action(spec, np.array([1.0, 2.0]), decomp)
+    assert calls == [(2,)]
     # the public callables still check every argument, once per call
     calls.clear()
     apply, op_pair = operator(spec, 1.0), pair_operator(spec, 1.0, SQRT2)
     for n in range(1, 4):
         apply(np.array([1.0, 2.0]))
         op_pair(np.array([1.0, 2.0]))
-        assert calls == [("exterior_distance", (2,))] * (2 * n)
+        assert calls == [(2,)] * (2 * n)
     for f in (apply, op_pair):
         with pytest.raises(ValueError, match=r"^point lies outside the domain beyond the membership slack$"):
             f(np.array([50.0, 0.0]))

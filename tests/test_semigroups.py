@@ -7,6 +7,7 @@ import pytest
 from semiflow.semigroups import (
     FLOAT_PAIR_MARGIN,
     ORBIT_BLOCK,
+    _checker,
     _compile,
     _float_pair,
     _kernel,
@@ -95,25 +96,48 @@ def test_time_zero_returns_a_new_array(spec):
 
 # ---- family laws ------------------------------------------------------------------
 
+def law_specs():
+    """builtin_specs(), then an off-center d=3 rotation, decay:dim=3 and the
+    heat flow of the 4-node path Laplacian."""
+    path4 = np.diag([1.0, 2.0, 2.0, 1.0]) - np.eye(4, k=1) - np.eye(4, k=-1)
+    return [
+        *builtin_specs(),
+        rotation(center=(0.5, -0.25), period=1.3, dim=3, radius=5.0),
+        decay(dim=3),
+        heat(path4),
+    ]
+
+
 def test_composition_law():
     rng = np.random.default_rng(1)
-    for spec in builtin_specs():
+    for spec in law_specs():
         pts = sample_inside(spec, rng, 200)
         ts = rng.uniform(0.0, 3.0, size=(200, 2))
         for x, (s, t) in zip(pts, ts):
             once = evaluate(spec, s + t, x)
             twice = evaluate(spec, s, evaluate(spec, t, x))
             assert np.linalg.norm(once - twice) <= 1e-9
+        # the rows form: all 200 points as one (B, d) array per pair of times
+        for s, t in ts[:20]:
+            once = operator(spec, s + t)(pts)
+            twice = operator(spec, s)(operator(spec, t)(pts))
+            assert np.linalg.norm(once - twice, axis=1).max() <= 1e-9, spec.kind
 
 
 def test_nonexpansiveness():
     rng = np.random.default_rng(2)
-    for spec in builtin_specs():
+    for spec in law_specs():
         pts = sample_inside(spec, rng, 400).reshape(200, 2, -1)
         ts = rng.uniform(0.0, 5.0, size=200)
         for (x, y), t in zip(pts, ts):
             lhs = np.linalg.norm(evaluate(spec, t, x) - evaluate(spec, t, y))
             assert lhs <= np.linalg.norm(x - y) + 1e-9
+        # the rows form: the 200 first and the 200 second points as two (B, d) arrays
+        xs, ys = pts[:, 0], pts[:, 1]
+        for t in ts[:20]:
+            apply = operator(spec, t)
+            lhs = np.linalg.norm(apply(xs) - apply(ys), axis=1)
+            assert (lhs <= np.linalg.norm(xs - ys, axis=1) + 1e-9).all(), spec.kind
 
 
 def test_time_continuity_small_increments():
@@ -338,6 +362,27 @@ def test_operator_rows_keep_the_point_errors():
     # orbit() takes one point, never rows
     with pytest.raises(ValueError, match=r"^point has shape \(2, 2\), semigroup expects \(2,\)$"):
         orbit(decay(dim=2), [0.0, 1.0], np.ones((2, 2)))
+
+
+def test_exterior_distance_of_rows_is_each_point_distance():
+    rng = np.random.default_rng(29)
+    for spec in (rotation(center=(0.5, -0.25), period=1.0, dim=3, radius=2.0), decay(dim=3, box_max=2.0)):
+        dom = spec.domain
+        xs = rng.uniform(-4.0, 4.0, size=(64, 3))  # inside and outside
+        if hasattr(dom, "radius"):
+            by_point = [max(vecspace._norm(x - dom.center) - dom.radius, 0.0) for x in xs]
+        else:
+            by_point = [vecspace._norm(np.clip(x, dom.lower, dom.upper) - x) for x in xs]
+        assert dom.exterior_distance(xs).tobytes() == np.array(by_point).tobytes(), spec.kind
+        assert [float(dom.exterior_distance(x)) for x in xs] == by_point, spec.kind
+        # a NaN row has a NaN distance, which the check rejects
+        check = _checker(spec)
+        inside = np.full((3, 3), 0.5)
+        check(inside)
+        inside[1, 2] = math.nan
+        assert np.isnan(dom.exterior_distance(inside)[1])
+        with pytest.raises(ValueError, match=r"^point lies outside the domain beyond the membership slack$"):
+            check(inside)
 
 
 def test_pair_operator_is_two_operator_calls_checked_once(monkeypatch):

@@ -8,6 +8,7 @@ from semiflow.stepseq import (
     BELOW_TOL,
     MAX_TERMS,
     EuclidSequence,
+    GreedyDecomposition,
     euclid_sequence,
     geometric,
     greedy_decompose,
@@ -234,3 +235,10 @@ def test_replay_validates_n():
         replay_action(spec, np.array([1.0]), dec, 0)
     with pytest.raises(ValueError):
         replay_action(spec, np.array([1.0]), dec, 4)
+
+
+@pytest.mark.parametrize("modulus", [-1.0, math.nan])
+def test_replay_checks_every_modulus_of_a_hand_built_decomposition(modulus):
+    dec = GreedyDecomposition(t=1.5, betas=(0.5, modulus), ks=(1, 2), deltas=(1.5, 1.0, 0.0))
+    with pytest.raises(ValueError, match=r"^time must be finite and nonnegative, got"):
+        replay_action(decay(dim=2), np.array([1.0, 2.0]), dec)
