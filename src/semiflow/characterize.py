@@ -13,7 +13,12 @@ common fixed points of the pair on strictly convex spaces.
 
 The point-free part of a profile is compiled once per (flow, pair, grid)
 and cached (see ``_plan``), as is the pair's near-rational verdict; the
-warning it triggers is still issued on every call.
+warning it triggers is still issued on every call.  A certificate reports
+only the profile's maximum and the first time that reaches it, so it
+computes only the orbit blocks that can hold that maximum: on a heat flow
+the residual is nondecreasing in t, and the spectrum bounds each block by
+its residual at the block's largest time (see ``_screened``).  Its numbers
+are still the bits that the whole profile gives.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from semiflow.semigroups import _pair_kernel, orbit_operator, pair_operator
+from semiflow.semigroups import HEAT, _checked, _orbit_blocks, _pair_kernel, _stacked, pair_operator
 # evaluate and euclid_sequence are not called here: the benchmark's tracer
 # (bench/spans.py) wraps them under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
@@ -51,8 +56,12 @@ __all__ = [
 NEAR_RATIONAL_QUOTIENT = 10**8
 
 # profile plans kept at once; one plan of the 504-time default grid on a
-# d=64 heat flow holds about 258 KB of factors
+# d=64 heat flow holds about 258 KB of factors and 4 KB of screen weights
 PLAN_CACHE_SIZE = 8
+
+# the relative error, as a share of ||x||, allowed to the orbit's and the
+# spectrum's residuals when a heat certificate drops orbit blocks (see _screened)
+SCREEN_MARGIN = 2.0 ** -30
 
 # times a profile grid may hold: 200 times the default grid's 505; an orbit
 # of this many d=64 points takes 51 MB
@@ -126,7 +135,7 @@ class ResidualProfile:
     residuals: tuple
     pair_residual: float
 
-    @functools.cached_property  # a scan of the whole grid, read three times per certificate
+    @functools.cached_property  # a scan of the whole grid; argmax_t reads it too
     def max_residual(self):
         return max(self.residuals)
 
@@ -187,38 +196,90 @@ def _plan(spec, alpha, beta, grid):
     """The point-free part of a residual profile of (spec, alpha, beta) on
     a grid, given as its float64 bytes or None for the default grid.
 
-    Returns (times as a tuple of floats, compiled orbit over them, unchecked
-    pair x -> (T(alpha)x, T(beta)x) for points the orbit has checked).  The
-    key holds spec itself, which compares by identity and is never changed.
-    An empty or invalid grid raises, and nothing is cached for it.
+    Returns (times as a tuple of floats, enter, blocks, pair, screen).
+    enter(x) checks x once, as orbit()'s callable does, and returns x as a
+    float array and its lift; blocks are semigroups._orbit_blocks' and pair
+    is the unchecked pair x -> (T(alpha)x, T(beta)x), both applied only to
+    an entered point.  screen is None, or for a heat flow of more than one
+    block the (blocks, d) weights (1 - e^{-t w})^2 at each block's largest
+    time t (see _screened).  The key holds spec itself, which compares by
+    identity and is never changed.  An empty or invalid grid raises, and
+    nothing is cached for it.
     """
     times = default_profile_grid(alpha, beta) if grid is None else np.frombuffer(grid)
-    if times.size == 0:  # orbit_operator() accepts an empty grid and checks the times
+    if times.size == 0:  # _orbit_blocks() accepts an empty grid and checks the times
         raise ValueError("the profile grid must contain at least one time")
-    return tuple(times.tolist()), orbit_operator(spec, times), _pair_kernel(spec, alpha, beta)
+    lift, blocks = _orbit_blocks(spec, times)
+    screen = None
+    if spec.kind == HEAT and len(blocks) > 1:
+        tops = np.array([times[at].max() for at, _ in blocks])
+        screen = np.square(np.expm1(-tops[:, None] * spec.eigvals))
+    enter = _checked(spec, lambda x: (x, lift(x)), rows=False)
+    return tuple(times.tolist()), enter, blocks, _pair_kernel(spec, alpha, beta), screen
+
+
+def _entered(spec, x, grid, alpha, beta):
+    """(times, blocks, pair, screen, x, lift(x)) for a profile of x: the
+    plan's, and x entered, that is checked once, as a float array."""
+    alpha, beta = _checked_pair(alpha, beta)
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float).ravel().tobytes()
+    times, enter, blocks, pair, screen = _plan(spec, alpha, beta, grid)
+    return (times, blocks, pair, screen) + enter(x)
+
+
+def _residuals(blocks, x, lifted):
+    """||T(t)x - x|| at each time of some of the plan's blocks, in their order."""
+    moved = _stacked(blocks, x, lifted)
+    moved -= x
+    return np.sqrt(np.einsum("ij,ij->i", moved, moved))
+
+
+def _screened(spec, blocks, screen, x, lifted):
+    """The blocks that can hold the profile's maximum: all of them, or on
+    heat only those that the spectrum cannot rule out.
+
+    On heat, r(t)^2 = sum_k (1 - e^{-t w_k})^2 y_k^2 with y = V^T x and
+    every w_k >= 0, so r is nondecreasing in t, and no residual of a block
+    exceeds r at the block's largest time.  That bound s_b is one row of
+    ``screen`` times y^2; the largest, s_top, is the bound of the block
+    that holds the grid's largest time.  When ||x|| <= R(1 - SCREEN_MARGIN),
+    no orbit row is projected, and the orbit's and the spectrum's residuals
+    each lie within delta = SCREEN_MARGIN * ||x|| of r (they agree within
+    2^-40 ||x|| in the tests).  A block with s_b < s_top - 4 delta then
+    holds residuals below s_b + 2 delta < s_top - 2 delta, and the orbit's
+    residual at the largest time is at least s_top - 2 delta, so the block
+    can neither hold the maximum nor tie it.  The blocks from the first to
+    the last that this rule keeps are computed, a contiguous run (on a
+    sorted grid, the last blocks).  Any other point or family keeps every
+    block.
+    """
+    if screen is None:
+        return blocks
+    norm = _norm(x)
+    if not norm <= spec.domain.radius * (1.0 - SCREEN_MARGIN):
+        return blocks
+    bounds = np.sqrt(screen @ (lifted * lifted))
+    kept = np.flatnonzero(bounds >= bounds.max() - 4.0 * SCREEN_MARGIN * norm)
+    return blocks[kept[0]:kept[-1] + 1]
 
 
 def residual_profile(spec, x, grid, alpha, beta):
     """Evaluate ||T(t)x - x|| on every t of the grid.
 
-    grid=None means default_profile_grid(alpha, beta).  The grid residuals
-    may differ from one-time-at-a-time norms by rounding, at most 1e-12 on
-    the built-in families; the pair residual is residual_pair's.  Raises
-    ValueError for an invalid pair, grid or point.
+    grid=None means default_profile_grid(alpha, beta).  The residuals are
+    those of the orbit's rows (orbit(spec, grid, x) - x), computed from
+    every block of the plan; they may differ from one-time-at-a-time norms
+    by rounding, at most 1e-12 on the built-in families.  The pair
+    residual is residual_pair's.  Raises ValueError for an invalid pair,
+    grid or point.
     """
-    alpha, beta = _checked_pair(alpha, beta)
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float).ravel().tobytes()
-    times, orbit_rows, op_pair = _plan(spec, alpha, beta, grid)
-    x = np.asarray(x, dtype=float)
-    # the orbit is the one check of x: it must run before the unchecked pair
-    moved = orbit_rows(x)
-    moved -= x
-    residuals = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+    times, blocks, pair, _, x, lifted = _entered(spec, x, grid, alpha, beta)
+    residuals = _residuals(blocks, x, lifted)
     return ResidualProfile(
         grid=times,
         residuals=tuple(residuals.tolist()),
-        pair_residual=_pair_residual(op_pair, x),
+        pair_residual=_pair_residual(pair, x),
     )
 
 
@@ -257,16 +318,27 @@ def certify_common_fixed(spec, x, alpha, beta, grid=None, tol=1e-8):
 
     The verdict is ``certified`` iff the pair residual is <= tol and the
     worst residual over the time grid is <= profile_tolerance(tol).  The
-    grid defaults to default_profile_grid(alpha, beta).
+    grid defaults to default_profile_grid(alpha, beta).  The certificate's
+    numbers are residual_profile's pair residual, maximum and argmax_t, bit
+    for bit, but only the orbit blocks that _screened keeps are computed:
+    on a heat point inside the domain by the screen's margin, often one
+    block of eight; on any other point or family, every block.
     """
     tol = _scalar("tol", tol)
-    profile = residual_profile(spec, x, grid, alpha, beta)
+    times, blocks, pair, screen, x, lifted = _entered(spec, x, grid, alpha, beta)
+    kept = _screened(spec, blocks, screen, x, lifted)
+    residuals = _residuals(kept, x, lifted)
+    # numpy's argmax is the first index of the maximum, as tuple.index is,
+    # and a dropped block holds no residual that ties it
+    i = int(residuals.argmax())
+    top = float(residuals[i])
+    pair_residual = _pair_residual(pair, x)
     ptol = profile_tolerance(tol)
-    certified = profile.pair_residual <= tol and profile.max_residual <= ptol
+    certified = pair_residual <= tol and top <= ptol
     return Certificate(
-        pair_residual=profile.pair_residual,
-        max_profile_residual=profile.max_residual,
-        argmax_t=profile.argmax_t,
+        pair_residual=pair_residual,
+        max_profile_residual=top,
+        argmax_t=times[kept[0][0].start + i],
         verdict="certified" if certified else "not_certified",
         tol=tol,
         profile_tol=ptol,

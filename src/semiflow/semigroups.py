@@ -14,7 +14,8 @@ against ground truth:
   eigendecomposition of A is computed once and cached on the spec.
 
 Each family's formula is written once, in ``_compile``, and the
-``operator``, ``pair_operator`` and ``orbit_operator`` compilers build on it;
+``operator``, ``pair_operator`` and ``orbit_operator`` compilers build on it
+(an orbit, and a certificate's profile, on ``_orbit_blocks``' blocks of times);
 they assume that the spec is never changed (a heat spectrum is read-only).
 Each public callable checks on every call that its argument lies within a
 small membership slack of the domain, and projects every output back into
@@ -64,7 +65,7 @@ KERNEL_TOL = 1e-10
 # smallest admissible generator eigenvalue; anything lower is rejected
 PSD_TOL = -1e-12
 
-# orbit_operator() compiles and computes its rows in blocks of about this
+# _orbit_blocks() compiles and computes an orbit's rows in blocks of about this
 # many entries (32 KB), so its temporaries stay small whatever the number
 # of times, and a heat block's matrix product is small enough that BLAS
 # runs it on the calling thread instead of waking a worker thread
@@ -361,39 +362,62 @@ def evaluate(spec, t, x):
     return operator(spec, t)(x)
 
 
-def orbit_operator(spec, times):
-    """Compile T(t_i) for a fixed array of times: return x -> (len(times), d) rows.
+def _orbit_blocks(spec, times):
+    """T(t_i) for an array of times, compiled a block of times at a time, unchecked.
 
     The times must be finite and nonnegative (ValueError naming the first
-    bad one); they are copied here.  The callable takes one point, checked
-    as operator()'s callable checks it, and returns row i = T(t_i)x,
-    projected into the domain.  Rows with t = 0 and decay rows equal
-    operator(spec, t)(x); other rows may differ from it by rounding, within
-    1e-12 on the built-in families.
+    bad one).  Returns (lift, blocks), blocks a list of (at, rows) in the
+    order of the times: at is the slice of the times one block covers,
+    and rows(x, lift(x), out=None) returns a (len, d) array, out if given,
+    whose row i is T(t)x of the block's i-th time, projected into the
+    domain; a row at t = 0 is domain.project(x), as operator(spec, 0.0)
+    computes it.  Nothing checks x.  A block holds about ORBIT_BLOCK
+    entries, and where the blocks split the times decides the bits of heat
+    rows (a matrix product rounds a row with the size of its batch), so
+    every orbit, and every certificate's profile, is split here.
     """
     t = np.array(times, dtype=float).ravel()
     bad = ~np.isfinite(t) | (t < 0.0)
     if bad.any():
         _scalar("time", t[bad][0], positive=False)  # raises
     step = ORBIT_BLOCK // spec.dim
-    lift, blocks = np.asarray, []
+    lift, blocks, domain = np.asarray, [], spec.domain
     for lo in range(0, t.size, step):
-        lift, rows, _ = _compile(spec, t[lo:lo + step, None])  # lift does not depend on t
-        blocks.append((slice(lo, lo + step), rows))
-    zero = t == 0.0
-    domain = spec.domain
-    project_rows, shape = domain.project_rows, (t.size, spec.dim)
+        at = slice(lo, min(lo + step, t.size))
+        lift, rows, _ = _compile(spec, t[at, None])  # lift does not depend on t
 
-    def apply(x):
-        x0 = domain.project(x)  # T(0)x, as operator(spec, 0.0) computes it
-        out = np.empty(shape)
-        lifted = lift(x)
-        for rows_at, rows in blocks:
-            project_rows(rows(lifted, out=out[rows_at]))
-        out[zero] = x0
-        return out
+        def block(x, lifted, out=None, rows=rows, zero=np.flatnonzero(t[at] == 0.0)):
+            ys = domain.project_rows(rows(lifted, out=out))
+            if zero.size:
+                ys[zero] = domain.project(x)
+            return ys
 
-    return _checked(spec, apply, rows=False)
+        blocks.append((at, block))
+    return lift, blocks
+
+
+def _stacked(blocks, x, lifted):
+    """The rows of some of _orbit_blocks' blocks at x, stacked in their order."""
+    out = np.empty((sum(at.stop - at.start for at, _ in blocks), x.size))
+    hi = 0
+    for at, rows in blocks:
+        lo, hi = hi, hi + at.stop - at.start
+        rows(x, lifted, out=out[lo:hi])
+    return out
+
+
+def orbit_operator(spec, times):
+    """Compile T(t_i) for a fixed array of times: return x -> (len(times), d) rows.
+
+    The times must be finite and nonnegative (ValueError naming the first
+    bad one); they are copied here.  The callable takes one point, checked
+    as operator()'s callable checks it, and returns row i = T(t_i)x,
+    projected into the domain, computed in _orbit_blocks' blocks.  Rows
+    with t = 0 and decay rows equal operator(spec, t)(x); other rows may
+    differ from it by rounding, within 1e-12 on the built-in families.
+    """
+    lift, blocks = _orbit_blocks(spec, times)
+    return _checked(spec, lambda x: _stacked(blocks, x, lift(x)), rows=False)
 
 
 def orbit(spec, times, x):

@@ -1,3 +1,4 @@
+import contextlib
 import math
 import warnings
 from fractions import Fraction
@@ -9,14 +10,18 @@ import pytest
 from semiflow import characterize
 from semiflow.characterize import (
     PLAN_CACHE_SIZE,
+    SCREEN_MARGIN,
+    Certificate,
     NearRationalWarning,
     bruck_map,
     certify_common_fixed,
     default_profile_grid,
+    profile_tolerance,
     residual_pair,
     residual_profile,
 )
 from semiflow.semigroups import (
+    MEMBERSHIP_SLACK,
     analytic_fixed_set,
     decay,
     evaluate,
@@ -25,8 +30,10 @@ from semiflow.semigroups import (
     orbit,
     rotation,
 )
+from semiflow.vecspace import Ball
 
 SQRT2 = math.sqrt(2.0)
+BENCH_DIR = str(Path(__file__).resolve().parent.parent / "bench")
 
 
 def builtin_specs():
@@ -305,6 +312,149 @@ def test_an_explicit_grid_reuses_its_plan_by_its_bytes():
         with pytest.raises(ValueError, match=r"^the profile grid must contain at least one time$"):
             residual_profile(spec, x, [], 1.0, SQRT2)
     assert characterize._plan.cache_info().currsize == 4
+
+
+# ---- certificates from the orbit blocks that can hold the maximum -----------------
+
+def heat_flow(rng, d, kernel_dim, scale):
+    """A d=dim heat flow with a kernel of kernel_dim dimensions and its
+    other eigenvalues uniform on scale * [0.5, 4]."""
+    q, _ = np.linalg.qr(rng.normal(size=(d, d)))
+    w = np.concatenate([np.zeros(kernel_dim), scale * rng.uniform(0.5, 4.0, d - kernel_dim)])
+    a = (q * w) @ q.T
+    return heat(0.5 * (a + a.T))
+
+
+def certificate_from_profile(spec, x, alpha, beta, grid, tol=1e-8):
+    """The certificate that residual_profile's maximum and first argmax,
+    taken over every orbit block, give."""
+    prof = residual_profile(spec, x, grid, alpha, beta)
+    ptol = profile_tolerance(tol)
+    certified = prof.pair_residual <= tol and prof.max_residual <= ptol
+    verdict = "certified" if certified else "not_certified"
+    return Certificate(prof.pair_residual, prof.max_residual, prof.argmax_t, verdict, tol, ptol)
+
+
+def counted_blocks(monkeypatch):
+    """The row counts of the orbit blocks computed from here on: each block
+    projects its rows with one Ball.project_rows call, and nothing else in a
+    heat or rotation certificate calls it."""
+    rows = []
+    original = Ball.project_rows
+
+    def counted(self, ys):
+        rows.append(len(ys))
+        return original(self, ys)
+
+    monkeypatch.setattr(Ball, "project_rows", counted)
+    return rows
+
+
+def at_norm(rng, d, norm):
+    g = rng.normal(size=d)
+    return g * (norm / np.linalg.norm(g))
+
+
+def test_a_certificate_is_its_profiles_maximum_and_first_argmax_bit_for_bit(monkeypatch):
+    # a heat certificate computes only the blocks that the spectrum cannot
+    # rule out; its numbers must still be the ones every block gives
+    rng = np.random.default_rng(71)
+    rows = counted_blocks(monkeypatch)
+    # unsorted, with duplicates and t = 0 twice, and one that spans more than one block at every d
+    unsorted = rng.permutation(np.concatenate([np.linspace(0.0, 6.0, 301), [0.0, 2.5, 2.5, 6.0]]))
+    long_grid = np.linspace(0.0, 20.0, 4500)
+    # (d, kernel dimension, eigenvalue scale): scale 250 puts w up to 1e3, whose
+    # profiles saturate into near-ties after t of about 0.3
+    flows = [(1, 0, 1.0), (1, 1, 1.0), (3, 1, 1.0), (9, 2, 1.0), (16, 2, 1.0), (64, 4, 1.0),
+             (3, 0, 250.0), (9, 1, 250.0), (64, 1, 250.0), (16, 2, 2.5e-4)]
+    n_screened = n_cases = 0
+    for d, kernel_dim, scale in flows:
+        spec = heat_flow(rng, d, kernel_dim, scale)
+        radius = spec.domain.radius
+        kernel = spec.eigvecs[:, spec.eigvals <= 1e-10]
+        moved = [at_norm(rng, d, radius * u) for u in rng.uniform(0.05, 0.95, 2)]
+        # ||x|| = R(1 - 2 SCREEN_MARGIN) still proves every projection inactive
+        moved.append(at_norm(rng, d, radius * (1.0 - 2.0 * SCREEN_MARGIN)))
+        fixed = [kernel @ at_norm(rng, kernel.shape[1], 3.0)] if kernel.size else []
+        # within SCREEN_MARGIN * R of the boundary, and outside it within the slack: every block
+        unscreened = [at_norm(rng, d, radius * (1.0 - 0.5 * SCREEN_MARGIN)),
+                      at_norm(rng, d, radius + 0.5 * MEMBERSHIP_SLACK)]
+        for grid in (None, unsorted) + ((long_grid,) if d <= 16 else ()):
+            for x in moved + fixed + unscreened:
+                for alpha, beta in ((1.0, SQRT2), (1.0, 2.0)):
+                    with pytest.warns(NearRationalWarning) if beta == 2.0 else contextlib.nullcontext():
+                        rows.clear()
+                        expected = certificate_from_profile(spec, x, alpha, beta, grid)
+                        every_block = list(rows)
+                        rows.clear()
+                        cert = certify_common_fixed(spec, x, alpha, beta, grid=grid)
+                    assert repr(cert) == repr(expected), (d, scale, grid is None, x)
+                    assert type(cert.max_profile_residual) is float and type(cert.argmax_t) is float
+                    # never more blocks than the profile's
+                    assert sum(rows) <= sum(every_block) and set(rows) <= set(every_block)
+                    # a kernel point's residuals are rounding noise far below the margin
+                    if not any(x is y for y in moved):
+                        assert rows == every_block, (d, scale, x)
+                    elif len(every_block) > 1:
+                        n_screened += rows != every_block
+                        n_cases += 1
+    # saturated profiles keep their near-tied blocks; 60 of the 108 moved cases drop some
+    assert n_screened >= n_cases // 4, (n_screened, n_cases)
+
+
+def test_orbit_and_spectral_residuals_agree_far_inside_the_screen_margin():
+    # on heat, r(t)^2 = sum_k (1 - e^{-t w_k})^2 y_k^2 with y = V^T x; the
+    # screen allows the orbit's and its own residuals SCREEN_MARGIN ||x|| =
+    # 2^-30 ||x|| each, and both sit within 2^-40 ||x|| of each other
+    rng = np.random.default_rng(73)
+    grid = default_profile_grid(1.0, SQRT2)
+    worst = 0.0
+    for d in (1, 2, 3, 5, 8, 16, 33, 64):
+        for scale in (2.5e-4, 1.0, 250.0):
+            spec = heat_flow(rng, d, d // 4, scale)
+            times, _, blocks, _, screen = characterize._plan(spec, 1.0, SQRT2, None)
+            for x in sample_inside(spec, rng, 3):
+                residuals = np.array(residual_profile(spec, x, None, 1.0, SQRT2).residuals)
+                y = x @ spec.eigvecs
+                spectral = np.sqrt(np.square(np.expm1(-np.outer(grid, spec.eigvals))) @ (y * y))
+                norm = np.linalg.norm(x)
+                worst = max(worst, np.abs(residuals - spectral).max() / norm)
+                if screen is not None:
+                    # the plan's bound of each block is r at that block's largest time
+                    tops = [at.start + int(np.argmax(grid[at])) for at, _ in blocks]
+                    bounds = np.sqrt(screen @ (y * y))
+                    worst = max(worst, np.abs(residuals[tops] - bounds).max() / norm)
+    assert worst <= 2.0 ** -40, math.log2(worst)
+
+
+def test_a_moved_benchmark_heat_point_computes_one_block_and_a_kernel_point_all_eight(monkeypatch):
+    # certify_mixed's d=64 heat flow at seed 1, on the default grid's eight blocks
+    monkeypatch.syspath_prepend(BENCH_DIR)
+    import inputs
+
+    data = inputs.certify_inputs(1)
+    spec = heat(data["heat_matrix"])
+    rows = counted_blocks(monkeypatch)
+    for x, is_fixed in data["heat_points"]:
+        # the benchmark's pairs, the rational one included
+        for alpha, beta in ((1.0, SQRT2), (1.0, inputs.GOLDEN), (1.0, 2.0)):
+            every_block = [64] * 7 + [len(default_profile_grid(alpha, beta)) - 7 * 64]
+            with pytest.warns(NearRationalWarning) if beta == 2.0 else contextlib.nullcontext():
+                certify_common_fixed(spec, x, alpha, beta)  # warms the plan
+                rows.clear()
+                cert = certify_common_fixed(spec, x, alpha, beta)
+                assert (cert.verdict == "certified") == is_fixed
+                assert rows == (every_block if is_fixed else every_block[-1:]), (is_fixed, rows)
+                # a profile computes every block
+                rows.clear()
+                residual_profile(spec, x, None, alpha, beta)
+                assert rows == every_block
+    # a rotation has no screen: a moved point of a d=64 rotation computes every block too
+    spec = rotation(center=(0.5, -0.25), dim=64)
+    x = spec.domain.center + at_norm(np.random.default_rng(5), 64, 3.0)
+    rows.clear()
+    assert certify_common_fixed(spec, x, 1.0, SQRT2).verdict == "not_certified"
+    assert rows == [64] * 7 + [len(default_profile_grid(1.0, SQRT2)) - 7 * 64]
 
 
 # ---- two-generator equivalence (the main characterization, sampled) ----------------
