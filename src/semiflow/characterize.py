@@ -165,8 +165,9 @@ def residual_pair(spec, x, alpha, beta):
     return _pair_residual(pair_operator(spec, alpha, beta), np.asarray(x, dtype=float))
 
 
-def _pair_residual(op_pair, x):
-    ta, tb = op_pair(x)
+def _pair_residual(op_pair, x, *lifted):
+    """max(||T(alpha)x - x||, ||T(beta)x - x||); a plan's unchecked pair is also passed x's lift."""
+    ta, tb = op_pair(x, *lifted)
     return max(_norm(ta - x), _norm(tb - x))
 
 
@@ -199,10 +200,11 @@ def _plan(spec, alpha, beta, grid):
     Returns (times as a tuple of floats, enter, blocks, pair, screen).
     enter(x) checks x once, as orbit()'s callable does, and returns x as a
     float array and its lift; blocks are semigroups._orbit_blocks' and pair
-    is the unchecked pair x -> (T(alpha)x, T(beta)x), both applied only to
-    an entered point.  screen is None, or for a heat flow of more than one
-    block the (blocks, d) weights (1 - e^{-t w})^2 at each block's largest
-    time t (see _screened).  The key holds spec itself, which compares by
+    is the unchecked pair (x, lift(x)) -> (T(alpha)x, T(beta)x), both
+    applied only to an entered point and its lift, which neither computes
+    again.  screen is None, or for a heat flow of more than one block the
+    (blocks, d) weights (1 - e^{-t w})^2 at each block's largest time t
+    (see _screened).  The key holds spec itself, which compares by
     identity and is never changed.  An empty or invalid grid raises, and
     nothing is cached for it.
     """
@@ -279,7 +281,7 @@ def residual_profile(spec, x, grid, alpha, beta):
     return ResidualProfile(
         grid=times,
         residuals=tuple(residuals.tolist()),
-        pair_residual=_pair_residual(pair, x),
+        pair_residual=_pair_residual(pair, x, lifted),
     )
 
 
@@ -332,7 +334,7 @@ def certify_common_fixed(spec, x, alpha, beta, grid=None, tol=1e-8):
     # and a dropped block holds no residual that ties it
     i = int(residuals.argmax())
     top = float(residuals[i])
-    pair_residual = _pair_residual(pair, x)
+    pair_residual = _pair_residual(pair, x, lifted)
     ptol = profile_tolerance(tol)
     certified = pair_residual <= tol and top <= ptol
     return Certificate(

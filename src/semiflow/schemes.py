@@ -116,6 +116,14 @@ class Schedule:
             return 1.0 / (n + self.offset)
         return (n + self.offset) ** (-self.p)
 
+    def block(self, n, size):
+        """[self(m) for m in range(n, n + size)], bit for bit, in one call."""
+        ks = range(n + self.offset, n + self.offset + size)
+        if self.p == 1.0:
+            return [1.0 / k for k in ks]
+        p = -self.p
+        return [k ** p for k in ks]
+
     def descriptor(self):
         if self.kind == "harmonic":
             return f"harmonic:{self.offset}"
@@ -272,7 +280,7 @@ class _Recorder:
     which the distance to the analytic fixed set rose by more than
     FEJER_SLACK.  The distance is only computed for iterates that are kept,
     unless that count needs it on every step.  A caller that has the
-    distance already passes it to add().
+    distances already passes them in.
     """
 
     def __init__(self, spec, track_fejer=False, record_all=False):
@@ -293,16 +301,41 @@ class _Recorder:
             point=point,  # no copy: no scheme mutates an iterate in place
         )
 
-    def add(self, n, pair_residual, step_norm, point, fsd=None):
+    def add_block(self, n, xs, pair, step, fsd=None, tol=-math.inf):
+        """Take the iterates x_n, x_{n+1}, ... of a block up to the first
+        whose pair residual and step are both at most tol, and return
+        whether there was one.
+
+        xs, pair and step hold the block's iterates, pair residuals and
+        step norms, and fsd their fixed-set distances or None.  Each
+        iterate taken counts toward the Fejer count, against the one before
+        it (the previous block's last for the first), and a record is built
+        only for the kept ones; the last one taken is kept for finish().
+        """
+        done = False
+        for k, p, s in zip(range(1, len(pair) + 1), pair, step):  # k: the iterates taken
+            if p <= tol and s <= tol:
+                done = True
+                break
         if self.track_fejer:
             if fsd is None:
-                fsd = fixed_set_distance(self.fixed_set, point)
-            if self._prev_fsd is not None and fsd > self._prev_fsd + FEJER_SLACK:
-                self.fejer_violations += 1
-            self._prev_fsd = fsd
-        if self.record_all or n in KEPT:
-            self.records.append(self._record(n, pair_residual, step_norm, point, fsd))
-        self._last = (n, pair_residual, step_norm, point, fsd)
+                fsd = [fixed_set_distance(self.fixed_set, x) for x in xs[:k]]
+            prev = self._prev_fsd
+            for f in fsd[:k]:
+                if prev is not None and f > prev + FEJER_SLACK:
+                    self.fejer_violations += 1
+                prev = f
+            self._prev_fsd = prev
+        fs = [None] * k if fsd is None else fsd
+        append, record = self.records.append, self._record
+        for i in range(k) if self.record_all else [i for i in range(k) if n + i in KEPT]:
+            append(record(n + i, pair[i], step[i], xs[i], fs[i]))
+        self._last = (n + k - 1, pair[k - 1], step[k - 1], xs[k - 1], fs[k - 1])
+        return done
+
+    def add(self, n, pair_residual, step_norm, point, fsd=None):
+        """add_block of the one iterate x_n, which never stops."""
+        self.add_block(n, [point], [pair_residual], [step_norm], None if fsd is None else [fsd])
 
     def finish(self, tag, termination, inner=None):
         n = self._last[0]
@@ -338,10 +371,11 @@ def _require_point(spec, cfg, name, tag, rows=False):
 class _Rule:
     """An explicit update x_{n+1} = update(w_n, x_n, T(alpha)x_n, T(beta)x_n, anchor).
 
-    w_n is weight(n), or None without a weight.  update takes numpy
-    arrays, or one coordinate of each as Python floats, and does the same
-    IEEE operations in the same order on both, so the two give the same
-    bits.  Called as a scheme's ``iterates`` (see _drive), it is the
+    weight is a Schedule, and w_n is weight(n), or None without a weight
+    (the float path takes a block's weights in one Schedule.block call).
+    update takes numpy arrays, or one coordinate of each as Python floats,
+    and does the same IEEE operations in the same order on both, so the
+    two give the same bits.  Called as a scheme's ``iterates`` (see _drive), it is the
     generator of the array path.
     """
 
@@ -356,18 +390,16 @@ class _Rule:
             x = update(None if weight is None else weight(n), x, ta, tb, anchor)
 
 
-def _block_norms(rows):
+def _block_norms(before, block, ta, tb):
     """The pair residuals and step norms of a block's iterates, as lists of floats.
 
-    rows: the iterate before the block (x_1 itself for x_1, whose step is
-    0.0), the block's iterates, their T(alpha) images, their T(beta)
+    before holds the iterate before each of the block's (x_1 itself for
+    x_1, whose step is 0.0), and ta and tb their T(alpha) and T(beta)
     images.  One _row_norms call each, which equal _norm's bit for bit; a
     block of (B, d) iterates gives a list of B floats per iterate.
     """
-    size = len(rows) // 3
-    block, ta, tb = rows[1:].reshape(3, size, *rows.shape[1:])
     pair = np.maximum(_row_norms(ta - block), _row_norms(tb - block))
-    return pair.tolist(), _row_norms(block - rows[:size]).tolist()
+    return pair.tolist(), _row_norms(block - before).tolist()
 
 
 def _array_blocks(orbit, op_pair):
@@ -395,7 +427,8 @@ def _array_blocks(orbit, op_pair):
         else:
             # one concatenate costs less than np.array or np.stack on small arrays
             rows = np.concatenate([xs[0] if prev is None else prev, *xs, *tas, *tbs])
-            pair, step = _block_norms(rows.reshape(3 * size + 1, *x.shape))
+            rows = rows.reshape(3 * size + 1, *x.shape)
+            pair, step = _block_norms(rows[:size], *rows[1:].reshape(3, size, *x.shape))
         prev = xs[-1]
         return xs, pair, step
 
@@ -406,29 +439,30 @@ def _float_blocks(float_pair, rule, x):
     """_array_blocks for a _Rule from one d=2 start x, iterated on Python floats.
 
     Each iterate's images come from one float_pair call (see
-    _float_pair), and its successor from two calls of rule.update, one per
-    coordinate.  A block's rows are built with one np.array call, and its
-    iterates are returned as those rows.
+    _float_pair), its weight from one Schedule.block call per block, and
+    its successor from two calls of rule.update, one per coordinate.  A
+    block's iterates and images are read into one (size + 1, 3, 2) array
+    with one np.fromiter call, and its iterates are returned as rows of it.
     """
     update, weight = rule.update, rule.weight
     u0, u1 = (None, None) if rule.anchor is None else rule.anchor.tolist()
-    x0, x1 = p0, p1 = x.tolist()  # p: the iterate before the block
+    x0, x1 = x.tolist()
+    # the iterate before the block (x_1 itself at first), then its images, which go unused
+    last = (x0, x1) * 3
     n = 1  # (x0, x1) is x_n
 
     def take(size):
-        nonlocal x0, x1, p0, p1, n
-        xs, tas, tbs = [p0, p1], [], []  # xs: the iterate before the block, then the block's
-        for _ in range(size):
+        nonlocal x0, x1, last, n
+        out = [last]
+        for w in [None] * size if weight is None else weight.block(n, size):
             a0, a1, b0, b1 = float_pair(x0, x1)
-            xs += (x0, x1)
-            tas += (a0, a1)
-            tbs += (b0, b1)
-            w = None if weight is None else weight(n)
-            p0, p1 = x0, x1
+            out.append((x0, x1, a0, a1, b0, b1))
             x0, x1 = update(w, x0, a0, b0, u0), update(w, x1, a1, b1, u1)
-            n += 1
-        rows = np.array(xs + tas + tbs).reshape(3 * size + 1, 2)
-        return rows[1 : size + 1], *_block_norms(rows)
+        n += size
+        last = out[-1]
+        rows = np.fromiter(itertools.chain.from_iterable(out), float, 6 * size + 6).reshape(size + 1, 3, 2)
+        xs = rows[1:, 0]
+        return xs, *_block_norms(rows[:-1, 0], xs, rows[1:, 1], rows[1:, 2])
 
     return take
 
@@ -443,31 +477,35 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     unchecked kernels of T(alpha), T(beta) and x -> (T(alpha)x, T(beta)x):
     every iterate is a convex combination of the checked start and anchor
     and of projected images.  Its generator yields x_1, x_2, ... and is
-    sent (T(alpha)x_n, T(beta)x_n) for the x_n it yielded last.  Each x_n
-    is recorded, then tested for an inner-solver failure (``inner`` holds
-    the implicit scheme's (sweeps, residual, solved) per step), then for
-    convergence, then against n_max.
+    sent (T(alpha)x_n, T(beta)x_n) for the x_n it yielded last.
 
     The iterates are taken a block at a time (_array_blocks), and the
     block's pair residuals and step norms with one _row_norms call each
-    (_block_norms).  After n iterates, a ROW_SCHEMES run takes a block of
-    min(DRIVE_BLOCK, max(8, n // 8)) more, so a run that converges inside
+    (_block_norms).  The recorder takes the whole block in one
+    _Recorder.add_block call: it stops at the block's first converged
+    iterate, counts the block's Fejer rises, and builds a record only for
+    the kept iterates and the last one it took.  The run then stops on an
+    inner-solver failure (``inner`` holds the implicit scheme's (sweeps,
+    residual, solved) per step), on convergence, or at n_max, as a test of
+    each x_n in turn would.  After n iterates, a ROW_SCHEMES run takes a
+    block of min(DRIVE_BLOCK, max(8, n // 8)) more, so a run that converges inside
     a block computes at most max(8, n // 8) - 1 iterates past its last and
     discards them.  The other schemes take blocks of 1, so none runs
     ahead: their step n costs O(n) operator applications or more (O(n^2)
     for suzuki_averaged_mann), and the implicit scheme's inner failure
     must stop the run at once.  When ``iterates`` is a _Rule, the start is
     one point and the flow has a float pair (a d=2 rotation, see
-    _float_pair), the blocks are iterated on Python floats instead
-    (_float_blocks).  Either way the report is bit for bit the one a test
+    _float_pair), the blocks are iterated on Python floats instead, with a
+    block's weights from one Schedule.block call (_float_blocks).  Either
+    way the report is bit for bit the one a test and a _Recorder.add call
     of each iterate with two _norm calls gives.
 
     B starts are iterated as the rows of one array, through the same
-    blocks.  Each row has its own _Recorder, which sees the row until its
-    own termination, and for the Fejer count the distances of a (B, d)
-    iterate's rows are taken with one fixed_set_distance call.  A row that
-    has ended is still updated, but no longer recorded, until every row
-    has ended.  Returns one report, or one per row.
+    blocks.  Each row has its own _Recorder, which takes the row's column
+    of each block through the same add_block until its own termination,
+    and for the Fejer count the distances of a (B, d) iterate's rows are
+    taken with one fixed_set_distance call.  A row that has ended is still
+    updated, but no longer recorded, until every row has ended.  Returns one report, or one per row.
     """
     x0 = _require_point(spec, cfg, "start", tag, rows=tag in ROW_SCHEMES)
     n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
@@ -490,18 +528,13 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
         size = min(n_max - n, DRIVE_BLOCK, max(8, n // 8)) if tag in ROW_SCHEMES else 1
         xs, pair, step = take(size)
         if x0.ndim == 1:
-            runs = [(xs, pair, step, itertools.repeat(None))]
+            runs = [(xs, pair, step, None)]
         else:
-            fsd = ([fixed_set_distance(recs[0].fixed_set, x).tolist() for x in xs] if track_fejer
-                   else [[None] * len(recs)] * size)
-            runs = list(zip(zip(*xs), zip(*pair), zip(*step), zip(*fsd)))
+            fsd = [fixed_set_distance(recs[0].fixed_set, x).tolist() for x in xs] if track_fejer else None
+            runs = list(zip(zip(*xs), zip(*pair), zip(*step), zip(*fsd) if fsd else itertools.repeat(None)))
         for i in live:
-            add = recs[i].add
-            for m, x, p, s, f in zip(itertools.count(n + 1), *runs[i]):
-                add(m, p, s, x, f)
-                if p <= tol and s <= tol:
-                    ends[i] = CONVERGED
-                    break
+            if recs[i].add_block(n + 1, *runs[i], tol):
+                ends[i] = CONVERGED
         n += size
         if inner is not None and not inner[-1][2]:
             ends = [INNER_SOLVER_FAILURE]

@@ -17,6 +17,8 @@ Each family's formula is written once, in ``_compile``, and the
 ``operator``, ``pair_operator`` and ``orbit_operator`` compilers build on it
 (an orbit, and a certificate's profile, on ``_orbit_blocks``' blocks of times);
 they assume that the spec is never changed (a heat spectrum is read-only).
+Only the float pair of a d=2 rotation, beside ``_compile``, writes the
+rotation's two lines out again, for both times of a pair at once.
 Each public callable checks on every call that its argument lies within a
 small membership slack of the domain, and projects every output back into
 the domain, so long iteration loops cannot drift outside by rounding.
@@ -176,18 +178,19 @@ def heat(matrix, radius=10.0):
 def _compile(spec, t):
     """T(t) before projection, for a float t or a (B, 1) column of times.
 
-    Returns (lift, rows, turn).  lift(xs) is the part that does not depend
+    Returns (lift, rows, cs).  lift(xs) is the part that does not depend
     on t (heat: the eigen-coordinates xs V; otherwise xs itself), so an
     orbit or a pair lifts its point once.  rows(lift(xs), out=None) is T(t)
     of one (d,) point, of every row of a (B, d) array, or of one point at
-    every time of a column.  turn is the rotation's formula, (x0, x1) ->
-    (y0, y1) on the first two coordinates, written once: rows applies it to
-    numpy columns, and to one point's coordinates as Python floats when t
-    is a float and no out is given, which is cheaper there; _float_pair
-    applies it likewise.  Both do the same IEEE operations.  turn is None
-    for the other families.
+    every time of a column.  The rotation's formula is turn, (x0, x1) ->
+    (y0, y1) on the first two coordinates: rows applies it to numpy
+    columns, and to one point's coordinates as Python floats when t is a
+    float and no out is given, which is cheaper there.  Both do the same
+    IEEE operations.  cs is the rotation's (cos, sin) of its angle, which
+    _float_pair below turns one point by for both times of a pair with
+    turn's operations; it is None for the other families.
     """
-    lift = turn = None
+    lift = cs = None
     if spec.kind == ROTATION:
         angle = 2.0 * math.pi * t / spec.period
         if isinstance(t, float):
@@ -195,8 +198,9 @@ def _compile(spec, t):
         else:
             c, s, lead = np.cos(angle), np.sin(angle), t.shape[:1]
         cx, cy = spec.center.tolist()
+        cs = c, s
 
-        def turn(x0, x1):
+        def turn(x0, x1):  # _float_pair writes these two lines out for two angles at once
             dx = x0 - cx
             dy = x1 - cy
             return cx + c * dx - s * dy, cy + s * dx + c * dy
@@ -224,7 +228,48 @@ def _compile(spec, t):
             return np.matmul(coords * factors, vt, out=out)
     else:
         raise ValueError(f"unknown semigroup kind {spec.kind!r}")
-    return lift or np.asarray, rows, turn
+    return lift or np.asarray, rows, cs
+
+
+def _float_pair(spec, alpha, beta):
+    """_pair_kernel for one point of a d=2 rotation, on its coordinates as Python floats.
+
+    Returns (x0, x1) -> (a0, a1, b0, b1), the coordinates of T(alpha)x and
+    T(beta)x, each the bits of _pair_kernel's image, or None for any other
+    flow.  Both images are taken in one body: the offsets from the center
+    once, then _compile's turn for each angle, in the same IEEE operations.
+    An image is returned unprojected only when the sum of squares q of its
+    offset from the center, taken in floats, is at most
+    (R * (1 - FLOAT_PAIR_MARGIN))**2: Ball.project's dot product of that
+    offset is within a few ulps of q, so its norm is at most R and it would
+    return the image unchanged.  Every other image, NaN included, goes
+    through Ball.project on an array.
+    """
+    if spec.kind != ROTATION or spec.dim != 2:
+        return None
+    domain = spec.domain
+    cx, cy = domain.center.tolist()
+    limit = domain.radius * (1.0 - FLOAT_PAIR_MARGIN)
+    limit *= limit
+    # beyond these, an underflow's absolute error or an overflow could outgrow the margin
+    if not 2.0 ** -1000 <= limit <= 2.0 ** 1000:
+        return None
+    (ca, sa), (cb, sb) = _compile(spec, alpha)[2], _compile(spec, beta)[2]
+
+    def apply(x0, x1):
+        dx = x0 - cx
+        dy = x1 - cy
+        a0, a1 = cx + ca * dx - sa * dy, cy + sa * dx + ca * dy
+        b0, b1 = cx + cb * dx - sb * dy, cy + sb * dx + cb * dy
+        oa0, oa1, ob0, ob1 = a0 - cx, a1 - cy, b0 - cx, b1 - cy
+        # written so that a NaN sum fails the guard too
+        if not oa0 * oa0 + oa1 * oa1 <= limit:
+            a0, a1 = domain.project(np.array([a0, a1])).tolist()
+        if not ob0 * ob0 + ob1 * ob1 <= limit:
+            b0, b1 = domain.project(np.array([b0, b1])).tolist()
+        return a0, a1, b0, b1
+
+    return apply
 
 
 def _checker(spec, rows=True, name="point", owner="semigroup"):
@@ -241,8 +286,9 @@ def _checker(spec, rows=True, name="point", owner="semigroup"):
         if x.ndim > max_ndim or x.shape[-1:] != shape:
             row_shape = x.shape[1:] if rows and x.ndim == 2 else x.shape
             raise ValueError(f"{name} has shape {row_shape}, {owner} expects {shape}")
-        # written so that a NaN distance fails it too
-        if not (domain.exterior_distance(x) <= MEMBERSHIP_SLACK).all():
+        # written so that a NaN distance fails it too; one point's bool needs no reduction
+        inside = domain.exterior_distance(x) <= MEMBERSHIP_SLACK
+        if not (inside.all() if x.ndim == 2 else inside):
             raise ValueError(f"{name} lies outside the domain beyond the membership slack")
 
     return check
@@ -279,52 +325,19 @@ def _kernel(spec, t):
 
 
 def _pair_kernel(spec, alpha, beta):
-    """pair_operator(spec, alpha, beta) without the check (see _kernel)."""
+    """pair_operator(spec, alpha, beta) without the check (see _kernel).
+
+    A caller that has lifted x already (see _compile) passes the lift too.
+    """
     lift, rows_a, _ = _compile(spec, alpha)
     _, rows_b, _ = _compile(spec, beta)  # lift does not depend on t
     domain = spec.domain
 
-    def apply(x):
-        lifted = lift(x)
+    def apply(x, lifted=None):
+        if lifted is None:
+            lifted = lift(x)
         project = domain.project_rows if x.ndim == 2 else domain.project
         return project(rows_a(lifted)), project(rows_b(lifted))
-
-    return apply
-
-
-def _float_pair(spec, alpha, beta):
-    """_pair_kernel for one point of a d=2 rotation, on its coordinates as Python floats.
-
-    Returns (x0, x1) -> (a0, a1, b0, b1), the coordinates of T(alpha)x and
-    T(beta)x, each the bits of _pair_kernel's image, or None for any other
-    flow.  An image is returned unprojected only when the sum of squares q
-    of its offset from the center, taken in floats, is at most
-    (R * (1 - FLOAT_PAIR_MARGIN))**2: Ball.project's dot product of that
-    offset is within a few ulps of q, so its norm is at most R and it would
-    return the image unchanged.  Every other image, NaN included, goes
-    through Ball.project on an array.
-    """
-    if spec.kind != ROTATION or spec.dim != 2:
-        return None
-    domain = spec.domain
-    cx, cy = domain.center.tolist()
-    limit = domain.radius * (1.0 - FLOAT_PAIR_MARGIN)
-    limit *= limit
-    # beyond these, an underflow's absolute error or an overflow could outgrow the margin
-    if not 2.0 ** -1000 <= limit <= 2.0 ** 1000:
-        return None
-    turn_a, turn_b = _compile(spec, alpha)[2], _compile(spec, beta)[2]
-
-    def apply(x0, x1):
-        a0, a1 = turn_a(x0, x1)
-        b0, b1 = turn_b(x0, x1)
-        oa0, oa1, ob0, ob1 = a0 - cx, a1 - cy, b0 - cx, b1 - cy
-        # written so that a NaN sum fails the guard too
-        if not oa0 * oa0 + oa1 * oa1 <= limit:
-            a0, a1 = domain.project(np.array([a0, a1])).tolist()
-        if not ob0 * ob0 + ob1 * ob1 <= limit:
-            b0, b1 = domain.project(np.array([b0, b1])).tolist()
-        return a0, a1, b0, b1
 
     return apply
 

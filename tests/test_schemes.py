@@ -110,6 +110,22 @@ def test_parse_schedule_round_trip():
         parse_schedule("geometric:0.5")
 
 
+def test_schedule_block_is_the_per_call_weights_bit_for_bit():
+    # the float path takes a block's weights in one call; each must be the
+    # bits of the per-iterate call, on both branches and for large n
+    rng = np.random.default_rng(25)
+    schedules = [make_schedule("harmonic", offset) for offset in (1, 3, 7)]
+    schedules += [make_schedule("power", offset, p=p) for p in (0.3, 0.5, 0.75, 1.0) for offset in (1, 4)]
+    starts = [1, 2, 3, 92, 99, 100, 101, 2**53 - 300, 2**53 - 1, 2**53, 2**53 + 1]
+    starts += rng.integers(1, 2**53, 5).tolist()
+    for sched in schedules:
+        for n in starts:
+            for size in (1, 8, 9, 256):
+                block = sched.block(n, size)
+                assert len(block) == size
+                assert [w.hex() for w in block] == [sched(m).hex() for m in range(n, n + size)], (sched, n, size)
+
+
 # ---- config validation -------------------------------------------------------------
 
 def test_config_validates_pair_and_tol():
@@ -1029,6 +1045,86 @@ def test_thinned_records_equal_the_record_all_records():
     report = rec.finish("mann", "max_iter")
     assert report.fejer_violations == 150
     assert report.iterates_recorded[-1].fixed_set_distance == 2.0
+
+
+def recorder_reports(spec, points, pair, step, ends, tol=-math.inf, record_all=False, fsd=None):
+    """The reports of two _Recorders fed the same iterates and stopped at the first with
+    pair and step at most tol: one iterate at a time through add, and a block at a time
+    through add_block, the blocks ending after the iterates in ``ends``.  fsd holds the
+    distances to pass, or None."""
+    track = {"track_fejer": True, "record_all": record_all}
+    one, blocked = _Recorder(spec, **track), _Recorder(spec, **track)
+    for n, (x, p, s) in enumerate(zip(points, pair, step), start=1):
+        one.add(n, p, s, x, None if fsd is None else fsd[n - 1])
+        if p <= tol and s <= tol:
+            break
+    edges = [0] + [e for e in ends if e < len(points)] + [len(points)]
+    for lo, hi in zip(edges, edges[1:]):
+        if blocked.add_block(lo + 1, points[lo:hi], pair[lo:hi], step[lo:hi],
+                             None if fsd is None else fsd[lo:hi], tol):
+            break
+    return one.finish("halpern", "max_iter"), blocked.finish("halpern", "max_iter")
+
+
+def test_block_recording_equals_recording_each_iterate():
+    # blocks whose edges fall at the kept iterates 100/101, 128 and 181 and
+    # beside them, with runs that stop at a block's first iterate, inside a
+    # block, at its last or not at all; thinned and recording every iterate
+    rng = np.random.default_rng(26)
+    spec = rotation(period=1.0, center=(0.5, -0.25))
+    size = 400
+    points = spec.domain.center + rng.uniform(-3.0, 3.0, size=(size, 2))
+    pair, step = rng.uniform(1e-3, 1.0, size).tolist(), rng.uniform(1e-3, 1.0, size).tolist()
+    step[0] = 0.0
+    fsd_all = [schemes.fixed_set_distance(analytic_fixed_set(spec), x) for x in points]
+    rises = sum(b > a + schemes.FEJER_SLACK for a, b in zip(fsd_all, fsd_all[1:]))
+    assert rises > 100
+    for ends in ([100, 128, 181, 300], [99, 101, 127, 129, 180, 182], [50, 200, 399]):
+        for stop in (None, 101, 129, 150, 181, 399):
+            tol = -math.inf
+            if stop is not None:
+                tol = 1e-4
+                pair[stop - 1], step[stop - 1] = 1e-5, 1e-5
+            for record_all in (False, True):
+                for fsd in (None, fsd_all):
+                    one, blocked = recorder_reports(spec, points, pair, step, ends, tol, record_all, fsd)
+                    assert report_bits(blocked) == report_bits(one), (ends, stop, record_all)
+                    assert blocked.fejer_violations == one.fejer_violations
+                    n_used = stop or size
+                    assert blocked.n_used == n_used
+                    kept = [n for n in range(1, n_used + 1) if record_all or n in schemes.KEPT or n == n_used]
+                    assert [r.n for r in blocked.iterates_recorded] == kept
+                    assert blocked.fejer_violations == sum(
+                        b > a + schemes.FEJER_SLACK for a, b in zip(fsd_all[: n_used - 1], fsd_all[1:n_used]))
+            if stop is not None:
+                pair[stop - 1], step[stop - 1] = 0.5, 0.5
+
+
+def test_block_recording_counts_a_rise_on_a_blocks_first_iterate():
+    # distances to {0} on decay(dim=1): the rise from 1 to 2 falls between
+    # the first block's last iterate and the second block's first
+    spec = decay(dim=1)
+    points = np.array([[3.0], [2.0], [1.0], [2.0], [1.5], [1.0], [1.0 + 1e-11], [3.0]])
+    pair, step = [1.0] * 8, [1.0] * 8
+    for ends in ([3], [3, 6], [1, 2, 3, 4, 5, 6, 7]):
+        one, blocked = recorder_reports(spec, points, pair, step, ends)
+        assert one.fejer_violations == blocked.fejer_violations == 2, ends  # at n=4 and n=8, not at n=7
+        assert report_bits(blocked) == report_bits(one)
+
+
+def test_block_recording_of_a_nan_distance():
+    # a NaN distance never counts as a rise, neither against the one before
+    # it nor for the one after it, and is recorded as it is
+    spec = decay(dim=1)
+    points = np.array([[1.0], [2.0], [3.0], [1.0], [4.0], [5.0]])
+    fsd = [1.0, math.nan, 3.0, 1.0, 4.0, math.nan]
+    pair, step = [1.0] * 6, [1.0] * 6
+    for ends in ([], [1], [2], [1, 2, 3, 4, 5]):
+        one, blocked = recorder_reports(spec, points, pair, step, ends, fsd=fsd)
+        assert one.fejer_violations == blocked.fejer_violations == 1, ends  # at n=5 only
+        assert report_bits(blocked) == report_bits(one)
+        assert math.isnan(blocked.iterates_recorded[1].fixed_set_distance)
+        assert math.isnan(blocked.final_record.fixed_set_distance)
 
 
 def test_report_dict_shape():
