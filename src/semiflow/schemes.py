@@ -488,9 +488,9 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     inner-solver failure (``inner`` holds the implicit scheme's (sweeps,
     residual, solved) per step), on convergence, or at n_max, as a test of
     each x_n in turn would.  After n iterates, a ROW_SCHEMES run takes a
-    block of min(DRIVE_BLOCK, max(8, n // 8)) more, so a run that converges inside
-    a block computes at most max(8, n // 8) - 1 iterates past its last and
-    discards them.  The other schemes take blocks of 1, so none runs
+    block of min(DRIVE_BLOCK, max(8, n // 8)) more, so a run that converges
+    inside a block computes at most max(8, n // 8) - 1 iterates past its
+    last and discards them.  The other schemes take blocks of 1, so none runs
     ahead: their step n costs O(n) operator applications or more (O(n^2)
     for suzuki_averaged_mann), and the implicit scheme's inner failure
     must stop the run at once.  When ``iterates`` is a _Rule, the start is
