@@ -17,7 +17,7 @@ warning it triggers is still issued on every call.  A certificate reports
 only the profile's maximum and the first time that reaches it, so it
 computes only the orbit blocks that can hold that maximum: on a heat flow
 the residual is nondecreasing in t, and the spectrum bounds each block by
-its residual at the block's largest time (see ``_screened``).  Its numbers
+its residual at the block's largest time (see ``_profile``).  Its numbers
 are still the bits that the whole profile gives.
 """
 
@@ -60,7 +60,7 @@ NEAR_RATIONAL_QUOTIENT = 10**8
 PLAN_CACHE_SIZE = 8
 
 # the relative error, as a share of ||x||, allowed to the orbit's and the
-# spectrum's residuals when a heat certificate drops orbit blocks (see _screened)
+# spectrum's residuals when a heat certificate drops orbit blocks (see _profile)
 SCREEN_MARGIN = 2.0 ** -30
 
 # times a profile grid may hold: 200 times the default grid's 505; an orbit
@@ -162,12 +162,12 @@ class Certificate:
 def residual_pair(spec, x, alpha, beta):
     """max(||T(alpha)x - x||, ||T(beta)x - x||) for the two sampled times."""
     alpha, beta = _checked_pair(alpha, beta)
-    return _pair_residual(pair_operator(spec, alpha, beta), np.asarray(x, dtype=float))
+    x = np.asarray(x, dtype=float)
+    return _pair_residual(x, *pair_operator(spec, alpha, beta)(x))
 
 
-def _pair_residual(op_pair, x, *lifted):
-    """max(||T(alpha)x - x||, ||T(beta)x - x||); a plan's unchecked pair is also passed x's lift."""
-    ta, tb = op_pair(x, *lifted)
+def _pair_residual(x, ta, tb):
+    """max(||T(alpha)x - x||, ||T(beta)x - x||) from the two images ta and tb."""
     return max(_norm(ta - x), _norm(tb - x))
 
 
@@ -204,7 +204,7 @@ def _plan(spec, alpha, beta, grid):
     applied only to an entered point and its lift, which neither computes
     again.  screen is None, or for a heat flow of more than one block the
     (blocks, d) weights (1 - e^{-t w})^2 at each block's largest time t
-    (see _screened).  The key holds spec itself, which compares by
+    (see _profile).  The key holds spec itself, which compares by
     identity and is never changed.  An empty or invalid grid raises, and
     nothing is cached for it.
     """
@@ -220,50 +220,46 @@ def _plan(spec, alpha, beta, grid):
     return tuple(times.tolist()), enter, blocks, _pair_kernel(spec, alpha, beta), screen
 
 
-def _entered(spec, x, grid, alpha, beta):
-    """(times, blocks, pair, screen, x, lift(x)) for a profile of x: the
-    plan's, and x entered, that is checked once, as a float array."""
-    alpha, beta = _checked_pair(alpha, beta)
-    if grid is not None:
-        grid = np.asarray(grid, dtype=float).ravel().tobytes()
-    times, enter, blocks, pair, screen = _plan(spec, alpha, beta, grid)
-    return (times, blocks, pair, screen) + enter(x)
+def _profile(spec, x, grid, alpha, beta, screened):
+    """(times, pair residual, residuals, first) for a profile of x: the
+    plan's times, and x entered once, that is checked and lifted.
 
-
-def _residuals(blocks, x, lifted):
-    """||T(t)x - x|| at each time of some of the plan's blocks, in their order."""
-    moved = _stacked(blocks, x, lifted)
-    moved -= x
-    return np.sqrt(np.einsum("ij,ij->i", moved, moved))
-
-
-def _screened(spec, blocks, screen, x, lifted):
-    """The blocks that can hold the profile's maximum: all of them, or on
-    heat only those that the spectrum cannot rule out.
+    residuals is an array of ||T(t)x - x|| over the kept blocks, in their
+    order, from the orbit's rows; first is the grid index of its first
+    entry.  Every block is kept, unless ``screened`` asks for only the
+    blocks that can hold the profile's maximum, which on a heat flow drops
+    the blocks that the spectrum rules out:
 
     On heat, r(t)^2 = sum_k (1 - e^{-t w_k})^2 y_k^2 with y = V^T x and
     every w_k >= 0, so r is nondecreasing in t, and no residual of a block
     exceeds r at the block's largest time.  That bound s_b is one row of
-    ``screen`` times y^2; the largest, s_top, is the bound of the block
-    that holds the grid's largest time.  When ||x|| <= R(1 - SCREEN_MARGIN),
-    no orbit row is projected, and the orbit's and the spectrum's residuals
-    each lie within delta = SCREEN_MARGIN * ||x|| of r (they agree within
-    2^-40 ||x|| in the tests).  A block with s_b < s_top - 4 delta then
-    holds residuals below s_b + 2 delta < s_top - 2 delta, and the orbit's
-    residual at the largest time is at least s_top - 2 delta, so the block
-    can neither hold the maximum nor tie it.  The blocks from the first to
-    the last that this rule keeps are computed, a contiguous run (on a
-    sorted grid, the last blocks).  Any other point or family keeps every
-    block.
+    the plan's screen times y^2; the largest, s_top, is the bound of the
+    block that holds the grid's largest time.  When
+    ||x|| <= R(1 - SCREEN_MARGIN), no orbit row is projected, and the
+    orbit's and the spectrum's residuals each lie within
+    delta = SCREEN_MARGIN * ||x|| of r (they agree within 2^-40 ||x|| in
+    the tests).  A block with s_b < s_top - 4 delta then holds residuals
+    below s_b + 2 delta < s_top - 2 delta, and the orbit's residual at the
+    largest time is at least s_top - 2 delta, so the block can neither
+    hold the maximum nor tie it.  The blocks from the first to the last
+    that this rule keeps are computed, a contiguous run (on a sorted grid,
+    the last blocks).  Any other point or family keeps every block.
     """
-    if screen is None:
-        return blocks
-    norm = _norm(x)
-    if not norm <= spec.domain.radius * (1.0 - SCREEN_MARGIN):
-        return blocks
-    bounds = np.sqrt(screen @ (lifted * lifted))
-    kept = np.flatnonzero(bounds >= bounds.max() - 4.0 * SCREEN_MARGIN * norm)
-    return blocks[kept[0]:kept[-1] + 1]
+    alpha, beta = _checked_pair(alpha, beta)
+    if grid is not None:
+        grid = np.asarray(grid, dtype=float).ravel().tobytes()
+    times, enter, blocks, pair, screen = _plan(spec, alpha, beta, grid)
+    x, lifted = enter(x)
+    if screened and screen is not None:
+        norm = _norm(x)
+        if norm <= spec.domain.radius * (1.0 - SCREEN_MARGIN):
+            bounds = np.sqrt(screen @ (lifted * lifted))
+            kept = np.flatnonzero(bounds >= bounds.max() - 4.0 * SCREEN_MARGIN * norm)
+            blocks = blocks[kept[0]:kept[-1] + 1]
+    moved = _stacked(blocks, x, lifted)
+    moved -= x
+    residuals = np.sqrt(np.einsum("ij,ij->i", moved, moved))
+    return times, _pair_residual(x, *pair(x, lifted)), residuals, blocks[0][0].start
 
 
 def residual_profile(spec, x, grid, alpha, beta):
@@ -276,13 +272,8 @@ def residual_profile(spec, x, grid, alpha, beta):
     residual is residual_pair's.  Raises ValueError for an invalid pair,
     grid or point.
     """
-    times, blocks, pair, _, x, lifted = _entered(spec, x, grid, alpha, beta)
-    residuals = _residuals(blocks, x, lifted)
-    return ResidualProfile(
-        grid=times,
-        residuals=tuple(residuals.tolist()),
-        pair_residual=_pair_residual(pair, x, lifted),
-    )
+    times, pair_residual, residuals, _ = _profile(spec, x, grid, alpha, beta, screened=False)
+    return ResidualProfile(grid=times, residuals=tuple(residuals.tolist()), pair_residual=pair_residual)
 
 
 def bruck_map(spec, alpha, beta, lam):
@@ -322,25 +313,22 @@ def certify_common_fixed(spec, x, alpha, beta, grid=None, tol=1e-8):
     worst residual over the time grid is <= profile_tolerance(tol).  The
     grid defaults to default_profile_grid(alpha, beta).  The certificate's
     numbers are residual_profile's pair residual, maximum and argmax_t, bit
-    for bit, but only the orbit blocks that _screened keeps are computed:
-    on a heat point inside the domain by the screen's margin, often one
-    block of eight; on any other point or family, every block.
+    for bit, but only the orbit blocks that _profile's screen keeps are
+    computed: on a heat point inside the domain by the screen's margin,
+    often one block of eight; on any other point or family, every block.
     """
     tol = _scalar("tol", tol)
-    times, blocks, pair, screen, x, lifted = _entered(spec, x, grid, alpha, beta)
-    kept = _screened(spec, blocks, screen, x, lifted)
-    residuals = _residuals(kept, x, lifted)
+    times, pair_residual, residuals, first = _profile(spec, x, grid, alpha, beta, screened=True)
     # numpy's argmax is the first index of the maximum, as tuple.index is,
     # and a dropped block holds no residual that ties it
     i = int(residuals.argmax())
     top = float(residuals[i])
-    pair_residual = _pair_residual(pair, x, lifted)
     ptol = profile_tolerance(tol)
     certified = pair_residual <= tol and top <= ptol
     return Certificate(
         pair_residual=pair_residual,
         max_profile_residual=top,
-        argmax_t=times[kept[0][0].start + i],
+        argmax_t=times[first + i],
         verdict="certified" if certified else "not_certified",
         tol=tol,
         profile_tol=ptol,

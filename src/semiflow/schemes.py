@@ -112,12 +112,10 @@ class Schedule:
     p: float = 1.0
 
     def __call__(self, n):
-        if self.p == 1.0:
-            return 1.0 / (n + self.offset)
-        return (n + self.offset) ** (-self.p)
+        return self.block(n, 1)[0]
 
     def block(self, n, size):
-        """[self(m) for m in range(n, n + size)], bit for bit, in one call."""
+        """[lam_m for m in range(n, n + size)], the weights of size iterates from n, in one call."""
         ks = range(n + self.offset, n + self.offset + size)
         if self.p == 1.0:
             return [1.0 / k for k in ks]
@@ -405,9 +403,9 @@ def _block_norms(before, block, ta, tb):
 def _array_blocks(orbit, op_pair):
     """take(size) -> (iterates, pair residuals, step norms) of the next size iterates of orbit.
 
-    The iterates are points or (B, d) arrays of B of them.  A block of one
-    point is tested with two _norm calls, which cost less than the block's
-    arrays and give the same bits.
+    The iterates are points or (B, d) arrays of B of them.  Every block,
+    a block of one point too, is read into one array and tested with
+    _block_norms.
     """
     images = prev = None
 
@@ -420,15 +418,10 @@ def _array_blocks(orbit, op_pair):
             xs.append(x)
             tas.append(images[0])
             tbs.append(images[1])
-        if size == 1 and x.ndim == 1:
-            ta, tb = images
-            pair = [max(_norm(ta - x), _norm(tb - x))]
-            step = [0.0 if prev is None else _norm(x - prev)]
-        else:
-            # one concatenate costs less than np.array or np.stack on small arrays
-            rows = np.concatenate([xs[0] if prev is None else prev, *xs, *tas, *tbs])
-            rows = rows.reshape(3 * size + 1, *x.shape)
-            pair, step = _block_norms(rows[:size], *rows[1:].reshape(3, size, *x.shape))
+        # one concatenate costs less than np.array or np.stack on small arrays
+        rows = np.concatenate([xs[0] if prev is None else prev, *xs, *tas, *tbs])
+        rows = rows.reshape(3 * size + 1, *x.shape)
+        pair, step = _block_norms(rows[:size], *rows[1:].reshape(3, size, *x.shape))
         prev = xs[-1]
         return xs, pair, step
 

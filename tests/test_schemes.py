@@ -111,8 +111,9 @@ def test_parse_schedule_round_trip():
 
 
 def test_schedule_block_is_the_per_call_weights_bit_for_bit():
-    # the float path takes a block's weights in one call; each must be the
-    # bits of the per-iterate call, on both branches and for large n
+    # the float path takes a block's weights in one call, and the array path
+    # one at a time; both must be the bits of the closed form 1/(m + offset)**p,
+    # on both branches and for large n
     rng = np.random.default_rng(25)
     schedules = [make_schedule("harmonic", offset) for offset in (1, 3, 7)]
     schedules += [make_schedule("power", offset, p=p) for p in (0.3, 0.5, 0.75, 1.0) for offset in (1, 4)]
@@ -123,7 +124,10 @@ def test_schedule_block_is_the_per_call_weights_bit_for_bit():
             for size in (1, 8, 9, 256):
                 block = sched.block(n, size)
                 assert len(block) == size
-                assert [w.hex() for w in block] == [sched(m).hex() for m in range(n, n + size)], (sched, n, size)
+                closed = [1.0 / (m + sched.offset) if sched.p == 1.0 else (m + sched.offset) ** -sched.p
+                          for m in range(n, n + size)]
+                assert [w.hex() for w in block] == [w.hex() for w in closed], (sched, n, size)
+                assert sched(n).hex() == closed[0].hex(), (sched, n)
 
 
 # ---- config validation -------------------------------------------------------------
@@ -446,6 +450,22 @@ def test_block_driver_equals_the_per_step_driver_at_every_budget(monkeypatch, bu
     for spec, starts, u in block_flows():
         for tag in ROW_SCHEMES:
             rows_checked_per_step(monkeypatch, tag, spec, cfg(start=starts, u=u, max_iter=budget, tol=1e-15))
+
+
+def test_blocks_of_one_equal_the_per_step_driver(monkeypatch):
+    # the schemes outside ROW_SCHEMES take blocks of one point, which go
+    # through the same concatenate and block norms as longer blocks; each
+    # report, with every iterate recorded, must be the per-step driver's,
+    # whose norms are 1-D, also where the implicit scheme's inner solver fails
+    budgets = {"baillon_double": 12, "suzuki_averaged_mann": 10, "ishikawa_composed": 30, "browder_implicit": 30}
+    for spec, starts, u in block_flows():
+        cases = [(tag, cfg(start=starts[1], u=u, max_iter=n, tol=1e-15, record_all=True)) for tag, n in budgets.items()]
+        cases.append(("browder_implicit", replace(cases[-1][1], inner_cap=3)))
+        for tag, c in cases:
+            report = run_scheme(tag, spec, c)
+            assert report_bits(report) == report_bits(run_per_step(monkeypatch, tag, spec, c)), (
+                tag, spec.kind, spec.dim, c.inner_cap)
+            assert (report.termination == "inner_solver_failure") == (c.inner_cap == 3), (tag, spec.kind)
 
 
 def test_block_driver_stops_where_the_per_step_driver_does(monkeypatch):
