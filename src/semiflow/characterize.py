@@ -32,7 +32,9 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from semiflow.semigroups import HEAT, _checked, _orbit_blocks, _pair_kernel, _stacked, pair_operator
+from semiflow.semigroups import (
+    HEAT, INTERIOR_MARGIN, _checked, _interior, _orbit_blocks, _pair_kernel, _stacked, pair_operator,
+)
 # evaluate and euclid_sequence are not called here: the benchmark's tracer
 # (bench/spans.py) wraps them under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
@@ -58,10 +60,6 @@ NEAR_RATIONAL_QUOTIENT = 10**8
 # profile plans kept at once; one plan of the 504-time default grid on a
 # d=64 heat flow holds about 258 KB of factors and 4 KB of screen weights
 PLAN_CACHE_SIZE = 8
-
-# the relative error, as a share of ||x||, allowed to the orbit's and the
-# spectrum's residuals when a heat certificate drops orbit blocks (see _profile)
-SCREEN_MARGIN = 2.0 ** -30
 
 # times a profile grid may hold: 200 times the default grid's 505; an orbit
 # of this many d=64 points takes 51 MB
@@ -199,12 +197,13 @@ def _plan(spec, alpha, beta, grid):
 
     Returns (times as a tuple of floats, enter, blocks, pair, screen).
     enter(x) checks x once, as orbit()'s callable does, and returns x as a
-    float array and its lift; blocks are semigroups._orbit_blocks' and pair
-    is the unchecked pair (x, lift(x)) -> (T(alpha)x, T(beta)x), both
-    applied only to an entered point and its lift, which neither computes
-    again.  screen is None, or for a heat flow of more than one block the
-    (blocks, d) weights (1 - e^{-t w})^2 at each block's largest time t
-    (see _profile).  The key holds spec itself, which compares by
+    float array, its lift and whether it passes the interior test
+    (semigroups._interior); blocks are semigroups._orbit_blocks' and pair
+    is the unchecked pair (x, lift(x), inside) -> (T(alpha)x, T(beta)x),
+    both applied only to an entered point, its lift and its test, which
+    neither computes again.  screen is None, or for a heat flow of more
+    than one block the (blocks, d) weights (1 - e^{-t w})^2 at each
+    block's largest time t (see _profile).  The key holds spec itself, which compares by
     identity and is never changed.  An empty or invalid grid raises, and
     nothing is cached for it.
     """
@@ -216,13 +215,16 @@ def _plan(spec, alpha, beta, grid):
     if spec.kind == HEAT and len(blocks) > 1:
         tops = np.array([times[at].max() for at, _ in blocks])
         screen = np.square(np.expm1(-tops[:, None] * spec.eigvals))
-    enter = _checked(spec, lambda x: (x, lift(x)), rows=False)
+    interior = _interior(spec.domain)
+    enter = _checked(spec, lambda x: (x, lift(x), interior(x)), rows=False)
     return tuple(times.tolist()), enter, blocks, _pair_kernel(spec, alpha, beta), screen
 
 
 def _profile(spec, x, grid, alpha, beta, screened):
     """(times, pair residual, residuals, first) for a profile of x: the
-    plan's times, and x entered once, that is checked and lifted.
+    plan's times, and x entered once, that is checked, lifted and put to
+    the interior test, whose pass skips every projection of the pair and
+    of the orbit's rows.
 
     residuals is an array of ||T(t)x - x|| over the kept blocks, in their
     order, from the orbit's rows; first is the grid index of its first
@@ -234,11 +236,11 @@ def _profile(spec, x, grid, alpha, beta, screened):
     every w_k >= 0, so r is nondecreasing in t, and no residual of a block
     exceeds r at the block's largest time.  That bound s_b is one row of
     the plan's screen times y^2; the largest, s_top, is the bound of the
-    block that holds the grid's largest time.  When
-    ||x|| <= R(1 - SCREEN_MARGIN), no orbit row is projected, and the
-    orbit's and the spectrum's residuals each lie within
-    delta = SCREEN_MARGIN * ||x|| of r (they agree within 2^-40 ||x|| in
-    the tests).  A block with s_b < s_top - 4 delta then holds residuals
+    block that holds the grid's largest time.  When x passes the interior
+    test, ||x|| <= R(1 - INTERIOR_MARGIN) and no orbit row is projected,
+    and the orbit's and the spectrum's residuals each lie within
+    delta = INTERIOR_MARGIN * ||x|| of r (they agree within 2^-40 ||x||
+    in the tests).  A block with s_b < s_top - 4 delta then holds residuals
     below s_b + 2 delta < s_top - 2 delta, and the orbit's residual at the
     largest time is at least s_top - 2 delta, so the block can neither
     hold the maximum nor tie it.  The blocks from the first to the last
@@ -249,17 +251,15 @@ def _profile(spec, x, grid, alpha, beta, screened):
     if grid is not None:
         grid = np.asarray(grid, dtype=float).ravel().tobytes()
     times, enter, blocks, pair, screen = _plan(spec, alpha, beta, grid)
-    x, lifted = enter(x)
-    if screened and screen is not None:
-        norm = _norm(x)
-        if norm <= spec.domain.radius * (1.0 - SCREEN_MARGIN):
-            bounds = np.sqrt(screen @ (lifted * lifted))
-            kept = np.flatnonzero(bounds >= bounds.max() - 4.0 * SCREEN_MARGIN * norm)
-            blocks = blocks[kept[0]:kept[-1] + 1]
-    moved = _stacked(blocks, x, lifted)
+    x, lifted, inside = enter(x)
+    if screened and inside and screen is not None:
+        bounds = np.sqrt(screen @ (lifted * lifted))
+        kept = np.flatnonzero(bounds >= bounds.max() - 4.0 * INTERIOR_MARGIN * _norm(x))
+        blocks = blocks[kept[0]:kept[-1] + 1]
+    moved = _stacked(blocks, x, lifted, inside)
     moved -= x
     residuals = np.sqrt(np.einsum("ij,ij->i", moved, moved))
-    return times, _pair_residual(x, *pair(x, lifted)), residuals, blocks[0][0].start
+    return times, _pair_residual(x, *pair(x, lifted, inside)), residuals, blocks[0][0].start
 
 
 def residual_profile(spec, x, grid, alpha, beta):
@@ -314,8 +314,9 @@ def certify_common_fixed(spec, x, alpha, beta, grid=None, tol=1e-8):
     grid defaults to default_profile_grid(alpha, beta).  The certificate's
     numbers are residual_profile's pair residual, maximum and argmax_t, bit
     for bit, but only the orbit blocks that _profile's screen keeps are
-    computed: on a heat point inside the domain by the screen's margin,
-    often one block of eight; on any other point or family, every block.
+    computed: on a heat point that passes the interior test
+    (semigroups._interior), often one block of eight; on any other point
+    or family, every block.
     """
     tol = _scalar("tol", tol)
     times, pair_residual, residuals, first = _profile(spec, x, grid, alpha, beta, screened=True)

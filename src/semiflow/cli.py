@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import re
@@ -372,6 +373,7 @@ def _add_run_flags(parser, with_start):
     parser.add_argument("--record-all", action="store_true", help="record every iterate (no thinning)")
 
 
+@functools.cache  # built once per process: parsing never changes it
 def _build_parser():
     parser = _Parser(prog="semiflow", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)

@@ -24,6 +24,10 @@ small membership slack of the domain, and projects every output back into
 the domain, so long iteration loops cannot drift outside by rounding.
 Inside the package a point is checked once where it enters: the scheme
 driver, a certificate and a replay apply the unchecked kernels after that.
+A certificate and the float pair also test once whether their point lies
+so far inside its ball that rounding cannot carry an image out
+(``_interior_radius``), and then skip the projections, which would return
+every image unchanged.
 """
 
 from __future__ import annotations
@@ -73,9 +77,9 @@ PSD_TOL = -1e-12
 # runs it on the calling thread instead of waking a worker thread
 ORBIT_BLOCK = 4096
 
-# the relative margin inside a rotation's ball below which _float_pair
-# leaves an image unprojected (see _float_pair)
-FLOAT_PAIR_MARGIN = 2.0 ** -30
+# the relative margin inside a ball within which rounding cannot carry a
+# rotation's or heat flow's image outside it (see _interior_radius)
+INTERIOR_MARGIN = 2.0 ** -30
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,29 +235,66 @@ def _compile(spec, t):
     return lift or np.asarray, rows, cs
 
 
+def _interior_radius(domain):
+    """The radius r of the package's interior test ||x - c|| <= r, or NaN,
+    which no norm is at most.
+
+    r = R(1 - INTERIOR_MARGIN) on a ball of center c and radius R with
+    2^-500 <= R <= 2^500 and ||c|| <= 2^20 R.  A box has no test (decay
+    keeps its clip), nor has a ball of another radius, where an
+    underflow's absolute error or an overflow could outgrow the margin, or
+    of a farther center.  With eps = 2^-53, d <= 64 and x - c, its norm
+    and every image taken in floats by _compile's formulas, a point that
+    passes has every image left unchanged by domain.project:
+
+    * rotation: the image's offset from c that Ball.project computes,
+      fl(fl(c + turn) - c), has ||off|| <= ||x - c||(1 + 12 eps) + eps ||c||
+      (the turn's cosine and sine are each within an ulp; the
+      coordinates past the plane are copied, and c is 0 there);
+    * heat: c = 0, and ||T(t)x|| <= ||x||(1 + O(d eps)), since every
+      e^{-t w} <= 1, V is orthonormal to O(d eps), and each of the two
+      products errs by at most d^1.5 eps ||x||.
+
+    Ball.project's norm adds at most (d/2 + 1) eps, and the test's own
+    norm hides as much, so the norm Ball.project compares with R is at
+    most R(1 - 2^-30 + 2^-33 + 2^-40) < R.
+    """
+    if isinstance(domain, Box) or not 2.0 ** -500 <= domain.radius <= 2.0 ** 500:
+        return math.nan
+    if _norm(domain.center) > 2.0 ** 20 * domain.radius:
+        return math.nan
+    return domain.radius * (1.0 - INTERIOR_MARGIN)
+
+
+def _interior(domain):
+    """The interior test of _interior_radius, compiled: x -> whether one
+    point x passes, False for any point of a domain without a test."""
+    r = _interior_radius(domain)
+    if math.isnan(r):
+        return lambda x: False
+    center = domain.center
+    return lambda x: _norm(x - center) <= r
+
+
 def _float_pair(spec, alpha, beta):
     """_pair_kernel for one point of a d=2 rotation, on its coordinates as Python floats.
 
     Returns (x0, x1) -> (a0, a1, b0, b1), the coordinates of T(alpha)x and
     T(beta)x, each the bits of _pair_kernel's image, or None for any other
-    flow.  Both images are taken in one body: the offsets from the center
-    once, then _compile's turn for each angle, in the same IEEE operations.
-    An image is returned unprojected only when the sum of squares q of its
-    offset from the center, taken in floats, is at most
-    (R * (1 - FLOAT_PAIR_MARGIN))**2: Ball.project's dot product of that
-    offset is within a few ulps of q, so its norm is at most R and it would
-    return the image unchanged.  Every other image, NaN included, goes
+    flow and for a radius outside the interior test's range [2^-500,
+    2^500].  Both images are taken in one body: the offsets from the
+    center once, then _compile's turn for each angle, in the same IEEE
+    operations.  Both images are returned unprojected when the float sum
+    of squares of the offset (dx, dy) is at most r**2, r the interior
+    radius: then ||(dx, dy)|| <= r(1 + 2 eps), and _interior_radius's
+    argument holds.  The images of every other point, NaN included, go
     through Ball.project on an array.
     """
-    if spec.kind != ROTATION or spec.dim != 2:
-        return None
     domain = spec.domain
-    cx, cy = domain.center.tolist()
-    limit = domain.radius * (1.0 - FLOAT_PAIR_MARGIN)
-    limit *= limit
-    # beyond these, an underflow's absolute error or an overflow could outgrow the margin
-    if not 2.0 ** -1000 <= limit <= 2.0 ** 1000:
+    if spec.kind != ROTATION or spec.dim != 2 or not 2.0 ** -500 <= domain.radius <= 2.0 ** 500:
         return None
+    cx, cy = domain.center.tolist()
+    limit = _interior_radius(domain) ** 2
     (ca, sa), (cb, sb) = _compile(spec, alpha)[2], _compile(spec, beta)[2]
 
     def apply(x0, x1):
@@ -261,11 +302,9 @@ def _float_pair(spec, alpha, beta):
         dy = x1 - cy
         a0, a1 = cx + ca * dx - sa * dy, cy + sa * dx + ca * dy
         b0, b1 = cx + cb * dx - sb * dy, cy + sb * dx + cb * dy
-        oa0, oa1, ob0, ob1 = a0 - cx, a1 - cy, b0 - cx, b1 - cy
-        # written so that a NaN sum fails the guard too
-        if not oa0 * oa0 + oa1 * oa1 <= limit:
+        # written so that a NaN sum, or a NaN limit, fails the test too
+        if not dx * dx + dy * dy <= limit:
             a0, a1 = domain.project(np.array([a0, a1])).tolist()
-        if not ob0 * ob0 + ob1 * ob1 <= limit:
             b0, b1 = domain.project(np.array([b0, b1])).tolist()
         return a0, a1, b0, b1
 
@@ -327,15 +366,19 @@ def _kernel(spec, t):
 def _pair_kernel(spec, alpha, beta):
     """pair_operator(spec, alpha, beta) without the check (see _kernel).
 
-    A caller that has lifted x already (see _compile) passes the lift too.
+    A caller that has lifted x already (see _compile) passes the lift too,
+    and one that has found that one point x passes the interior test
+    (_interior) passes inside=True, which skips both projections.
     """
     lift, rows_a, _ = _compile(spec, alpha)
     _, rows_b, _ = _compile(spec, beta)  # lift does not depend on t
     domain = spec.domain
 
-    def apply(x, lifted=None):
+    def apply(x, lifted=None, inside=False):
         if lifted is None:
             lifted = lift(x)
+        if inside:
+            return rows_a(lifted), rows_b(lifted)
         project = domain.project_rows if x.ndim == 2 else domain.project
         return project(rows_a(lifted)), project(rows_b(lifted))
 
@@ -381,13 +424,15 @@ def _orbit_blocks(spec, times):
     The times must be finite and nonnegative (ValueError naming the first
     bad one).  Returns (lift, blocks), blocks a list of (at, rows) in the
     order of the times: at is the slice of the times one block covers,
-    and rows(x, lift(x), out=None) returns a (len, d) array, out if given,
-    whose row i is T(t)x of the block's i-th time, projected into the
-    domain; a row at t = 0 is domain.project(x), as operator(spec, 0.0)
-    computes it.  Nothing checks x.  A block holds about ORBIT_BLOCK
-    entries, and where the blocks split the times decides the bits of heat
-    rows (a matrix product rounds a row with the size of its batch), so
-    every orbit, and every certificate's profile, is split here.
+    and rows(x, lift(x), out=None, inside=False) returns a (len, d) array,
+    out if given, whose row i is T(t)x of the block's i-th time, projected
+    into the domain; a row at t = 0 is domain.project(x), as
+    operator(spec, 0.0) computes it.  Nothing checks x.  inside=True says
+    that x passes the interior test (_interior), and skips every
+    projection, which would leave each row as it is.  A block holds about
+    ORBIT_BLOCK entries, and where the blocks split the times decides the
+    bits of heat rows (a matrix product rounds a row with the size of its
+    batch), so every orbit, and every certificate's profile, is split here.
     """
     t = np.array(times, dtype=float).ravel()
     bad = ~np.isfinite(t) | (t < 0.0)
@@ -399,23 +444,25 @@ def _orbit_blocks(spec, times):
         at = slice(lo, min(lo + step, t.size))
         lift, rows, _ = _compile(spec, t[at, None])  # lift does not depend on t
 
-        def block(x, lifted, out=None, rows=rows, zero=np.flatnonzero(t[at] == 0.0)):
-            ys = domain.project_rows(rows(lifted, out=out))
+        def block(x, lifted, out=None, inside=False, rows=rows, zero=np.flatnonzero(t[at] == 0.0)):
+            ys = rows(lifted, out=out)
+            if not inside:
+                domain.project_rows(ys)
             if zero.size:
-                ys[zero] = domain.project(x)
+                ys[zero] = x if inside else domain.project(x)
             return ys
 
         blocks.append((at, block))
     return lift, blocks
 
 
-def _stacked(blocks, x, lifted):
+def _stacked(blocks, x, lifted, inside=False):
     """The rows of some of _orbit_blocks' blocks at x, stacked in their order."""
     out = np.empty((sum(at.stop - at.start for at, _ in blocks), x.size))
     hi = 0
     for at, rows in blocks:
         lo, hi = hi, hi + at.stop - at.start
-        rows(x, lifted, out=out[lo:hi])
+        rows(x, lifted, out=out[lo:hi], inside=inside)
     return out
 
 

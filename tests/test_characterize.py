@@ -7,10 +7,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semiflow import characterize
+from semiflow import characterize, semigroups
 from semiflow.characterize import (
     PLAN_CACHE_SIZE,
-    SCREEN_MARGIN,
     Certificate,
     NearRationalWarning,
     bruck_map,
@@ -21,7 +20,10 @@ from semiflow.characterize import (
     residual_profile,
 )
 from semiflow.semigroups import (
+    INTERIOR_MARGIN,
     MEMBERSHIP_SLACK,
+    _float_pair,
+    _interior,
     analytic_fixed_set,
     decay,
     evaluate,
@@ -30,7 +32,6 @@ from semiflow.semigroups import (
     orbit,
     rotation,
 )
-from semiflow.vecspace import Ball
 
 SQRT2 = math.sqrt(2.0)
 BENCH_DIR = str(Path(__file__).resolve().parent.parent / "bench")
@@ -336,17 +337,16 @@ def certificate_from_profile(spec, x, alpha, beta, grid, tol=1e-8):
 
 
 def counted_blocks(monkeypatch):
-    """The row counts of the orbit blocks computed from here on: each block
-    projects its rows with one Ball.project_rows call, and nothing else in a
-    heat or rotation certificate calls it."""
+    """The row counts of the orbit blocks computed from here on: a profile
+    or a certificate computes the blocks it keeps with one _stacked call."""
     rows = []
-    original = Ball.project_rows
+    original = characterize._stacked
 
-    def counted(self, ys):
-        rows.append(len(ys))
-        return original(self, ys)
+    def counted(blocks, *args):
+        rows.extend(at.stop - at.start for at, _ in blocks)
+        return original(blocks, *args)
 
-    monkeypatch.setattr(Ball, "project_rows", counted)
+    monkeypatch.setattr(characterize, "_stacked", counted)
     return rows
 
 
@@ -373,11 +373,11 @@ def test_a_certificate_is_its_profiles_maximum_and_first_argmax_bit_for_bit(monk
         radius = spec.domain.radius
         kernel = spec.eigvecs[:, spec.eigvals <= 1e-10]
         moved = [at_norm(rng, d, radius * u) for u in rng.uniform(0.05, 0.95, 2)]
-        # ||x|| = R(1 - 2 SCREEN_MARGIN) still proves every projection inactive
-        moved.append(at_norm(rng, d, radius * (1.0 - 2.0 * SCREEN_MARGIN)))
+        # ||x|| = R(1 - 2 INTERIOR_MARGIN) still proves every projection inactive
+        moved.append(at_norm(rng, d, radius * (1.0 - 2.0 * INTERIOR_MARGIN)))
         fixed = [kernel @ at_norm(rng, kernel.shape[1], 3.0)] if kernel.size else []
-        # within SCREEN_MARGIN * R of the boundary, and outside it within the slack: every block
-        unscreened = [at_norm(rng, d, radius * (1.0 - 0.5 * SCREEN_MARGIN)),
+        # within INTERIOR_MARGIN * R of the boundary, and outside it within the slack: every block
+        unscreened = [at_norm(rng, d, radius * (1.0 - 0.5 * INTERIOR_MARGIN)),
                       at_norm(rng, d, radius + 0.5 * MEMBERSHIP_SLACK)]
         for grid in (None, unsorted) + ((long_grid,) if d <= 16 else ()):
             for x in moved + fixed + unscreened:
@@ -404,7 +404,7 @@ def test_a_certificate_is_its_profiles_maximum_and_first_argmax_bit_for_bit(monk
 
 def test_orbit_and_spectral_residuals_agree_far_inside_the_screen_margin():
     # on heat, r(t)^2 = sum_k (1 - e^{-t w_k})^2 y_k^2 with y = V^T x; the
-    # screen allows the orbit's and its own residuals SCREEN_MARGIN ||x|| =
+    # screen allows the orbit's and its own residuals INTERIOR_MARGIN ||x|| =
     # 2^-30 ||x|| each, and both sit within 2^-40 ||x|| of each other
     rng = np.random.default_rng(73)
     grid = default_profile_grid(1.0, SQRT2)
@@ -455,6 +455,52 @@ def test_a_moved_benchmark_heat_point_computes_one_block_and_a_kernel_point_all_
     rows.clear()
     assert certify_common_fixed(spec, x, 1.0, SQRT2).verdict == "not_certified"
     assert rows == [64] * 7 + [len(default_profile_grid(1.0, SQRT2)) - 7 * 64]
+
+
+def test_skipped_projections_change_no_bit(monkeypatch):
+    # a point that passes the interior test skips every projection of its
+    # profile, certificate and float pair; with the test forced to fail,
+    # every image is projected, and not one bit may change.  Points on
+    # shells R(1 + k eps) and R(1 - INTERIOR_MARGIN)(1 + k eps), |k| <= 8,
+    # with the ball's center at 2^19 R (the test still holds) and 2^24 R
+    # (no point passes it)
+    rng = np.random.default_rng(83)
+    eps = np.finfo(float).eps
+    radius = 0.37
+    specs = [heat_flow(rng, d, d // 3, 1.0) for d in (1, 3, 16, 64)]
+    for d in (2, 3, 64):
+        for far in (0.0, 2.0 ** 19, 2.0 ** 24):
+            specs.append(rotation(center=(0.6 * far * radius, -0.8 * far * radius), radius=radius, dim=d))
+
+    def results(spec, points):
+        out = []
+        for x in points:
+            out.append(repr(certify_common_fixed(spec, x, 1.0, SQRT2)))
+            out.append(repr(residual_profile(spec, x, None, 1.0, SQRT2)))
+            if spec.dim == 2 and spec.kind == "rotation":
+                out.append(np.array(_float_pair(spec, 1.0, SQRT2)(*x.tolist())).tobytes())
+        return out
+
+    for spec in specs:
+        dom = spec.domain
+        k = rng.integers(-8, 9, 12) * eps
+        scales = np.concatenate([rng.uniform(0.0, 1.0, 4), 1.0 + k, (1.0 - INTERIOR_MARGIN) * (1.0 + k)])
+        points = [x for x in (dom.center + at_norm(rng, dom.dim, dom.radius * s) for s in scales)
+                  if dom.exterior_distance(x) <= MEMBERSHIP_SLACK]
+        assert len(points) >= 20, (spec.kind, spec.dim)
+        passed = sum(bool(_interior(dom)(x)) for x in points)
+        if np.linalg.norm(dom.center) > 2.0 ** 20 * dom.radius:
+            assert passed == 0, spec.dim
+        else:
+            assert 0 < passed < len(points), (spec.kind, spec.dim)
+        characterize._plan.cache_clear()
+        expected = results(spec, points)
+        with monkeypatch.context() as m:
+            m.setattr(semigroups, "_interior_radius", lambda domain: math.nan)
+            characterize._plan.cache_clear()
+            assert not any(_interior(dom)(x) for x in points)
+            assert results(spec, points) == expected, (spec.kind, spec.dim, dom.center[:2])
+    characterize._plan.cache_clear()
 
 
 # ---- two-generator equivalence (the main characterization, sampled) ----------------

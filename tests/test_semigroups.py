@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from semiflow.semigroups import (
-    FLOAT_PAIR_MARGIN,
+    INTERIOR_MARGIN,
     ORBIT_BLOCK,
     _checker,
     _compile,
@@ -483,11 +483,12 @@ def test_float_pair_is_the_pair_kernel_bit_for_bit(monkeypatch):
     # threshold, and with a NaN coordinate
     rng = np.random.default_rng(29)
     k = rng.integers(-8, 9, 3000) * np.finfo(float).eps
-    scales = np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, 4000)), 1.0 + k, (1.0 - FLOAT_PAIR_MARGIN) * (1.0 + k)])
+    scales = np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, 4000)), 1.0 + k, (1.0 - INTERIOR_MARGIN) * (1.0 + k)])
     original = vecspace.Ball.project
     # radii where, without the margin, q <= R**2 holds for some images that
-    # Ball.project moves
-    for spec in (rotation(period=1.0, radius=3.7), rotation(period=1.7, center=(0.5, -0.25), radius=0.37)):
+    # Ball.project moves; and a center at 2^19 R, where the interior test still holds
+    for spec in (rotation(period=1.0, radius=3.7), rotation(period=1.7, center=(0.5, -0.25), radius=0.37),
+                 rotation(period=1.3, center=(0.6 * 2.0 ** 19 * 0.37, -0.8 * 2.0 ** 19 * 0.37), radius=0.37)):
         dom = spec.domain
         g = rng.normal(size=(scales.size, 2))
         points = dom.center + (dom.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
@@ -510,6 +511,25 @@ def test_float_pair_is_the_pair_kernel_bit_for_bit(monkeypatch):
             assert got == expected, (spec.domain.radius, alpha, beta)
             # the exact projection ran, moved some images and left others, and was skipped for most
             assert 0 < sum(moved) < len(moved) < len(points), (spec.domain.radius, alpha, beta)
+    # a center at 2^24 R, where no point passes the interior test: every image is projected
+    spec = rotation(period=1.3, center=(0.6 * 2.0 ** 24 * 0.37, -0.8 * 2.0 ** 24 * 0.37), radius=0.37)
+    g = rng.normal(size=(scales.size, 2))
+    points = spec.domain.center + (spec.domain.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
+    kernel = _pair_kernel(spec, 1.0, SQRT2)
+    expected = [np.concatenate(kernel(x)).tobytes() for x in points]
+    moved = []
+
+    def counted(self, y):
+        out = original(self, y)
+        moved.append(out is not y)
+        return out
+
+    with monkeypatch.context() as m:
+        m.setattr(vecspace.Ball, "project", counted)
+        pair = _float_pair(spec, 1.0, SQRT2)
+        got = [np.array(pair(*x)).tobytes() for x in points.tolist()]
+    assert got == expected
+    assert len(moved) == 2 * len(points) and 0 < sum(moved) < len(moved)
     # any other flow, and radii whose squares leave the guard's exact range, have none
     for spec in (decay(dim=2), heat(np.eye(2)), rotation(dim=3), rotation(radius=1e-160), rotation(radius=1e160)):
         assert _float_pair(spec, 1.0, SQRT2) is None
