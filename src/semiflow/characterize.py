@@ -237,10 +237,11 @@ def _profile(spec, x, grid, alpha, beta, screened):
     exceeds r at the block's largest time.  That bound s_b is one row of
     the plan's screen times y^2; the largest, s_top, is the bound of the
     block that holds the grid's largest time.  When x passes the interior
-    test, ||x|| <= R(1 - INTERIOR_MARGIN) and no orbit row is projected,
-    and the orbit's and the spectrum's residuals each lie within
-    delta = INTERIOR_MARGIN * ||x|| of r (they agree within 2^-40 ||x||
-    in the tests).  A block with s_b < s_top - 4 delta then holds residuals
+    test, ||x|| <= R(1 - INTERIOR_MARGIN) < R and no orbit row is
+    projected, and the orbit's and the spectrum's residuals each lie within
+    INTERIOR_MARGIN * ||x|| of r (they agree within 2^-40 ||x|| in the
+    tests), so within delta = INTERIOR_MARGIN * R, a tolerance that needs
+    no norm of x.  A block with s_b < s_top - 4 delta then holds residuals
     below s_b + 2 delta < s_top - 2 delta, and the orbit's residual at the
     largest time is at least s_top - 2 delta, so the block can neither
     hold the maximum nor tie it.  The blocks from the first to the last
@@ -254,9 +255,9 @@ def _profile(spec, x, grid, alpha, beta, screened):
     x, lifted, inside = enter(x)
     if screened and inside and screen is not None:
         bounds = np.sqrt(screen @ (lifted * lifted))
-        kept = np.flatnonzero(bounds >= bounds.max() - 4.0 * INTERIOR_MARGIN * _norm(x))
+        kept = np.flatnonzero(bounds >= bounds.max() - 4.0 * INTERIOR_MARGIN * spec.domain.radius)
         blocks = blocks[kept[0]:kept[-1] + 1]
-    moved = _stacked(blocks, x, lifted, inside)
+    moved = _stacked(blocks, x, lifted, None if inside else spec.domain.project)
     moved -= x
     residuals = np.sqrt(np.einsum("ij,ij->i", moved, moved))
     return times, _pair_residual(x, *pair(x, lifted, inside)), residuals, blocks[0][0].start

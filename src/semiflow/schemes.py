@@ -112,7 +112,8 @@ class Schedule:
     p: float = 1.0
 
     def __call__(self, n):
-        return self.block(n, 1)[0]
+        k = n + self.offset
+        return 1.0 / k if self.p == 1.0 else k ** -self.p
 
     def block(self, n, size):
         """[lam_m for m in range(n, n + size)], the weights of size iterates from n, in one call."""
@@ -331,10 +332,6 @@ class _Recorder:
         self._last = (n + k - 1, pair[k - 1], step[k - 1], xs[k - 1], fs[k - 1])
         return done
 
-    def add(self, n, pair_residual, step_norm, point, fsd=None):
-        """add_block of the one iterate x_n, which never stops."""
-        self.add_block(n, [point], [pair_residual], [step_norm], None if fsd is None else [fsd])
-
     def finish(self, tag, termination, inner=None):
         n = self._last[0]
         if not self.records or self.records[-1].n != n:
@@ -490,8 +487,8 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     one point and the flow has a float pair (a d=2 rotation, see
     _float_pair), the blocks are iterated on Python floats instead, with a
     block's weights from one Schedule.block call (_float_blocks).  Either
-    way the report is bit for bit the one a test and a _Recorder.add call
-    of each iterate with two _norm calls gives.
+    way the report is bit for bit the one a test and a _Recorder.add_block
+    call of each iterate alone, with two _norm calls, gives.
 
     B starts are iterated as the rows of one array, through the same
     blocks.  Each row has its own _Recorder, which takes the row's column

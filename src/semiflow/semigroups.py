@@ -281,17 +281,17 @@ def _float_pair(spec, alpha, beta):
 
     Returns (x0, x1) -> (a0, a1, b0, b1), the coordinates of T(alpha)x and
     T(beta)x, each the bits of _pair_kernel's image, or None for any other
-    flow and for a radius outside the interior test's range [2^-500,
-    2^500].  Both images are taken in one body: the offsets from the
-    center once, then _compile's turn for each angle, in the same IEEE
+    flow.  Both images are taken in one body: the offsets from the center
+    once, then _compile's turn for each angle, in the same IEEE
     operations.  Both images are returned unprojected when the float sum
     of squares of the offset (dx, dy) is at most r**2, r the interior
     radius: then ||(dx, dy)|| <= r(1 + 2 eps), and _interior_radius's
-    argument holds.  The images of every other point, NaN included, go
-    through Ball.project on an array.
+    argument holds.  The images of every other point, NaN included, and
+    of every point of a ball without an interior test (r is NaN there),
+    go through Ball.project on an array.
     """
     domain = spec.domain
-    if spec.kind != ROTATION or spec.dim != 2 or not 2.0 ** -500 <= domain.radius <= 2.0 ** 500:
+    if spec.kind != ROTATION or spec.dim != 2:
         return None
     cx, cy = domain.center.tolist()
     limit = _interior_radius(domain) ** 2
@@ -357,8 +357,7 @@ def _kernel(spec, t):
     domain = spec.domain
 
     def apply(x):
-        project = domain.project_rows if x.ndim == 2 else domain.project
-        return project(step(x))
+        return domain.project(step(x))
 
     return apply
 
@@ -379,8 +378,7 @@ def _pair_kernel(spec, alpha, beta):
             lifted = lift(x)
         if inside:
             return rows_a(lifted), rows_b(lifted)
-        project = domain.project_rows if x.ndim == 2 else domain.project
-        return project(rows_a(lifted)), project(rows_b(lifted))
+        return domain.project(rows_a(lifted)), domain.project(rows_b(lifted))
 
     return apply
 
@@ -424,12 +422,10 @@ def _orbit_blocks(spec, times):
     The times must be finite and nonnegative (ValueError naming the first
     bad one).  Returns (lift, blocks), blocks a list of (at, rows) in the
     order of the times: at is the slice of the times one block covers,
-    and rows(x, lift(x), out=None, inside=False) returns a (len, d) array,
-    out if given, whose row i is T(t)x of the block's i-th time, projected
-    into the domain; a row at t = 0 is domain.project(x), as
-    operator(spec, 0.0) computes it.  Nothing checks x.  inside=True says
-    that x passes the interior test (_interior), and skips every
-    projection, which would leave each row as it is.  A block holds about
+    and rows(x, lift(x), out) fills the (len, d) array out, and returns
+    it, with row i = T(t)x of the block's i-th time before projection; a
+    row at t = 0 is x itself, which projects as operator(spec, 0.0) does.
+    Nothing checks x, and _stacked projects the rows.  A block holds about
     ORBIT_BLOCK entries, and where the blocks split the times decides the
     bits of heat rows (a matrix product rounds a row with the size of its
     batch), so every orbit, and every certificate's profile, is split here.
@@ -439,30 +435,33 @@ def _orbit_blocks(spec, times):
     if bad.any():
         _scalar("time", t[bad][0], positive=False)  # raises
     step = ORBIT_BLOCK // spec.dim
-    lift, blocks, domain = np.asarray, [], spec.domain
+    lift, blocks = np.asarray, []
     for lo in range(0, t.size, step):
         at = slice(lo, min(lo + step, t.size))
         lift, rows, _ = _compile(spec, t[at, None])  # lift does not depend on t
 
-        def block(x, lifted, out=None, inside=False, rows=rows, zero=np.flatnonzero(t[at] == 0.0)):
+        def block(x, lifted, out, rows=rows, zero=np.flatnonzero(t[at] == 0.0)):
             ys = rows(lifted, out=out)
-            if not inside:
-                domain.project_rows(ys)
             if zero.size:
-                ys[zero] = x if inside else domain.project(x)
+                ys[zero] = x
             return ys
 
         blocks.append((at, block))
     return lift, blocks
 
 
-def _stacked(blocks, x, lifted, inside=False):
-    """The rows of some of _orbit_blocks' blocks at x, stacked in their order."""
+def _stacked(blocks, x, lifted, project):
+    """The rows of some of _orbit_blocks' blocks at x, stacked in their
+    order, each block projected in place by project(rows) unless project
+    is None (a point that passes the interior test, _interior).  A block
+    at a time keeps the temporaries of the projection small."""
     out = np.empty((sum(at.stop - at.start for at, _ in blocks), x.size))
     hi = 0
     for at, rows in blocks:
         lo, hi = hi, hi + at.stop - at.start
-        rows(x, lifted, out=out[lo:hi], inside=inside)
+        ys = rows(x, lifted, out[lo:hi])
+        if project is not None:
+            project(ys)
     return out
 
 
@@ -477,7 +476,7 @@ def orbit_operator(spec, times):
     differ from it by rounding, within 1e-12 on the built-in families.
     """
     lift, blocks = _orbit_blocks(spec, times)
-    return _checked(spec, lambda x: _stacked(blocks, x, lift(x)), rows=False)
+    return _checked(spec, lambda x: _stacked(blocks, x, lift(x), spec.domain.project), rows=False)
 
 
 def orbit(spec, times, x):

@@ -159,26 +159,23 @@ class Ball:
         return self.exterior_distance(x) <= slack
 
     def project(self, x):
-        """Metric projection onto the ball.  Interior points pass through unchanged."""
+        """Metric projection onto the ball of one point, or of every row of a
+        float (B, d) array in place.
+
+        A point inside is returned itself, and any other point as a new
+        array; each row gets that arithmetic bit for bit.  A NaN point or
+        row is not inside, and comes out NaN.
+        """
         x = np.asarray(x, dtype=float)
         offset = x - self.center
-        nrm = _norm(offset)
-        if nrm <= self.radius:
-            return x
-        return self.center + offset * (self.radius / nrm)
-
-    def project_rows(self, ys):
-        """Project every row of a float (B, d) array onto the ball, in place.
-
-        Each row gets the arithmetic project() applies to one point, bit
-        for bit.
-        """
-        offset = ys - self.center
+        if x.ndim == 1:
+            nrm = _norm(offset)
+            return x if nrm <= self.radius else self.center + offset * (self.radius / nrm)
         nrm = _row_norms(offset)
-        out = nrm > self.radius
+        out = ~(nrm <= self.radius)
         if out.any():
-            ys[out] = self.center + offset[out] * (self.radius / nrm[out])[:, None]
-        return ys
+            x[out] = self.center + offset[out] * (self.radius / nrm[out])[:, None]
+        return x
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,11 +206,10 @@ class Box:
         return self.exterior_distance(x) <= slack
 
     def project(self, x):
-        return np.clip(np.asarray(x, dtype=float), self.lower, self.upper)
-
-    def project_rows(self, ys):
-        """Project every row of a float (B, d) array onto the box, in place."""
-        return np.clip(ys, self.lower, self.upper, out=ys)
+        """Metric projection onto the box of one point, as a new array, or of
+        every row of a float (B, d) array in place."""
+        x = np.asarray(x, dtype=float)
+        return np.clip(x, self.lower, self.upper, out=x if x.ndim == 2 else None)
 
 
 def sym_eigendecompose(matrix):

@@ -178,7 +178,7 @@ def per_step_drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
         ta, tb = op_pair(x)
         pair = max(_norm(ta - x), _norm(tb - x))
         step = 0.0 if x_prev is None else _norm(x - x_prev)
-        rec.add(n, pair, step, x)
+        rec.add_block(n, [x], [pair], [step])
         if inner is not None and not inner[-1][2]:
             termination = schemes.INNER_SOLVER_FAILURE
             break
@@ -223,7 +223,7 @@ def per_step_rows(spec, cfg, tag, iterates, track_fejer=False, inner=None):
         step = [0.0] * len(x) if x_prev is None else _row_norms(x - x_prev).tolist()
         fsd = fixed_set_distance(recs[0].fixed_set, x).tolist() if track_fejer else [None] * len(x)
         for i in live:
-            recs[i].add(n, pair[i], step[i], x[i], fsd[i])
+            recs[i].add_block(n, [x[i]], [pair[i]], [step[i]], [fsd[i]])
             if pair[i] <= cfg.tol and step[i] <= cfg.tol:
                 ends[i] = schemes.CONVERGED
         live = [i for i in live if ends[i] == schemes.MAX_ITER]

@@ -1061,7 +1061,7 @@ def test_thinned_records_equal_the_record_all_records():
     # 1, 2, ... to the fixed set {0} rises on every even n
     rec = _Recorder(decay(dim=1), track_fejer=True)
     for n in range(1, 301):
-        rec.add(n, 0.0, 0.0, np.array([2.0 - n % 2]))
+        rec.add_block(n, [np.array([2.0 - n % 2])], [0.0], [0.0])
     report = rec.finish("mann", "max_iter")
     assert report.fejer_violations == 150
     assert report.iterates_recorded[-1].fixed_set_distance == 2.0
@@ -1069,13 +1069,13 @@ def test_thinned_records_equal_the_record_all_records():
 
 def recorder_reports(spec, points, pair, step, ends, tol=-math.inf, record_all=False, fsd=None):
     """The reports of two _Recorders fed the same iterates and stopped at the first with
-    pair and step at most tol: one iterate at a time through add, and a block at a time
-    through add_block, the blocks ending after the iterates in ``ends``.  fsd holds the
+    pair and step at most tol: one iterate at a time, and a block at a time, through
+    add_block, the blocks ending after the iterates in ``ends``.  fsd holds the
     distances to pass, or None."""
     track = {"track_fejer": True, "record_all": record_all}
     one, blocked = _Recorder(spec, **track), _Recorder(spec, **track)
     for n, (x, p, s) in enumerate(zip(points, pair, step), start=1):
-        one.add(n, p, s, x, None if fsd is None else fsd[n - 1])
+        one.add_block(n, [x], [p], [s], None if fsd is None else [fsd[n - 1]])
         if p <= tol and s <= tol:
             break
     edges = [0] + [e for e in ends if e < len(points)] + [len(points)]

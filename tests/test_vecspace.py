@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -88,9 +90,9 @@ def test_ball_membership_and_projection():
     assert not ball.contains([3.1, 0.0])
     assert ball.contains([3.1, 0.0], slack=0.2)
     assert ball.exterior_distance([4.0, 0.0]) == pytest.approx(1.0)
-    # interior points pass through bit-for-bit
+    # an interior point is returned itself
     inside = np.array([1.7, -0.3])
-    assert ball.project(inside) is inside or np.array_equal(ball.project(inside), inside)
+    assert ball.project(inside) is inside
     out = ball.project([5.0, 0.0])
     assert np.allclose(out, [3.0, 0.0])
     with pytest.raises(ValueError):
@@ -114,6 +116,40 @@ def test_projection_is_nonexpansive():
         for _ in range(200):
             x, y = rng.normal(scale=3.0, size=(2, 3))
             assert dist(domain.project(x), domain.project(y)) <= dist(x, y) + 1e-12
+
+
+def test_projection_of_rows_is_each_rows_projection_in_place():
+    # project takes a point or a (B, d) array of rows: each row is projected
+    # in place, with the bits that projecting it alone as a point gives;
+    # rows inside, moved, on the shells R(1 + k eps), |k| <= 8, and NaN
+    rng = np.random.default_rng(37)
+    eps = np.finfo(float).eps
+    for d in (1, 2, 3, 16, 64):
+        center, radius = rng.normal(size=d), 0.37
+        k = rng.integers(-8, 9, size=(300, 1)) * eps
+        scales = np.concatenate([rng.uniform(0.0, 1.0, (100, 1)), rng.uniform(1.0, 3.0, (100, 1)), 1.0 + k])
+        g = rng.normal(size=(scales.size, d))
+        ball_rows = center + radius * scales * g / np.linalg.norm(g, axis=1, keepdims=True)
+        # a box's rows: inside, anywhere, and on its faces, each coordinate at a bound times (1 + k eps)
+        lower, upper = center - radius, center + radius
+        u = np.concatenate([rng.uniform(0.0, 1.0, (100, d)), rng.uniform(-0.5, 1.5, (100, d))])
+        faces = np.where(rng.uniform(size=(300, d)) < 0.5, lower, upper)
+        box_rows = np.concatenate([lower + u * (upper - lower), faces * (1.0 + rng.integers(-8, 9, (300, d)) * eps)])
+        for dom, rows in ((Ball(center, radius), ball_rows), (Box(lower, upper), box_rows)):
+            rows[0, -1] = math.nan
+            before = rows.copy()
+            points = [dom.project(row) for row in rows]
+            assert rows.tobytes() == before.tobytes()  # a point is never written to
+            moved = sum(not np.array_equal(p, row) for p, row in zip(points[1:], rows[1:]))
+            assert 0 < moved < len(rows) - 1, (type(dom).__name__, d)
+            ys = rows.copy()
+            assert dom.project(ys) is ys
+            assert ys.tobytes() == np.array(points).tobytes(), (type(dom).__name__, d)
+            assert np.isnan(ys[0]).all() if isinstance(dom, Ball) else np.isnan(ys[0, -1])
+        # a ball returns an inside point itself, and any other as a new array
+        ball = Ball(center, radius)
+        for row in ball_rows:
+            assert (ball.project(row) is row) == (_norm(row - center) <= radius)
 
 
 # ---- symmetric eigensolver -----------------------------------------------------
