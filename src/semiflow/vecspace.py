@@ -160,11 +160,13 @@ class Ball:
 
     def project(self, x):
         """Metric projection onto the ball of one point, or of every row of a
-        float (B, d) array in place.
+        (B, d) array in place.
 
         A point inside is returned itself, and any other point as a new
-        array; each row gets that arithmetic bit for bit.  A NaN point or
-        row is not inside, and comes out NaN.
+        array; each row gets that arithmetic bit for bit.  A float64 array
+        of rows is overwritten and returned; rows of any other type are
+        first copied to a new float array.  A NaN point or row is not
+        inside, and comes out NaN.
         """
         x = np.asarray(x, dtype=float)
         offset = x - self.center
@@ -207,7 +209,8 @@ class Box:
 
     def project(self, x):
         """Metric projection onto the box of one point, as a new array, or of
-        every row of a float (B, d) array in place."""
+        every row of a (B, d) array in place, as Ball.project: a float64
+        array of rows is overwritten and returned."""
         x = np.asarray(x, dtype=float)
         return np.clip(x, self.lower, self.upper, out=x if x.ndim == 2 else None)
 

@@ -475,8 +475,6 @@ def test_kernels_are_the_public_callables_without_the_check(monkeypatch):
         monkeypatch.undo()
 
 
-# a ball of radius 1e160 overflows the squared norm that Ball.project takes
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 def test_float_pair_is_the_pair_kernel_bit_for_bit(monkeypatch):
     # the float pair leaves an image unprojected only where a margin proves
     # that Ball.project would return it unchanged; points inside, on shells
@@ -513,13 +511,14 @@ def test_float_pair_is_the_pair_kernel_bit_for_bit(monkeypatch):
             # the exact projection ran, moved some images and left others, and was skipped for most
             assert 0 < sum(moved) < len(moved) < len(points), (spec.domain.radius, alpha, beta)
     # a center at 2^24 R, where no point passes the interior test, and radii outside
-    # [2^-500, 2^500], whose balls have no test: every image is projected
-    for spec in (rotation(period=1.3, center=(0.6 * 2.0 ** 24 * 0.37, -0.8 * 2.0 ** 24 * 0.37), radius=0.37),
-                 rotation(radius=1e-160), rotation(radius=1e160)):
+    # [2^-500, 2^500], whose balls have no test: every image is projected, and
+    # the inside ones come out unchanged, except at 1e160, where the squared
+    # norm that Ball.project takes overflows
+    for spec, overflows in ((rotation(period=1.3, center=(0.6 * 2.0 ** 24 * 0.37, -0.8 * 2.0 ** 24 * 0.37),
+                                      radius=0.37), False),
+                            (rotation(radius=1e-160), False), (rotation(radius=1e160), True)):
         g = rng.normal(size=(scales.size, 2))
         points = spec.domain.center + (spec.domain.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
-        kernel = _pair_kernel(spec, 1.0, SQRT2)
-        expected = [np.concatenate(kernel(x)).tobytes() for x in points]
         moved = []
 
         def counted(self, y):
@@ -527,12 +526,16 @@ def test_float_pair_is_the_pair_kernel_bit_for_bit(monkeypatch):
             moved.append(out is not y)
             return out
 
-        with monkeypatch.context() as m:
-            m.setattr(vecspace.Ball, "project", counted)
-            pair = _float_pair(spec, 1.0, SQRT2)
-            got = [np.array(pair(*x)).tobytes() for x in points.tolist()]
+        with np.errstate(over="ignore" if overflows else "warn"):
+            kernel = _pair_kernel(spec, 1.0, SQRT2)
+            expected = [np.concatenate(kernel(x)).tobytes() for x in points]
+            with monkeypatch.context() as m:
+                m.setattr(vecspace.Ball, "project", counted)
+                pair = _float_pair(spec, 1.0, SQRT2)
+                got = [np.array(pair(*x)).tobytes() for x in points.tolist()]
         assert got == expected, spec.domain.radius
-        assert len(moved) == 2 * len(points) and sum(moved) > 0, spec.domain.radius
+        assert len(moved) == 2 * len(points), spec.domain.radius
+        assert 0 < sum(moved) and (overflows or sum(moved) < len(moved)), spec.domain.radius
     # any other flow has none
     for spec in (decay(dim=2), heat(np.eye(2)), rotation(dim=3)):
         assert _float_pair(spec, 1.0, SQRT2) is None
