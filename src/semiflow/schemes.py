@@ -35,7 +35,8 @@ import numpy as np
 
 from semiflow.characterize import _checked_pair
 from semiflow.semigroups import (
-    _checker, _float_pair, _kernel, _pair_kernel, _parse_value, analytic_fixed_set, fixed_set_distance,
+    _checker, _compile, _float_pair, _interior_radius, _kernel, _pair_kernel, _parse_value, analytic_fixed_set,
+    fixed_set_distance,
 )
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
@@ -364,25 +365,31 @@ def _require_point(spec, cfg, name, tag, rows=False):
 
 @dataclass(frozen=True)
 class _Rule:
-    """An explicit update x_{n+1} = update(w_n, x_n, T(alpha)x_n, T(beta)x_n, anchor).
+    """The explicit update of mann or halpern, from x_n and its images
+    a = T(alpha)x_n and b = T(beta)x_n.
 
-    weight is a Schedule, and w_n is weight(n), or None without a weight
-    (the float path takes a block's weights in one Schedule.block call).
-    update takes numpy arrays, or one coordinate of each as Python floats,
-    and does the same IEEE operations in the same order on both, so the
-    two give the same bits.  Called as a scheme's ``iterates`` (see _drive), it is the
-    generator of the array path.
+    mann's has mix = (kappa, lam, rest) and gives kappa*a + lam*b + rest*x_n;
+    halpern's has a Schedule weight and an anchor u and gives
+    h*(a + b) + w*u, with w = weight(n) and h = 0.5*(1 - w).  Called as a
+    scheme's ``iterates`` (see _drive), it is the generator of the array
+    path; _float_blocks writes the same IEEE operations out on one point's
+    coordinates as Python floats, so the two give the same bits.
     """
 
-    update: object
+    mix: tuple | None = None
     weight: object = None
     anchor: np.ndarray | None = None
 
     def __call__(self, x, *_):
-        update, weight, anchor = self.update, self.weight, self.anchor
+        weight, u = self.weight, self.anchor
+        kappa, lam, rest = self.mix or (None, None, None)
         for n in itertools.count(1):
             ta, tb = yield x
-            x = update(None if weight is None else weight(n), x, ta, tb, anchor)
+            if weight is None:
+                x = kappa * ta + lam * tb + rest * x
+            else:
+                w = weight(n)
+                x = 0.5 * (1.0 - w) * (ta + tb) + w * u
 
 
 def _block_norms(before, block, ta, tb):
@@ -425,34 +432,65 @@ def _array_blocks(orbit, op_pair):
     return take
 
 
-def _float_blocks(float_pair, rule, x):
-    """_array_blocks for a _Rule from one d=2 start x, iterated on Python floats.
+def _float_blocks(spec, cfg, rule, x):
+    """_array_blocks for a _Rule from one d=2 start x, iterated on Python
+    floats, or None for a flow without a float pair (see _float_pair).
 
-    Each iterate's images come from one float_pair call (see
-    _float_pair), its weight from one Schedule.block call per block, and
-    its successor from two calls of rule.update, one per coordinate.  A
-    block's iterates and images are read into one (size + 1, 3, 2) array
-    with one np.fromiter call, and its iterates are returned as rows of it.
+    Each iterate is one pass of a loop body with no call in it: the
+    offsets from the center and both images with _compile's turn,
+    _float_pair's interior test, and the rule's update, in the IEEE
+    operations of its array form (_Rule).  An iterate that fails the test
+    takes its images from float_pair, the one owner of that fallback.  A
+    block's weights come from one Schedule.block call.  The loop keeps
+    only the iterates; after the block, _compile's rows for alpha and beta
+    recompute their images from the (size, 2) iterates, in the same
+    operations, and project them on rows only if some iterate failed the
+    test.  The iterates are returned as rows of one array.
     """
-    update, weight = rule.update, rule.weight
+    float_pair = _float_pair(spec, cfg.alpha, cfg.beta)
+    if float_pair is None:
+        return None
+    _, rows_a, (ca, sa) = _compile(spec, cfg.alpha)
+    _, rows_b, (cb, sb) = _compile(spec, cfg.beta)
+    domain = spec.domain
+    cx, cy = domain.center.tolist()
+    limit = _interior_radius(domain) ** 2
+    weight = rule.weight
+    kappa, lam, rest = rule.mix or (None, None, None)
     u0, u1 = (None, None) if rule.anchor is None else rule.anchor.tolist()
     x0, x1 = x.tolist()
-    # the iterate before the block (x_1 itself at first), then its images, which go unused
-    last = (x0, x1) * 3
+    before = [x0, x1]  # the iterate before the block, x_1 itself at first
     n = 1  # (x0, x1) is x_n
 
     def take(size):
-        nonlocal x0, x1, last, n
-        out = [last]
+        nonlocal x0, x1, before, n
+        out = before
+        fell = False
         for w in [None] * size if weight is None else weight.block(n, size):
-            a0, a1, b0, b1 = float_pair(x0, x1)
-            out.append((x0, x1, a0, a1, b0, b1))
-            x0, x1 = update(w, x0, a0, b0, u0), update(w, x1, a1, b1, u1)
+            out += x0, x1
+            dx = x0 - cx
+            dy = x1 - cy
+            # written so that a NaN sum, or a NaN limit, fails the test too
+            if dx * dx + dy * dy <= limit:
+                a0, a1 = cx + ca * dx - sa * dy, cy + sa * dx + ca * dy
+                b0, b1 = cx + cb * dx - sb * dy, cy + sb * dx + cb * dy
+            else:
+                a0, a1, b0, b1 = float_pair(x0, x1)
+                fell = True
+            if w is None:
+                x0, x1 = kappa * a0 + lam * b0 + rest * x0, kappa * a1 + lam * b1 + rest * x1
+            else:
+                h = 0.5 * (1.0 - w)
+                x0, x1 = h * (a0 + b0) + w * u0, h * (a1 + b1) + w * u1
         n += size
-        last = out[-1]
-        rows = np.fromiter(itertools.chain.from_iterable(out), float, 6 * size + 6).reshape(size + 1, 3, 2)
-        xs = rows[1:, 0]
-        return xs, *_block_norms(rows[:-1, 0], xs, rows[1:, 1], rows[1:, 2])
+        before = out[-2:]
+        rows = np.array(out).reshape(size + 1, 2)
+        xs = rows[1:]
+        ta, tb = rows_a(xs), rows_b(xs)
+        if fell:
+            domain.project(ta)
+            domain.project(tb)
+        return xs, *_block_norms(rows[:-1], xs, ta, tb)
 
     return take
 
@@ -485,10 +523,11 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     for suzuki_averaged_mann), and the implicit scheme's inner failure
     must stop the run at once.  When ``iterates`` is a _Rule, the start is
     one point and the flow has a float pair (a d=2 rotation, see
-    _float_pair), the blocks are iterated on Python floats instead, with a
-    block's weights from one Schedule.block call (_float_blocks).  Either
-    way the report is bit for bit the one a test and a _Recorder.add_block
-    call of each iterate alone, with two _norm calls, gives.
+    _float_pair), the blocks are iterated on Python floats instead
+    (_float_blocks), and a mann run's Fejer distances are taken once per
+    block, on its rows.  Either way the report is bit for bit the one a
+    test and a _Recorder.add_block call of each iterate alone, with two
+    _norm calls, gives.
 
     B starts are iterated as the rows of one array, through the same
     blocks.  Each row has its own _Recorder, which takes the row's column
@@ -500,12 +539,9 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     x0 = _require_point(spec, cfg, "start", tag, rows=tag in ROW_SCHEMES)
     n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
     _checked_pair(cfg.alpha, cfg.beta)
-    float_pair = None
-    if isinstance(iterates, _Rule) and x0.ndim == 1:
-        float_pair = _float_pair(spec, cfg.alpha, cfg.beta)
-    if float_pair is not None:
-        take = _float_blocks(float_pair, iterates, x0)
-    else:
+    take = _float_blocks(spec, cfg, iterates, x0) if isinstance(iterates, _Rule) and x0.ndim == 1 else None
+    floats = take is not None
+    if not floats:
         op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
         orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
         take = _array_blocks(orbit, op_pair)
@@ -518,7 +554,10 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
         size = min(n_max - n, DRIVE_BLOCK, max(8, n // 8)) if tag in ROW_SCHEMES else 1
         xs, pair, step = take(size)
         if x0.ndim == 1:
-            runs = [(xs, pair, step, None)]
+            # the float path's iterates are the rows of one array, and a d=2 rotation's
+            # fixed set has no basis, so one call gives each iterate's distance bit for bit
+            fsd = fixed_set_distance(recs[0].fixed_set, xs).tolist() if track_fejer and floats else None
+            runs = [(xs, pair, step, fsd)]
         else:
             fsd = [fixed_set_distance(recs[0].fixed_set, x).tolist() for x in xs] if track_fejer else None
             runs = list(zip(zip(*xs), zip(*pair), zip(*step), zip(*fsd) if fsd else itertools.repeat(None)))
@@ -613,13 +652,7 @@ def mann(spec, cfg):
         raise ValueError("kappa and lambda must be positive")
     if not cfg.kappa + cfg.lam < 1:
         raise ValueError("kappa + lambda must be < 1")
-    kappa, lam = cfg.kappa, cfg.lam
-    rest = 1.0 - kappa - lam
-
-    def update(_, x, ta, tb, __):
-        return kappa * ta + lam * tb + rest * x
-
-    return _drive(spec, cfg, "mann", _Rule(update), track_fejer=True)
+    return _drive(spec, cfg, "mann", _Rule(mix=(cfg.kappa, cfg.lam, 1.0 - cfg.kappa - cfg.lam)), track_fejer=True)
 
 
 def suzuki_averaged_mann(spec, cfg):
@@ -736,11 +769,7 @@ def halpern(spec, cfg):
     fixed point nearest the anchor.
     """
     u = _require_point(spec, cfg, "u", "halpern")
-
-    def update(lam_n, x, ta, tb, u):
-        return 0.5 * (1.0 - lam_n) * (ta + tb) + lam_n * u
-
-    return _drive(spec, cfg, "halpern", _Rule(update, cfg.schedule, u))
+    return _drive(spec, cfg, "halpern", _Rule(weight=cfg.schedule, anchor=u))
 
 
 SCHEME_TAGS = {

@@ -17,8 +17,9 @@ Each family's formula is written once, in ``_compile``, and the
 ``operator``, ``pair_operator`` and ``orbit_operator`` compilers build on it
 (an orbit, and a certificate's profile, on ``_orbit_blocks``' blocks of times);
 they assume that the spec is never changed (a heat spectrum is read-only).
-Only the float pair of a d=2 rotation, beside ``_compile``, writes the
-rotation's two lines out again, for both times of a pair at once.
+Two places beside ``_compile`` write the rotation's two lines out again,
+for both times of a pair at once on a d=2 rotation's coordinates: the
+float pair here, and the loop body of ``schemes._float_blocks``.
 Each public callable checks on every call that its argument lies within a
 small membership slack of the domain, and projects every output back into
 the domain, so long iteration loops cannot drift outside by rounding.
@@ -191,8 +192,9 @@ def _compile(spec, t):
     columns, and to one point's coordinates as Python floats when t is a
     float and no out is given, which is cheaper there.  Both do the same
     IEEE operations.  cs is the rotation's (cos, sin) of its angle, which
-    _float_pair below turns one point by for both times of a pair with
-    turn's operations; it is None for the other families.
+    _float_pair below and schemes._float_blocks turn one point by for both
+    times of a pair with turn's operations; it is None for the other
+    families.
     """
     lift = cs = None
     if spec.kind == ROTATION:
@@ -204,7 +206,7 @@ def _compile(spec, t):
         cx, cy = spec.center.tolist()
         cs = c, s
 
-        def turn(x0, x1):  # _float_pair writes these two lines out for two angles at once
+        def turn(x0, x1):  # _float_pair and schemes._float_blocks write these out for two angles at once
             dx = x0 - cx
             dy = x1 - cy
             return cx + c * dx - s * dy, cy + s * dx + c * dy
@@ -288,7 +290,9 @@ def _float_pair(spec, alpha, beta):
     radius: then ||(dx, dy)|| <= r(1 + 2 eps), and _interior_radius's
     argument holds.  The images of every other point, NaN included, and
     of every point of a ball without an interior test (r is NaN there),
-    go through Ball.project on an array.
+    go through Ball.project on an array.  schemes._float_blocks runs the
+    same test and turn inline, and takes the images of a point that fails
+    it from here.
     """
     domain = spec.domain
     if spec.kind != ROTATION or spec.dim != 2:

@@ -32,6 +32,10 @@ _DIM_ENV_VAR = "SEMIFLOW_MAX_DIM"
 # weights of an affine/convex combination must sum to 1 within this slack
 WEIGHT_SUM_TOL = 1e-12
 
+# a ball of radius above this may hold points whose offset from the center
+# has a sum of squares that overflows (2^511 squared is 2^1022; see Ball._norms)
+WIDE_RADIUS = 2.0 ** 500
+
 
 def max_dim():
     """Return the current dimension cap.
@@ -150,10 +154,26 @@ class Ball:
     def dim(self):
         return self.center.size
 
+    def _norms(self, offset):
+        """_row_norms(offset), the norm of one offset from the center or of each row's.
+
+        On a ball of radius above WIDE_RADIUS, a point inside may have an
+        offset whose sum of squares overflows to inf: there that sum is taken
+        without numpy's overflow warning, and each norm that overflowed is
+        taken again as s ||offset / s||, s the offset's largest magnitude.
+        Every norm whose sum of squares is finite keeps its bits.
+        """
+        if self.radius <= WIDE_RADIUS:
+            return _row_norms(offset)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = np.abs(offset).max(axis=-1, keepdims=True)
+            nrm = _row_norms(offset)
+            return np.where(nrm == math.inf, s[..., 0] * _row_norms(offset / s), nrm)
+
     def exterior_distance(self, x):
         """Distance from a point x to the ball, or the distances of the rows
         of a (B, d) array: 0 inside, NaN for a NaN coordinate."""
-        return np.maximum(_row_norms(np.asarray(x, float) - self.center) - self.radius, 0.0)
+        return np.maximum(self._norms(np.asarray(x, float) - self.center) - self.radius, 0.0)
 
     def contains(self, x, slack=0.0):
         return self.exterior_distance(x) <= slack
@@ -171,9 +191,9 @@ class Ball:
         x = np.asarray(x, dtype=float)
         offset = x - self.center
         if x.ndim == 1:
-            nrm = _norm(offset)
+            nrm = _norm(offset) if self.radius <= WIDE_RADIUS else self._norms(offset)
             return x if nrm <= self.radius else self.center + offset * (self.radius / nrm)
-        nrm = _row_norms(offset)
+        nrm = self._norms(offset)
         out = ~(nrm <= self.radius)
         if out.any():
             x[out] = self.center + offset[out] * (self.radius / nrm[out])[:, None]

@@ -33,7 +33,6 @@ from semiflow.schemes import (
 )
 from semiflow.semigroups import (
     MEMBERSHIP_SLACK,
-    _float_pair,
     _kernel,
     _pair_kernel,
     analytic_fixed_set,
@@ -187,10 +186,11 @@ def test_mann_weight_preconditions():
 def count_applications(monkeypatch, shapes=False):
     """Count every application of the kernels the scheme driver compiles.
 
-    A call of a compiled pair, or of the float pair of a d=2 rotation,
-    counts as two applications, one at alpha and one at beta.  Returns the
-    list of times applied, or of (time, argument shape) pairs with
-    ``shapes`` (a float pair's argument has shape (2,)).
+    A call of a compiled pair counts as two applications, one at alpha and
+    one at beta, and a float block of a d=2 rotation's iterates, which
+    calls no kernel per iterate, as two per iterate.  Returns the list of
+    times applied, or of (time, argument shape) pairs with ``shapes`` (a
+    float block's iterates have shape (2,)).
     """
     calls = []
 
@@ -212,20 +212,20 @@ def count_applications(monkeypatch, shapes=False):
 
         return counted
 
-    def counting_float_pair(spec, alpha, beta):
-        apply = _float_pair(spec, alpha, beta)
-        if apply is None:
+    def counting_float_blocks(spec, c, rule, x):
+        take = _float_blocks(spec, c, rule, x)
+        if take is None:
             return None
 
-        def counted(x0, x1):
-            calls.extend([(alpha, (2,)), (beta, (2,))] if shapes else [alpha, beta])
-            return apply(x0, x1)
+        def counted(size):
+            calls.extend(([(c.alpha, (2,)), (c.beta, (2,))] if shapes else [c.alpha, c.beta]) * size)
+            return take(size)
 
         return counted
 
     monkeypatch.setattr(schemes, "_kernel", counting_kernel)
     monkeypatch.setattr(schemes, "_pair_kernel", counting_pair_kernel)
-    monkeypatch.setattr(schemes, "_float_pair", counting_float_pair)
+    monkeypatch.setattr(schemes, "_float_blocks", counting_float_blocks)
     return calls
 
 
@@ -319,7 +319,15 @@ def test_one_start_is_iterated_as_a_point(monkeypatch):
     # as a (1, d) row it would cost several times more per iterate
     calls = count_applications(monkeypatch, shapes=True)
     float_path = []
-    monkeypatch.setattr(schemes, "_float_blocks", lambda *args: float_path.append(1) or _float_blocks(*args))
+    counted = schemes._float_blocks
+
+    def float_blocks(*args):
+        take = counted(*args)
+        if take is not None:
+            float_path.append(1)
+        return take
+
+    monkeypatch.setattr(schemes, "_float_blocks", float_blocks)
     rng = np.random.default_rng(7)
     for spec in (rotation(period=1.0, center=(0.5, -0.25)), decay(dim=3), heat(_path_laplacian(4))):
         _, start, u = row_starts(spec, rng, 3)
@@ -381,12 +389,16 @@ def block_specs():
 
 
 def block_flows():
-    """(spec, starts, anchor) for every block_specs() flow, and for a radius-1 rotation.
+    """(spec, starts, anchor) for every block_specs() flow, and for two small rotations.
 
     starts has three rows: a common fixed point, the start block_cases()
-    runs alone, and the anchor.  The radius-1 rotation's start lies on its
-    boundary, so its first images go through the exact projection on the
-    float path.
+    runs alone, and the anchor.  The radius-1 rotation's start lies on
+    its boundary, so its first images go through the exact projection on
+    the float path.  The other, of radius 2^-10, has its center 2^21 radii
+    from the origin, where its ball has no interior test, so every iterate
+    on the float path takes its images from the float pair's projections;
+    its start lies just outside the ball, within the membership slack, so
+    that those projections move its first images.
     """
     rng = np.random.default_rng(18)
     flows = []
@@ -395,6 +407,9 @@ def block_flows():
         flows.append((spec, starts, starts[2]))
     small = rotation(period=1.0, center=(0.5, -0.25), radius=1.0)
     flows.append((small, np.array([[0.5, -0.25], [1.5, -0.25], [0.5, 0.75]]), np.array([0.5, 0.75])))
+    far = rotation(period=1.0, center=(0.6 * 2.0 ** 11, 0.8 * 2.0 ** 11), radius=2.0 ** -10)
+    starts = far.center + 2.0 ** -10 * np.array([[0.0, 0.0], [0.6 + 2.0 ** -24, -0.8 - 2.0 ** -24], [-0.3, 0.6]])
+    flows.append((far, starts, starts[2]))
     return flows
 
 

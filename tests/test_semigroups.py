@@ -1,5 +1,6 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -512,11 +513,10 @@ def test_float_pair_is_the_pair_kernel_bit_for_bit(monkeypatch):
             assert 0 < sum(moved) < len(moved) < len(points), (spec.domain.radius, alpha, beta)
     # a center at 2^24 R, where no point passes the interior test, and radii outside
     # [2^-500, 2^500], whose balls have no test: every image is projected, and
-    # the inside ones come out unchanged, except at 1e160, where the squared
-    # norm that Ball.project takes overflows
-    for spec, overflows in ((rotation(period=1.3, center=(0.6 * 2.0 ** 24 * 0.37, -0.8 * 2.0 ** 24 * 0.37),
-                                      radius=0.37), False),
-                            (rotation(radius=1e-160), False), (rotation(radius=1e160), True)):
+    # the inside ones come out unchanged, also at 1e160, where an offset's sum
+    # of squares overflows
+    for spec in (rotation(period=1.3, center=(0.6 * 2.0 ** 24 * 0.37, -0.8 * 2.0 ** 24 * 0.37), radius=0.37),
+                 rotation(radius=1e-160), rotation(radius=1e160)):
         g = rng.normal(size=(scales.size, 2))
         points = spec.domain.center + (spec.domain.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
         moved = []
@@ -526,19 +526,42 @@ def test_float_pair_is_the_pair_kernel_bit_for_bit(monkeypatch):
             moved.append(out is not y)
             return out
 
-        with np.errstate(over="ignore" if overflows else "warn"):
-            kernel = _pair_kernel(spec, 1.0, SQRT2)
-            expected = [np.concatenate(kernel(x)).tobytes() for x in points]
-            with monkeypatch.context() as m:
-                m.setattr(vecspace.Ball, "project", counted)
-                pair = _float_pair(spec, 1.0, SQRT2)
-                got = [np.array(pair(*x)).tobytes() for x in points.tolist()]
+        kernel = _pair_kernel(spec, 1.0, SQRT2)
+        expected = [np.concatenate(kernel(x)).tobytes() for x in points]
+        with monkeypatch.context() as m:
+            m.setattr(vecspace.Ball, "project", counted)
+            pair = _float_pair(spec, 1.0, SQRT2)
+            got = [np.array(pair(*x)).tobytes() for x in points.tolist()]
         assert got == expected, spec.domain.radius
         assert len(moved) == 2 * len(points), spec.domain.radius
-        assert 0 < sum(moved) and (overflows or sum(moved) < len(moved)), spec.domain.radius
+        assert 0 < sum(moved) < len(moved), spec.domain.radius
     # any other flow has none
     for spec in (decay(dim=2), heat(np.eye(2)), rotation(dim=3)):
         assert _float_pair(spec, 1.0, SQRT2) is None
+
+
+def test_a_wide_ball_takes_norms_that_overflow_rescaled():
+    # on a ball of radius 1e160 the sum of squares of an offset of 1e155
+    # overflows: the point is still inside, its image is not projected, and no
+    # overflow is warned of; far outside, a projection lands on the sphere
+    spec = rotation(radius=1e160)
+    x = np.array([1e155, 0.0])
+    image = _compile(spec, 0.25)[1](x)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert evaluate(spec, 0.25, x).tobytes() == image.tobytes()
+        assert _kernel(spec, 0.25)(x).tobytes() == image.tobytes()
+        ball = spec.domain
+        assert ball.exterior_distance(x) == 0.0
+        assert ball.exterior_distance(np.array([[0.0, 3e160], [1.0, 2.0], x])).tolist() == [3e160 - 1e160, 0.0, 0.0]
+        assert np.allclose(ball.project(np.array([3e160, -4e160])), [6e159, -8e159], rtol=1e-15, atol=0.0)
+        rows = ball.project(np.array([[3e160, -4e160], x, [0.0, 0.0]]))
+        assert np.allclose(rows[0], [6e159, -8e159], rtol=1e-15, atol=0.0)
+        assert rows[1:].tolist() == [[1e155, 0.0], [0.0, 0.0]]
+    # a finite sum of squares keeps its bits
+    offsets = 1e150 * np.random.default_rng(60).normal(size=(50, 2))
+    assert ball._norms(offsets).tolist() == vecspace._row_norms(offsets).tolist()
+    assert [ball._norms(o) for o in offsets] == [vecspace._norm(o) for o in offsets]
 
 
 def one_pass_orbit(spec, times, x):
