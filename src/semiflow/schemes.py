@@ -29,13 +29,14 @@ from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from semiflow.characterize import _checked_pair
 from semiflow.semigroups import (
-    _checker, _compile, _float_pair, _interior_radius, _kernel, _pair_kernel, _parse_value, analytic_fixed_set,
+    ROTATION, _checker, _compile, _interior_radius, _kernel, _pair_kernel, _parse_value, analytic_fixed_set,
     fixed_set_distance,
 )
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
@@ -72,9 +73,9 @@ INNER_SOLVER_FAILURE = "inner_solver_failure"
 # counts as a monotonicity violation
 FEJER_SLACK = 1e-10
 
-# the iterates a run records unless it records all: 1, ..., 100, then 128,
-# 181, 256, 362, ... (the powers of sqrt(2) from 2**7, rounded), up to past 2**63
-KEPT = frozenset(range(1, 101)) | {int(round(2.0 ** (7 + k / 2.0))) for k in range(114)}
+# the iterates a run records unless it records all, ascending: 1, ..., 100, then
+# 128, 181, 256, 362, ... (the powers of sqrt(2) from 2**7, rounded), up to past 2**63
+KEPT = tuple(range(1, 101)) + tuple(int(round(2.0 ** (7 + k / 2.0))) for k in range(114))
 
 # the longest block of iterates _drive takes before testing them (see _drive)
 DRIVE_BLOCK = 256
@@ -113,8 +114,7 @@ class Schedule:
     p: float = 1.0
 
     def __call__(self, n):
-        k = n + self.offset
-        return 1.0 / k if self.p == 1.0 else k ** -self.p
+        return self.block(n, 1)[0]
 
     def block(self, n, size):
         """[lam_m for m in range(n, n + size)], the weights of size iterates from n, in one call."""
@@ -328,8 +328,8 @@ class _Recorder:
             self._prev_fsd = prev
         fs = [None] * k if fsd is None else fsd
         append, record = self.records.append, self._record
-        for i in range(k) if self.record_all else [i for i in range(k) if n + i in KEPT]:
-            append(record(n + i, pair[i], step[i], xs[i], fs[i]))
+        for m in range(n, n + k) if self.record_all else KEPT[bisect_left(KEPT, n):bisect_left(KEPT, n + k)]:
+            append(record(m, pair[m - n], step[m - n], xs[m - n], fs[m - n]))
         self._last = (n + k - 1, pair[k - 1], step[k - 1], xs[k - 1], fs[k - 1])
         return done
 
@@ -433,22 +433,23 @@ def _array_blocks(orbit, op_pair):
 
 
 def _float_blocks(spec, cfg, rule, x):
-    """_array_blocks for a _Rule from one d=2 start x, iterated on Python
-    floats, or None for a flow without a float pair (see _float_pair).
+    """_array_blocks for a _Rule from one start x of a d=2 rotation, iterated
+    on Python floats, or None for any other flow.
 
-    Each iterate is one pass of a loop body with no call in it: the
-    offsets from the center and both images with _compile's turn,
-    _float_pair's interior test, and the rule's update, in the IEEE
-    operations of its array form (_Rule).  An iterate that fails the test
-    takes its images from float_pair, the one owner of that fallback.  A
-    block's weights come from one Schedule.block call.  The loop keeps
-    only the iterates; after the block, _compile's rows for alpha and beta
-    recompute their images from the (size, 2) iterates, in the same
-    operations, and project them on rows only if some iterate failed the
-    test.  The iterates are returned as rows of one array.
+    Each iterate is one pass of a loop body: the offsets from the center
+    and both images with _compile's turn, the interior test
+    dx*dx + dy*dy <= r**2 of _interior_radius, and the rule's update, in
+    the IEEE operations of its array form (_Rule).  Only an iterate that
+    fails the test (a NaN one too, and every iterate on a ball without a
+    test) makes calls: each image goes through domain.project as a point,
+    which gives _pair_kernel's bits.  A block's weights come from one
+    Schedule.block call.  The loop keeps only the iterates; after the
+    block, _compile's rows for alpha and beta recompute their images from
+    the (size, 2) iterates, in the same operations, and project them on
+    rows only if some iterate failed the test.  The iterates are returned
+    as rows of one array.
     """
-    float_pair = _float_pair(spec, cfg.alpha, cfg.beta)
-    if float_pair is None:
+    if spec.kind != ROTATION or spec.dim != 2:
         return None
     _, rows_a, (ca, sa) = _compile(spec, cfg.alpha)
     _, rows_b, (cb, sb) = _compile(spec, cfg.beta)
@@ -470,12 +471,12 @@ def _float_blocks(spec, cfg, rule, x):
             out += x0, x1
             dx = x0 - cx
             dy = x1 - cy
+            a0, a1 = cx + ca * dx - sa * dy, cy + sa * dx + ca * dy
+            b0, b1 = cx + cb * dx - sb * dy, cy + sb * dx + cb * dy
             # written so that a NaN sum, or a NaN limit, fails the test too
-            if dx * dx + dy * dy <= limit:
-                a0, a1 = cx + ca * dx - sa * dy, cy + sa * dx + ca * dy
-                b0, b1 = cx + cb * dx - sb * dy, cy + sb * dx + cb * dy
-            else:
-                a0, a1, b0, b1 = float_pair(x0, x1)
+            if not dx * dx + dy * dy <= limit:
+                a0, a1 = domain.project(np.array([a0, a1])).tolist()
+                b0, b1 = domain.project(np.array([b0, b1])).tolist()
                 fell = True
             if w is None:
                 x0, x1 = kappa * a0 + lam * b0 + rest * x0, kappa * a1 + lam * b1 + rest * x1
@@ -522,12 +523,11 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     ahead: their step n costs O(n) operator applications or more (O(n^2)
     for suzuki_averaged_mann), and the implicit scheme's inner failure
     must stop the run at once.  When ``iterates`` is a _Rule, the start is
-    one point and the flow has a float pair (a d=2 rotation, see
-    _float_pair), the blocks are iterated on Python floats instead
-    (_float_blocks), and a mann run's Fejer distances are taken once per
-    block, on its rows.  Either way the report is bit for bit the one a
-    test and a _Recorder.add_block call of each iterate alone, with two
-    _norm calls, gives.
+    one point and the flow is a d=2 rotation, the blocks are iterated on
+    Python floats instead (_float_blocks), and a mann run's Fejer
+    distances are taken once per block, on its rows.  Either way the
+    report is bit for bit the one a test and a _Recorder.add_block call of
+    each iterate alone, with two _norm calls, gives.
 
     B starts are iterated as the rows of one array, through the same
     blocks.  Each row has its own _Recorder, which takes the row's column

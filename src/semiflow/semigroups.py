@@ -17,15 +17,15 @@ Each family's formula is written once, in ``_compile``, and the
 ``operator``, ``pair_operator`` and ``orbit_operator`` compilers build on it
 (an orbit, and a certificate's profile, on ``_orbit_blocks``' blocks of times);
 they assume that the spec is never changed (a heat spectrum is read-only).
-Two places beside ``_compile`` write the rotation's two lines out again,
+One place beside ``_compile`` writes the rotation's two lines out again,
 for both times of a pair at once on a d=2 rotation's coordinates: the
-float pair here, and the loop body of ``schemes._float_blocks``.
+loop body of ``schemes._float_blocks``.
 Each public callable checks on every call that its argument lies within a
 small membership slack of the domain, and projects every output back into
 the domain, so long iteration loops cannot drift outside by rounding.
 Inside the package a point is checked once where it enters: the scheme
 driver, a certificate and a replay apply the unchecked kernels after that.
-A certificate and the float pair also test once whether their point lies
+A certificate and that loop also test once whether their point lies
 so far inside its ball that rounding cannot carry an image out
 (``_interior_radius``), and then skip the projections, which would return
 every image unchanged.
@@ -192,9 +192,8 @@ def _compile(spec, t):
     columns, and to one point's coordinates as Python floats when t is a
     float and no out is given, which is cheaper there.  Both do the same
     IEEE operations.  cs is the rotation's (cos, sin) of its angle, which
-    _float_pair below and schemes._float_blocks turn one point by for both
-    times of a pair with turn's operations; it is None for the other
-    families.
+    schemes._float_blocks turns one point by for both times of a pair with
+    turn's operations; it is None for the other families.
     """
     lift = cs = None
     if spec.kind == ROTATION:
@@ -206,7 +205,7 @@ def _compile(spec, t):
         cx, cy = spec.center.tolist()
         cs = c, s
 
-        def turn(x0, x1):  # _float_pair and schemes._float_blocks write these out for two angles at once
+        def turn(x0, x1):  # schemes._float_blocks writes these out for two angles at once
             dx = x0 - cx
             dy = x1 - cy
             return cx + c * dx - s * dy, cy + s * dx + c * dy
@@ -259,7 +258,10 @@ def _interior_radius(domain):
 
     Ball.project's norm adds at most (d/2 + 1) eps, and the test's own
     norm hides as much, so the norm Ball.project compares with R is at
-    most R(1 - 2^-30 + 2^-33 + 2^-40) < R.
+    most R(1 - 2^-30 + 2^-33 + 2^-40) < R.  The float iteration of a d=2
+    rotation (schemes._float_blocks) tests the float sum of squares of the
+    offset (dx, dy) against r**2 in place of the norm: a point that passes
+    has ||(dx, dy)|| <= r(1 + 2 eps), and the same argument holds.
     """
     if isinstance(domain, Box) or not 2.0 ** -500 <= domain.radius <= 2.0 ** 500:
         return math.nan
@@ -276,43 +278,6 @@ def _interior(domain):
         return lambda x: False
     center = domain.center
     return lambda x: _norm(x - center) <= r
-
-
-def _float_pair(spec, alpha, beta):
-    """_pair_kernel for one point of a d=2 rotation, on its coordinates as Python floats.
-
-    Returns (x0, x1) -> (a0, a1, b0, b1), the coordinates of T(alpha)x and
-    T(beta)x, each the bits of _pair_kernel's image, or None for any other
-    flow.  Both images are taken in one body: the offsets from the center
-    once, then _compile's turn for each angle, in the same IEEE
-    operations.  Both images are returned unprojected when the float sum
-    of squares of the offset (dx, dy) is at most r**2, r the interior
-    radius: then ||(dx, dy)|| <= r(1 + 2 eps), and _interior_radius's
-    argument holds.  The images of every other point, NaN included, and
-    of every point of a ball without an interior test (r is NaN there),
-    go through Ball.project on an array.  schemes._float_blocks runs the
-    same test and turn inline, and takes the images of a point that fails
-    it from here.
-    """
-    domain = spec.domain
-    if spec.kind != ROTATION or spec.dim != 2:
-        return None
-    cx, cy = domain.center.tolist()
-    limit = _interior_radius(domain) ** 2
-    (ca, sa), (cb, sb) = _compile(spec, alpha)[2], _compile(spec, beta)[2]
-
-    def apply(x0, x1):
-        dx = x0 - cx
-        dy = x1 - cy
-        a0, a1 = cx + ca * dx - sa * dy, cy + sa * dx + ca * dy
-        b0, b1 = cx + cb * dx - sb * dy, cy + sb * dx + cb * dy
-        # written so that a NaN sum, or a NaN limit, fails the test too
-        if not dx * dx + dy * dy <= limit:
-            a0, a1 = domain.project(np.array([a0, a1])).tolist()
-            b0, b1 = domain.project(np.array([b0, b1])).tolist()
-        return a0, a1, b0, b1
-
-    return apply
 
 
 def _checker(spec, rows=True, name="point", owner="semigroup"):

@@ -33,7 +33,7 @@ _DIM_ENV_VAR = "SEMIFLOW_MAX_DIM"
 WEIGHT_SUM_TOL = 1e-12
 
 # a ball of radius above this may hold points whose offset from the center
-# has a sum of squares that overflows (2^511 squared is 2^1022; see Ball._norms)
+# has a sum of squares that overflows (2^511 squared is 2^1022; see _rescaled)
 WIDE_RADIUS = 2.0 ** 500
 
 
@@ -130,6 +130,21 @@ def _row_norms(ys):
     return np.sqrt(np.vecdot(ys, ys))
 
 
+def _rescaled(offset, nrm):
+    """nrm, the norm of a 1-D offset or of each row of a (B, d) one, with
+    every norm whose sum of squares overflowed to inf taken again as
+    s ||offset / s||, s that offset's largest magnitude.
+
+    Every finite or NaN norm keeps its bits; a 1-D offset's costs one
+    comparison.
+    """
+    if nrm != math.inf if offset.ndim == 1 else not (nrm == math.inf).any():
+        return nrm
+    with np.errstate(over="ignore", invalid="ignore"):
+        s = np.abs(offset).max(axis=-1, keepdims=True)
+        return np.where(nrm == math.inf, s[..., 0] * _row_norms(offset / s), nrm)
+
+
 def dist(a, b):
     """Euclidean distance between two points of equal dimension."""
     x = as_point(a)
@@ -155,20 +170,18 @@ class Ball:
         return self.center.size
 
     def _norms(self, offset):
-        """_row_norms(offset), the norm of one offset from the center or of each row's.
+        """_rescaled(offset, _row_norms(offset)): the norm of one offset from
+        the center or of each row's, finite wherever the offset is.
 
         On a ball of radius above WIDE_RADIUS, a point inside may have an
-        offset whose sum of squares overflows to inf: there that sum is taken
-        without numpy's overflow warning, and each norm that overflowed is
-        taken again as s ||offset / s||, s the offset's largest magnitude.
-        Every norm whose sum of squares is finite keeps its bits.
+        offset whose sum of squares overflows, and the sums are taken without
+        numpy's overflow warning.  On a narrower ball only a point far outside
+        has one, and numpy warns of its overflow.
         """
         if self.radius <= WIDE_RADIUS:
-            return _row_norms(offset)
-        with np.errstate(over="ignore", invalid="ignore"):
-            s = np.abs(offset).max(axis=-1, keepdims=True)
-            nrm = _row_norms(offset)
-            return np.where(nrm == math.inf, s[..., 0] * _row_norms(offset / s), nrm)
+            return _rescaled(offset, _row_norms(offset))
+        with np.errstate(over="ignore"):
+            return _rescaled(offset, _row_norms(offset))
 
     def exterior_distance(self, x):
         """Distance from a point x to the ball, or the distances of the rows
@@ -186,17 +199,19 @@ class Ball:
         array; each row gets that arithmetic bit for bit.  A float64 array
         of rows is overwritten and returned; rows of any other type are
         first copied to a new float array.  A NaN point or row is not
-        inside, and comes out NaN.
+        inside, and comes out NaN.  On a ball of radius up to WIDE_RADIUS,
+        only a point or row outside has its norm tested for inf (_rescaled),
+        so one inside costs no test.
         """
         x = np.asarray(x, dtype=float)
         offset = x - self.center
         if x.ndim == 1:
             nrm = _norm(offset) if self.radius <= WIDE_RADIUS else self._norms(offset)
-            return x if nrm <= self.radius else self.center + offset * (self.radius / nrm)
-        nrm = self._norms(offset)
+            return x if nrm <= self.radius else self.center + offset * (self.radius / _rescaled(offset, nrm))
+        nrm = _row_norms(offset) if self.radius <= WIDE_RADIUS else self._norms(offset)
         out = ~(nrm <= self.radius)
         if out.any():
-            x[out] = self.center + offset[out] * (self.radius / nrm[out])[:, None]
+            x[out] = self.center + offset[out] * (self.radius / _rescaled(offset[out], nrm[out]))[:, None]
         return x
 
 

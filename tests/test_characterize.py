@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from semiflow import characterize, semigroups
+from semiflow import characterize, schemes, semigroups
 from semiflow.characterize import (
     PLAN_CACHE_SIZE,
     Certificate,
@@ -19,10 +19,10 @@ from semiflow.characterize import (
     residual_pair,
     residual_profile,
 )
+from semiflow.schemes import IterationConfig, _float_blocks, _Rule
 from semiflow.semigroups import (
     INTERIOR_MARGIN,
     MEMBERSHIP_SLACK,
-    _float_pair,
     _interior,
     analytic_fixed_set,
     decay,
@@ -459,7 +459,7 @@ def test_a_moved_benchmark_heat_point_computes_one_block_and_a_kernel_point_all_
 
 def test_skipped_projections_change_no_bit(monkeypatch):
     # a point that passes the interior test skips every projection of its
-    # profile, certificate and float pair; with the test forced to fail,
+    # profile, certificate and float loop; with the test forced to fail,
     # every image is projected, and not one bit may change.  Points on
     # shells R(1 + k eps) and R(1 - INTERIOR_MARGIN)(1 + k eps), |k| <= 8,
     # with the ball's center at 2^19 R (the test still holds) and 2^24 R
@@ -477,8 +477,12 @@ def test_skipped_projections_change_no_bit(monkeypatch):
         for x in points:
             out.append(repr(certify_common_fixed(spec, x, 1.0, SQRT2)))
             out.append(repr(residual_profile(spec, x, None, 1.0, SQRT2)))
-            if spec.dim == 2 and spec.kind == "rotation":
-                out.append(np.array(_float_pair(spec, 1.0, SQRT2)(*x.tolist())).tobytes())
+            # T(1)x and T(sqrt 2)x from the scheme driver's float loop, as the second
+            # iterate of mann's rule with all its weight on one image
+            for mix in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
+                take = _float_blocks(spec, IterationConfig(1.0, SQRT2), _Rule(mix=mix), x)
+                if take is not None:
+                    out.append(take(2)[0][1].tobytes())
         return out
 
     for spec in specs:
@@ -497,6 +501,7 @@ def test_skipped_projections_change_no_bit(monkeypatch):
         expected = results(spec, points)
         with monkeypatch.context() as m:
             m.setattr(semigroups, "_interior_radius", lambda domain: math.nan)
+            m.setattr(schemes, "_interior_radius", lambda domain: math.nan)
             characterize._plan.cache_clear()
             assert not any(_interior(dom)(x) for x in points)
             assert results(spec, points) == expected, (spec.kind, spec.dim, dom.center[:2])

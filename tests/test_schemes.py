@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semiflow import schemes
+from semiflow import schemes, vecspace
 from semiflow.characterize import NearRationalWarning, certify_common_fixed, residual_pair, residual_profile
 from semiflow.schemes import (
     DEFAULT_MAX_ITER,
@@ -16,6 +16,7 @@ from semiflow.schemes import (
     ROW_SCHEMES,
     SCHEME_TAGS,
     _Recorder,
+    _Rule,
     _banach_solve,
     _double_block_average,
     _float_blocks,
@@ -32,6 +33,7 @@ from semiflow.schemes import (
     suzuki_averaged_mann,
 )
 from semiflow.semigroups import (
+    INTERIOR_MARGIN,
     MEMBERSHIP_SLACK,
     _kernel,
     _pair_kernel,
@@ -349,7 +351,7 @@ def report_bits(report):
 def test_unchecked_driver_is_bitwise_the_checked_operators(monkeypatch):
     # the driver applies unchecked kernels, and iterates one d=2 rotation
     # start on floats; the same runs replayed through the public, checked
-    # callables, with the float pair disabled, must give the same bits
+    # callables, with the float loop disabled, must give the same bits
     rng = np.random.default_rng(41)
     runs = []
     for spec in row_specs():
@@ -373,9 +375,83 @@ def test_unchecked_driver_is_bitwise_the_checked_operators(monkeypatch):
 
     monkeypatch.setattr(schemes, "_kernel", operator)
     monkeypatch.setattr(schemes, "_pair_kernel", checked_pair)
-    monkeypatch.setattr(schemes, "_float_pair", lambda *_: None)
+    monkeypatch.setattr(schemes, "_float_blocks", lambda *_: None)
     assert run_all() == unchecked
     assert checked == [spec.kind for _, spec, _, _ in runs for _ in range(2)]
+
+
+def test_float_loop_is_the_pair_kernel_bit_for_bit(monkeypatch):
+    # the float loop leaves an image unprojected only where a margin proves
+    # that Ball.project would return it unchanged; points inside, on shells
+    # at R(1 + k eps), |k| <= 8, around the boundary and around the guard's
+    # threshold, and with a NaN coordinate.  Each image is read as the second
+    # iterate of mann's rule with all its weight on that image, and compared
+    # with the same rule's array form applied to the pair kernel's images
+    rng = np.random.default_rng(29)
+    k = rng.integers(-8, 9, 3000) * np.finfo(float).eps
+    scales = np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, 4000)), 1.0 + k, (1.0 - INTERIOR_MARGIN) * (1.0 + k)])
+    original = vecspace.Ball.project
+    mixes = ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0))
+    moved = []
+
+    def counted(self, y):
+        out = original(self, y)
+        if y.ndim == 1:  # the loop's fallback; a block's images are projected as rows
+            moved.append(out is not y)
+        return out
+
+    def loop_and_kernel(spec, alpha, beta, points):
+        """Both images of each point from the float loop and from the pair kernel,
+        and whether Ball.project moved each image the loop projected for x_1."""
+        c = IterationConfig(alpha=alpha, beta=beta)
+        kernel = _pair_kernel(spec, alpha, beta)
+        expected, got, first = [], [], []
+        for x in points:
+            images = kernel(x)
+            for mix in mixes:
+                rule = _Rule(mix=mix)(x)
+                next(rule)
+                expected.append(rule.send(images).tobytes())
+            take = _float_blocks(spec, c, _Rule(mix=mixes[0]), x)
+            del moved[:]
+            take(1)  # x_1 = x, whose images the loop projects if x fails the interior test
+            first.extend(moved)
+            got.append(take(1)[0][0].tobytes())
+            got.append(_float_blocks(spec, c, _Rule(mix=mixes[1]), x)(2)[0][1].tobytes())
+        return got, expected, first
+
+    monkeypatch.setattr(vecspace.Ball, "project", counted)
+    # radii where, without the margin, q <= R**2 holds for some images that
+    # Ball.project moves; and a center at 2^19 R, where the interior test still holds
+    for spec in (rotation(period=1.0, radius=3.7), rotation(period=1.7, center=(0.5, -0.25), radius=0.37),
+                 rotation(period=1.3, center=(0.6 * 2.0 ** 19 * 0.37, -0.8 * 2.0 ** 19 * 0.37), radius=0.37)):
+        dom = spec.domain
+        g = rng.normal(size=(scales.size, 2))
+        points = dom.center + (dom.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
+        points[:2] = [[math.nan, 0.0], [0.0, math.nan]]
+        assert len(points) >= 10_000
+        for alpha, beta in ((1.0, SQRT2), (0.3, 7.3)):
+            got, expected, first = loop_and_kernel(spec, alpha, beta, points)
+            assert got == expected, (spec.domain.radius, alpha, beta)
+            # the exact projection ran, moved some images and left others, and was skipped for most
+            assert 0 < sum(first) < len(first) < len(points), (spec.domain.radius, alpha, beta)
+    # a center at 2^24 R, where no point passes the interior test, and radii outside
+    # [2^-500, 2^500], whose balls have no test: every image is projected, and
+    # the inside ones come out unchanged, also at 1e160, where an offset's sum
+    # of squares overflows
+    for spec in (rotation(period=1.3, center=(0.6 * 2.0 ** 24 * 0.37, -0.8 * 2.0 ** 24 * 0.37), radius=0.37),
+                 rotation(radius=1e-160), rotation(radius=1e160)):
+        g = rng.normal(size=(scales.size, 2))
+        points = spec.domain.center + (spec.domain.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
+        # a block's residuals and steps on the 1e160 ball overflow to inf, as the driver's would
+        with np.errstate(over="ignore"):
+            got, expected, first = loop_and_kernel(spec, 1.0, SQRT2, points)
+        assert got == expected, spec.domain.radius
+        assert len(first) == 2 * len(points), spec.domain.radius
+        assert 0 < sum(first) < len(first), spec.domain.radius
+    # the loop runs on a d=2 rotation alone
+    for spec in (decay(dim=2), heat(np.eye(2)), rotation(dim=3)):
+        assert _float_blocks(spec, cfg(), _Rule(mix=mixes[0]), np.zeros(spec.dim)) is None
 
 
 def block_specs():
@@ -396,7 +472,7 @@ def block_flows():
     its boundary, so its first images go through the exact projection on
     the float path.  The other, of radius 2^-10, has its center 2^21 radii
     from the origin, where its ball has no interior test, so every iterate
-    on the float path takes its images from the float pair's projections;
+    on the float path projects its images in the loop's fallback;
     its start lies just outside the ball, within the membership slack, so
     that those projections move its first images.
     """

@@ -6,11 +6,9 @@ import numpy as np
 import pytest
 
 from semiflow.semigroups import (
-    INTERIOR_MARGIN,
     ORBIT_BLOCK,
     _checker,
     _compile,
-    _float_pair,
     _kernel,
     _pair_kernel,
     analytic_fixed_set,
@@ -474,70 +472,6 @@ def test_kernels_are_the_public_callables_without_the_check(monkeypatch):
             pair(x)
         assert calls == [1] * 3 + [2] * 3, spec.kind
         monkeypatch.undo()
-
-
-def test_float_pair_is_the_pair_kernel_bit_for_bit(monkeypatch):
-    # the float pair leaves an image unprojected only where a margin proves
-    # that Ball.project would return it unchanged; points inside, on shells
-    # at R(1 + k eps), |k| <= 8, around the boundary and around the guard's
-    # threshold, and with a NaN coordinate
-    rng = np.random.default_rng(29)
-    k = rng.integers(-8, 9, 3000) * np.finfo(float).eps
-    scales = np.concatenate([np.sqrt(rng.uniform(0.0, 1.0, 4000)), 1.0 + k, (1.0 - INTERIOR_MARGIN) * (1.0 + k)])
-    original = vecspace.Ball.project
-    # radii where, without the margin, q <= R**2 holds for some images that
-    # Ball.project moves; and a center at 2^19 R, where the interior test still holds
-    for spec in (rotation(period=1.0, radius=3.7), rotation(period=1.7, center=(0.5, -0.25), radius=0.37),
-                 rotation(period=1.3, center=(0.6 * 2.0 ** 19 * 0.37, -0.8 * 2.0 ** 19 * 0.37), radius=0.37)):
-        dom = spec.domain
-        g = rng.normal(size=(scales.size, 2))
-        points = dom.center + (dom.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
-        points[:2] = [[math.nan, 0.0], [0.0, math.nan]]
-        assert len(points) >= 10_000
-        for alpha, beta in ((1.0, SQRT2), (0.3, 7.3)):
-            kernel = _pair_kernel(spec, alpha, beta)
-            expected = [np.concatenate(kernel(x)).tobytes() for x in points]
-            moved = []
-
-            def counted(self, y):
-                out = original(self, y)
-                moved.append(out is not y)
-                return out
-
-            with monkeypatch.context() as m:
-                m.setattr(vecspace.Ball, "project", counted)
-                pair = _float_pair(spec, alpha, beta)
-                got = [np.array(pair(*x)).tobytes() for x in points.tolist()]
-            assert got == expected, (spec.domain.radius, alpha, beta)
-            # the exact projection ran, moved some images and left others, and was skipped for most
-            assert 0 < sum(moved) < len(moved) < len(points), (spec.domain.radius, alpha, beta)
-    # a center at 2^24 R, where no point passes the interior test, and radii outside
-    # [2^-500, 2^500], whose balls have no test: every image is projected, and
-    # the inside ones come out unchanged, also at 1e160, where an offset's sum
-    # of squares overflows
-    for spec in (rotation(period=1.3, center=(0.6 * 2.0 ** 24 * 0.37, -0.8 * 2.0 ** 24 * 0.37), radius=0.37),
-                 rotation(radius=1e-160), rotation(radius=1e160)):
-        g = rng.normal(size=(scales.size, 2))
-        points = spec.domain.center + (spec.domain.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
-        moved = []
-
-        def counted(self, y):
-            out = original(self, y)
-            moved.append(out is not y)
-            return out
-
-        kernel = _pair_kernel(spec, 1.0, SQRT2)
-        expected = [np.concatenate(kernel(x)).tobytes() for x in points]
-        with monkeypatch.context() as m:
-            m.setattr(vecspace.Ball, "project", counted)
-            pair = _float_pair(spec, 1.0, SQRT2)
-            got = [np.array(pair(*x)).tobytes() for x in points.tolist()]
-        assert got == expected, spec.domain.radius
-        assert len(moved) == 2 * len(points), spec.domain.radius
-        assert 0 < sum(moved) < len(moved), spec.domain.radius
-    # any other flow has none
-    for spec in (decay(dim=2), heat(np.eye(2)), rotation(dim=3)):
-        assert _float_pair(spec, 1.0, SQRT2) is None
 
 
 def test_a_wide_ball_takes_norms_that_overflow_rescaled():

@@ -95,6 +95,17 @@ def test_ball_membership_and_projection():
     assert ball.project(inside) is inside
     out = ball.project([5.0, 0.0])
     assert np.allclose(out, [3.0, 0.0])
+    # points so far out that the sum of squares of their offset overflows, as
+    # points and as rows: numpy warns of the overflow, and each norm is taken
+    # again rescaled, so they land on the sphere at their true distance
+    far = np.array([[1e200, 0.0], [0.0, -3e300], [2.0, 1.0]])
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        points = [ball.project(x) for x in far]
+        assert [ball.exterior_distance(x) for x in far] == [1e200, 3e300, 0.0]
+        assert ball.exterior_distance(far).tolist() == [1e200, 3e300, 0.0]
+        rows = ball.project(far.copy())
+    assert np.allclose(points, [[3.0, 0.0], [1.0, -2.0], [2.0, 1.0]], rtol=1e-15, atol=0.0)
+    assert rows.tobytes() == np.array(points).tobytes()
     with pytest.raises(ValueError):
         Ball([0.0], 0.0)
 
