@@ -33,7 +33,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from semiflow.semigroups import (
-    HEAT, INTERIOR_MARGIN, _checked, _interior, _orbit_blocks, _pair_kernel, _stacked, pair_operator,
+    HEAT, INTERIOR_MARGIN, _checker, _orbit_blocks, _pair_kernel, _stacked, pair_operator,
 )
 # evaluate and euclid_sequence are not called here: the benchmark's tracer
 # (bench/spans.py) wraps them under this module's name
@@ -197,8 +197,9 @@ def _plan(spec, alpha, beta, grid):
 
     Returns (times as a tuple of floats, enter, blocks, pair, screen).
     enter(x) checks x once, as orbit()'s callable does, and returns x as a
-    float array, its lift and whether it passes the interior test
-    (semigroups._interior); blocks are semigroups._orbit_blocks' and pair
+    float array, whether it passes the interior test (semigroups._interior),
+    which the check takes with its one offset norm, and its lift; blocks
+    are semigroups._orbit_blocks' and pair
     is the unchecked pair (x, lift(x), inside) -> (T(alpha)x, T(beta)x),
     both applied only to an entered point, its lift and its test, which
     neither computes again.  screen is None, or for a heat flow of more
@@ -215,8 +216,12 @@ def _plan(spec, alpha, beta, grid):
     if spec.kind == HEAT and len(blocks) > 1:
         tops = np.array([times[at].max() for at, _ in blocks])
         screen = np.square(np.expm1(-tops[:, None] * spec.eigvals))
-    interior = _interior(spec.domain)
-    enter = _checked(spec, lambda x: (x, lift(x), interior(x)), rows=False)
+    check = _checker(spec, rows=False)
+
+    def enter(x):
+        x = np.asarray(x, dtype=float)
+        return x, check(x), lift(x)
+
     return tuple(times.tolist()), enter, blocks, _pair_kernel(spec, alpha, beta), screen
 
 
@@ -252,7 +257,7 @@ def _profile(spec, x, grid, alpha, beta, screened):
     if grid is not None:
         grid = np.asarray(grid, dtype=float).ravel().tobytes()
     times, enter, blocks, pair, screen = _plan(spec, alpha, beta, grid)
-    x, lifted, inside = enter(x)
+    x, inside, lifted = enter(x)
     if screened and inside and screen is not None:
         bounds = np.sqrt(screen @ (lifted * lifted))
         kept = np.flatnonzero(bounds >= bounds.max() - 4.0 * INTERIOR_MARGIN * spec.domain.radius)

@@ -77,8 +77,10 @@ FEJER_SLACK = 1e-10
 # 128, 181, 256, 362, ... (the powers of sqrt(2) from 2**7, rounded), up to past 2**63
 KEPT = tuple(range(1, 101)) + tuple(int(round(2.0 ** (7 + k / 2.0))) for k in range(114))
 
-# the longest block of iterates _drive takes before testing them (see _drive)
+# the longest block of iterates _drive takes before testing them, on arrays and on
+# Python floats (see _drive)
 DRIVE_BLOCK = 256
+FLOAT_BLOCK = 1024
 
 # iteration budgets used when the config leaves max_iter unset
 DEFAULT_MAX_ITER = {
@@ -114,15 +116,15 @@ class Schedule:
     p: float = 1.0
 
     def __call__(self, n):
-        return self.block(n, 1)[0]
+        k = n + self.offset
+        return 1.0 / k if self.p == 1.0 else k ** -self.p
 
     def block(self, n, size):
-        """[lam_m for m in range(n, n + size)], the weights of size iterates from n, in one call."""
-        ks = range(n + self.offset, n + self.offset + size)
-        if self.p == 1.0:
-            return [1.0 / k for k in ks]
-        p = -self.p
-        return [k ** p for k in ks]
+        """The weights [lam_m for m in range(n, n + size)] of size iterates from n, as one float array."""
+        ks, p = range(n + self.offset, n + self.offset + size), -self.p
+        if p == -1.0 and ks.stop <= 2 ** 63:  # an int64 k casts to the float that 1.0 / k rounds it to
+            return 1.0 / np.arange(ks.start, ks.stop, dtype=np.int64).astype(float)
+        return np.array([1.0 / k for k in ks] if p == -1.0 else [k ** p for k in ks], dtype=float)
 
     def descriptor(self):
         if self.kind == "harmonic":
@@ -301,22 +303,18 @@ class _Recorder:
             point=point,  # no copy: no scheme mutates an iterate in place
         )
 
-    def add_block(self, n, xs, pair, step, fsd=None, tol=-math.inf):
-        """Take the iterates x_n, x_{n+1}, ... of a block up to the first
-        whose pair residual and step are both at most tol, and return
-        whether there was one.
+    def add_block(self, n, xs, pair, step, fsd=None, stop=0):
+        """Take the iterates x_n, x_{n+1}, ... of a block, up to its stop-th
+        if stop (see _stops), else all.
 
         xs, pair and step hold the block's iterates, pair residuals and
-        step norms, and fsd their fixed-set distances or None.  Each
-        iterate taken counts toward the Fejer count, against the one before
-        it (the previous block's last for the first), and a record is built
-        only for the kept ones; the last one taken is kept for finish().
+        step norms (lists, or arrays), and fsd their fixed-set distances as
+        a list, or None.  Each iterate taken counts toward the Fejer count,
+        against the one before it (the previous block's last for the first),
+        and a record is built only for the kept ones; the last one taken is
+        kept for finish().
         """
-        done = False
-        for k, p, s in zip(range(1, len(pair) + 1), pair, step):  # k: the iterates taken
-            if p <= tol and s <= tol:
-                done = True
-                break
+        k = stop or len(pair)  # the iterates taken
         if self.track_fejer:
             if fsd is None:
                 fsd = [fixed_set_distance(self.fixed_set, x) for x in xs[:k]]
@@ -331,7 +329,6 @@ class _Recorder:
         for m in range(n, n + k) if self.record_all else KEPT[bisect_left(KEPT, n):bisect_left(KEPT, n + k)]:
             append(record(m, pair[m - n], step[m - n], xs[m - n], fs[m - n]))
         self._last = (n + k - 1, pair[k - 1], step[k - 1], xs[k - 1], fs[k - 1])
-        return done
 
     def finish(self, tag, termination, inner=None):
         n = self._last[0]
@@ -393,15 +390,26 @@ class _Rule:
 
 
 def _block_norms(before, block, ta, tb):
-    """The pair residuals and step norms of a block's iterates, as lists of floats.
+    """The pair residuals and step norms of a block's iterates, as float arrays.
 
     before holds the iterate before each of the block's (x_1 itself for
     x_1, whose step is 0.0), and ta and tb their T(alpha) and T(beta)
     images.  One _row_norms call each, which equal _norm's bit for bit; a
-    block of (B, d) iterates gives a list of B floats per iterate.
+    block of size (B, d) iterates gives (size, B) arrays.
     """
-    pair = np.maximum(_row_norms(ta - block), _row_norms(tb - block))
-    return pair.tolist(), _row_norms(block - before).tolist()
+    return np.maximum(_row_norms(ta - block), _row_norms(tb - block)), _row_norms(block - before)
+
+
+def _stops(pair, step, tol):
+    """Where each run of a block stops: the index from 1 of its first
+    iterate whose pair residual and step are both at most tol, or 0 for a
+    run that has none, as a list of ints.
+
+    pair and step are _block_norms' arrays of one run or of B; one numpy
+    test of the whole block takes the place of a test of each iterate.
+    """
+    hit = (pair <= tol) & (step <= tol)
+    return np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0).reshape(-1).tolist()
 
 
 def _array_blocks(orbit, op_pair):
@@ -443,11 +451,13 @@ def _float_blocks(spec, cfg, rule, x):
     fails the test (a NaN one too, and every iterate on a ball without a
     test) makes calls: each image goes through domain.project as a point,
     which gives _pair_kernel's bits.  A block's weights come from one
-    Schedule.block call.  The loop keeps only the iterates; after the
-    block, _compile's rows for alpha and beta recompute their images from
-    the (size, 2) iterates, in the same operations, and project them on
-    rows only if some iterate failed the test.  The iterates are returned
-    as rows of one array.
+    Schedule.block call, and halpern's 0.5*(1 - w) from one array
+    operation on them, which rounds as the loop would.  The loop keeps
+    only the iterates; after the block, _compile's rows for alpha and beta
+    recompute their images from the (size, 2) iterates, in the same
+    operations, and project them on rows only if some iterate failed the
+    test.  The iterates are returned as rows of one array, read from the
+    loop's list in one np.fromiter call.
     """
     if spec.kind != ROTATION or spec.dim != 2:
         return None
@@ -467,7 +477,10 @@ def _float_blocks(spec, cfg, rule, x):
         nonlocal x0, x1, before, n
         out = before
         fell = False
-        for w in [None] * size if weight is None else weight.block(n, size):
+        # halpern's weights w and h = 0.5 * (1 - w), each taken for the block in one array operation
+        ws = None if weight is None else weight.block(n, size)
+        hws = itertools.repeat((None, None), size) if ws is None else zip((0.5 * (1.0 - ws)).tolist(), ws.tolist())
+        for h, w in hws:
             out += x0, x1
             dx = x0 - cx
             dy = x1 - cy
@@ -481,11 +494,10 @@ def _float_blocks(spec, cfg, rule, x):
             if w is None:
                 x0, x1 = kappa * a0 + lam * b0 + rest * x0, kappa * a1 + lam * b1 + rest * x1
             else:
-                h = 0.5 * (1.0 - w)
                 x0, x1 = h * (a0 + b0) + w * u0, h * (a1 + b1) + w * u1
         n += size
         before = out[-2:]
-        rows = np.array(out).reshape(size + 1, 2)
+        rows = np.fromiter(out, float, 2 * size + 2).reshape(size + 1, 2)
         xs = rows[1:]
         ta, tb = rows_a(xs), rows_b(xs)
         if fell:
@@ -510,16 +522,17 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
 
     The iterates are taken a block at a time (_array_blocks), and the
     block's pair residuals and step norms with one _row_norms call each
-    (_block_norms).  The recorder takes the whole block in one
-    _Recorder.add_block call: it stops at the block's first converged
-    iterate, counts the block's Fejer rises, and builds a record only for
-    the kept iterates and the last one it took.  The run then stops on an
-    inner-solver failure (``inner`` holds the implicit scheme's (sweeps,
-    residual, solved) per step), on convergence, or at n_max, as a test of
-    each x_n in turn would.  After n iterates, a ROW_SCHEMES run takes a
-    block of min(DRIVE_BLOCK, max(8, n // 8)) more, so a run that converges
-    inside a block computes at most max(8, n // 8) - 1 iterates past its
-    last and discards them.  The other schemes take blocks of 1, so none runs
+    (_block_norms).  One numpy test of those arrays finds the block's
+    first converged iterate (_stops), and the recorder takes the block up
+    to it in one _Recorder.add_block call: it counts the block's Fejer
+    rises, and builds a record only for the kept iterates and the last one
+    it took.  The run then stops on an inner-solver failure (``inner``
+    holds the implicit scheme's (sweeps, residual, solved) per step), on
+    convergence, or at n_max, as a test of each x_n in turn would.  After
+    n iterates, a ROW_SCHEMES run takes a block of min(cap, max(8, n // 8))
+    more, so a run that converges inside a block computes at most
+    max(8, n // 8) - 1 iterates past its last (and at most cap - 1) and
+    discards them.  The other schemes take blocks of 1, so none runs
     ahead: their step n costs O(n) operator applications or more (O(n^2)
     for suzuki_averaged_mann), and the implicit scheme's inner failure
     must stop the run at once.  When ``iterates`` is a _Rule, the start is
@@ -528,6 +541,14 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     distances are taken once per block, on its rows.  Either way the
     report is bit for bit the one a test and a _Recorder.add_block call of
     each iterate alone, with two _norm calls, gives.
+
+    The cap is FLOAT_BLOCK on Python floats and DRIVE_BLOCK otherwise.  A
+    float block's own work, its weights, the array of its iterates, their
+    images and norms, the test and the records, is about 40 us of numpy
+    calls against about 0.4 us per iterate, so its longer blocks take a
+    50000-step run in 91 blocks, not 226; with no cap it would take 65,
+    for about 1 ms less, but its blocks' arrays would add about 1.5 MB to
+    the peak memory of that run.
 
     B starts are iterated as the rows of one array, through the same
     blocks.  Each row has its own _Recorder, which takes the row's column
@@ -551,8 +572,9 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     tol = cfg.tol
     n = 0
     while live and n < n_max:
-        size = min(n_max - n, DRIVE_BLOCK, max(8, n // 8)) if tag in ROW_SCHEMES else 1
+        size = min(n_max - n, FLOAT_BLOCK if floats else DRIVE_BLOCK, max(8, n // 8)) if tag in ROW_SCHEMES else 1
         xs, pair, step = take(size)
+        stops = _stops(pair, step, tol)
         if x0.ndim == 1:
             # the float path's iterates are the rows of one array, and a d=2 rotation's
             # fixed set has no basis, so one call gives each iterate's distance bit for bit
@@ -560,9 +582,10 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
             runs = [(xs, pair, step, fsd)]
         else:
             fsd = [fixed_set_distance(recs[0].fixed_set, x).tolist() for x in xs] if track_fejer else None
-            runs = list(zip(zip(*xs), zip(*pair), zip(*step), zip(*fsd) if fsd else itertools.repeat(None)))
+            runs = list(zip(zip(*xs), pair.T.tolist(), step.T.tolist(), zip(*fsd) if fsd else itertools.repeat(None)))
         for i in live:
-            if recs[i].add_block(n + 1, *runs[i], tol):
+            recs[i].add_block(n + 1, *runs[i], stops[i])
+            if stops[i]:
                 ends[i] = CONVERGED
         n += size
         if inner is not None and not inner[-1][2]:

@@ -286,18 +286,24 @@ def _checker(spec, rows=True, name="point", owner="semigroup"):
     check(x) raises unless x is one float64 point of the flow's dimension
     inside the domain up to the membership slack, or, with ``rows``, a
     (B, d) array of such points as rows (one exterior_distance call for
-    all of them).  Its messages call x ``name``.
+    all of them).  Its messages call x ``name``.  It returns whether x is
+    one point that passes the interior test (_interior): such a point lies
+    inside the domain, so the test's offset norm is the only one taken.
     """
     domain, shape, max_ndim = spec.domain, (spec.dim,), 2 if rows else 1
+    interior = _interior(domain)
 
     def check(x):
         if x.ndim > max_ndim or x.shape[-1:] != shape:
             row_shape = x.shape[1:] if rows and x.ndim == 2 else x.shape
             raise ValueError(f"{name} has shape {row_shape}, {owner} expects {shape}")
+        if x.ndim == 1 and interior(x):
+            return True
         # written so that a NaN distance fails it too; one point's bool needs no reduction
         inside = domain.exterior_distance(x) <= MEMBERSHIP_SLACK
         if not (inside.all() if x.ndim == 2 else inside):
             raise ValueError(f"{name} lies outside the domain beyond the membership slack")
+        return False
 
     return check
 

@@ -7,11 +7,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from semiflow import schemes, vecspace
+from semiflow import characterize, schemes, semigroups, vecspace
 from semiflow.characterize import NearRationalWarning, certify_common_fixed, residual_pair, residual_profile
 from semiflow.schemes import (
     DEFAULT_MAX_ITER,
     DRIVE_BLOCK,
+    FLOAT_BLOCK,
     IterationConfig,
     ROW_SCHEMES,
     SCHEME_TAGS,
@@ -543,6 +544,37 @@ def test_block_driver_equals_the_per_step_driver_at_every_budget(monkeypatch, bu
             rows_checked_per_step(monkeypatch, tag, spec, cfg(start=starts, u=u, max_iter=budget, tol=1e-15))
 
 
+def test_float_blocks_past_their_cap_equal_the_per_step_driver(monkeypatch):
+    # a d=2 rotation's mann and halpern from one start take blocks of up to
+    # FLOAT_BLOCK iterates, which blocks of max(8, n // 8) reach only at
+    # n = 8 * FLOAT_BLOCK, past every budget above; small weights keep mann
+    # short of the tolerance, so both runs take capped blocks to the budget
+    sizes = []
+
+    def float_blocks(*args):
+        take = _float_blocks(*args)
+
+        def sized(size):
+            sizes.append(size)
+            return take(size)
+        return sized
+
+    budget = 10 * FLOAT_BLOCK + 500
+    for spec, starts, u in block_flows():
+        if spec.kind != "rotation" or spec.dim != 2:
+            continue
+        for tag in ("mann", "halpern"):
+            c = cfg(start=starts[1], u=u, kappa=1e-3, lam=1e-3, max_iter=budget, tol=1e-15)
+            sizes.clear()
+            with monkeypatch.context() as m:
+                m.setattr(schemes, "_float_blocks", float_blocks)
+                report = run_scheme(tag, spec, c)
+            assert report.n_used == budget, (tag, spec.domain.radius)
+            assert max(sizes) == FLOAT_BLOCK and sizes.count(FLOAT_BLOCK) >= 2, (tag, spec.domain.radius)
+            assert report_bits(report) == report_bits(run_per_step(monkeypatch, tag, spec, c)), (
+                tag, spec.domain.radius)
+
+
 def test_blocks_of_one_equal_the_per_step_driver(monkeypatch):
     # the schemes outside ROW_SCHEMES take blocks of one point, which go
     # through the same concatenate and block norms as longer blocks; each
@@ -642,40 +674,59 @@ def test_converged_runs_discard_a_bounded_overshoot(monkeypatch):
 
 
 def test_driver_checks_only_the_start_and_the_anchor(monkeypatch):
-    calls = []
-    original = Ball.exterior_distance
+    # every check is made by a semigroups._checker; it takes a point that
+    # passes the interior test with that test's one norm, and calls
+    # Ball.exterior_distance only for rows and for any other point
+    checks, calls = [], []
+    make_checker, original = semigroups._checker, Ball.exterior_distance
+
+    def counted_checker(*args, **kwargs):
+        check = make_checker(*args, **kwargs)
+
+        def counted_check(x):
+            checks.append(x.shape)
+            return check(x)
+        return counted_check
 
     def counted(self, x):
         calls.append(x.shape)
         return original(self, x)
 
+    for module in (semigroups, schemes, characterize):
+        monkeypatch.setattr(module, "_checker", counted_checker)
     monkeypatch.setattr(Ball, "exterior_distance", counted)
     spec = rotation(period=1.0, center=(0.5, -0.25))
     kw = dict(u=[1.0, 0.0], max_iter=500, tol=1e-14)
     report = halpern(spec, cfg(start=[0.0, 2.0], **kw))
     assert report.n_used == 500
-    assert calls == [(2,)] * 2
+    assert (checks, calls) == ([(2,)] * 2, [])
+    checks.clear()
+    # a start on the boundary fails the interior test, and takes the exterior distance
+    assert halpern(spec, cfg(start=[10.5, -0.25], **kw)).n_used == 500
+    assert (checks, calls) == ([(2,)] * 2, [(2,)])
+    checks.clear()
     calls.clear()
     reports = run_rows("halpern", spec, cfg(start=[[0.0, 2.0], [-1.0, 1.0], [3.0, 0.0]], **kw))
     assert [r.n_used for r in reports] == [500] * 3
-    assert calls == [(2,), (3, 2)]
+    assert (checks, calls) == ([(2,), (3, 2)], [(3, 2)])
     # a certificate checks its point once, in its orbit, and a replay once, on entry
     certify_common_fixed(spec, [0.5, -0.25], 1.0, SQRT2)  # warms the plan
+    checks.clear()
     calls.clear()
     assert certify_common_fixed(spec, [0.5, -0.25], 1.0, SQRT2).verdict == "certified"
-    assert calls == [(2,)]
-    calls.clear()
+    assert (checks, calls) == ([(2,)], [])
+    checks.clear()
     decomp = greedy_decompose(2.0 * math.pi, geometric(0.5), 6)
     assert sum(decomp.ks) >= 10
     replay_action(spec, np.array([1.0, 2.0]), decomp)
-    assert calls == [(2,)]
+    assert (checks, calls) == ([(2,)], [])
     # the public callables still check every argument, once per call
-    calls.clear()
+    checks.clear()
     apply, op_pair = operator(spec, 1.0), pair_operator(spec, 1.0, SQRT2)
     for n in range(1, 4):
         apply(np.array([1.0, 2.0]))
         op_pair(np.array([1.0, 2.0]))
-        assert calls == [(2,)] * (2 * n)
+        assert (checks, calls) == ([(2,)] * (2 * n), [])
     for f in (apply, op_pair):
         with pytest.raises(ValueError, match=r"^point lies outside the domain beyond the membership slack$"):
             f(np.array([50.0, 0.0]))
@@ -1161,8 +1212,8 @@ def test_thinned_records_equal_the_record_all_records():
 def recorder_reports(spec, points, pair, step, ends, tol=-math.inf, record_all=False, fsd=None):
     """The reports of two _Recorders fed the same iterates and stopped at the first with
     pair and step at most tol: one iterate at a time, and a block at a time, through
-    add_block, the blocks ending after the iterates in ``ends``.  fsd holds the
-    distances to pass, or None."""
+    _stops and add_block, the blocks ending after the iterates in ``ends``.  fsd holds
+    the distances to pass, or None."""
     track = {"track_fejer": True, "record_all": record_all}
     one, blocked = _Recorder(spec, **track), _Recorder(spec, **track)
     for n, (x, p, s) in enumerate(zip(points, pair, step), start=1):
@@ -1171,8 +1222,9 @@ def recorder_reports(spec, points, pair, step, ends, tol=-math.inf, record_all=F
             break
     edges = [0] + [e for e in ends if e < len(points)] + [len(points)]
     for lo, hi in zip(edges, edges[1:]):
-        if blocked.add_block(lo + 1, points[lo:hi], pair[lo:hi], step[lo:hi],
-                             None if fsd is None else fsd[lo:hi], tol):
+        stop = schemes._stops(np.array(pair[lo:hi]), np.array(step[lo:hi]), tol)[0]
+        blocked.add_block(lo + 1, points[lo:hi], pair[lo:hi], step[lo:hi], None if fsd is None else fsd[lo:hi], stop)
+        if stop:
             break
     return one.finish("halpern", "max_iter"), blocked.finish("halpern", "max_iter")
 
