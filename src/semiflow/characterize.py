@@ -197,7 +197,7 @@ def _plan(spec, alpha, beta, grid):
 
     Returns (times as a tuple of floats, enter, blocks, pair, screen).
     enter(x) checks x once, as orbit()'s callable does, and returns x as a
-    float array, whether it passes the interior test (semigroups._interior),
+    float array, whether it passes the interior test (semigroups._checker),
     which the check takes with its one offset norm, and its lift; blocks
     are semigroups._orbit_blocks' and pair
     is the unchecked pair (x, lift(x), inside) -> (T(alpha)x, T(beta)x),
@@ -321,7 +321,7 @@ def certify_common_fixed(spec, x, alpha, beta, grid=None, tol=1e-8):
     numbers are residual_profile's pair residual, maximum and argmax_t, bit
     for bit, but only the orbit blocks that _profile's screen keeps are
     computed: on a heat point that passes the interior test
-    (semigroups._interior), often one block of eight; on any other point
+    (semigroups._checker), often one block of eight; on any other point
     or family, every block.
     """
     tol = _scalar("tol", tol)

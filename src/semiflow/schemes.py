@@ -440,29 +440,29 @@ def _array_blocks(orbit, op_pair):
     return take
 
 
-def _float_blocks(spec, cfg, rule, x):
+def _float_blocks(spec, cfg, rule, x, op_pair):
     """_array_blocks for a _Rule from one start x of a d=2 rotation, iterated
     on Python floats, or None for any other flow.
 
     Each iterate is one pass of a loop body: the offsets from the center
-    and both images with _compile's turn, the interior test
-    dx*dx + dy*dy <= r**2 of _interior_radius, and the rule's update, in
-    the IEEE operations of its array form (_Rule).  Only an iterate that
+    and both images with _compile's turn by its (cos, sin), the interior
+    test dx*dx + dy*dy <= r**2 of _interior_radius, and the rule's update,
+    in the IEEE operations of its array form (_Rule).  Only an iterate that
     fails the test (a NaN one too, and every iterate on a ball without a
     test) makes calls: each image goes through domain.project as a point,
     which gives _pair_kernel's bits.  A block's weights come from one
     Schedule.block call, and halpern's 0.5*(1 - w) from one array
     operation on them, which rounds as the loop would.  The loop keeps
-    only the iterates; after the block, _compile's rows for alpha and beta
-    recompute their images from the (size, 2) iterates, in the same
-    operations, and project them on rows only if some iterate failed the
-    test.  The iterates are returned as rows of one array, read from the
-    loop's list in one np.fromiter call.
+    only the iterates; after the block, op_pair, the driver's pair kernel
+    (_pair_kernel), recomputes their images from the (size, 2) iterates,
+    in the same operations, and projects them only if some iterate failed
+    the test.  The iterates are returned as rows of one array, read from
+    the loop's list in one np.fromiter call.
     """
     if spec.kind != ROTATION or spec.dim != 2:
         return None
-    _, rows_a, (ca, sa) = _compile(spec, cfg.alpha)
-    _, rows_b, (cb, sb) = _compile(spec, cfg.beta)
+    _, _, (ca, sa) = _compile(spec, cfg.alpha)
+    _, _, (cb, sb) = _compile(spec, cfg.beta)
     domain = spec.domain
     cx, cy = domain.center.tolist()
     limit = _interior_radius(domain) ** 2
@@ -499,11 +499,7 @@ def _float_blocks(spec, cfg, rule, x):
         before = out[-2:]
         rows = np.fromiter(out, float, 2 * size + 2).reshape(size + 1, 2)
         xs = rows[1:]
-        ta, tb = rows_a(xs), rows_b(xs)
-        if fell:
-            domain.project(ta)
-            domain.project(tb)
-        return xs, *_block_norms(rows[:-1], xs, ta, tb)
+        return xs, *_block_norms(rows[:-1], xs, *op_pair(xs, inside=not fell))
 
     return take
 
@@ -537,10 +533,14 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     for suzuki_averaged_mann), and the implicit scheme's inner failure
     must stop the run at once.  When ``iterates`` is a _Rule, the start is
     one point and the flow is a d=2 rotation, the blocks are iterated on
-    Python floats instead (_float_blocks), and a mann run's Fejer
-    distances are taken once per block, on its rows.  Either way the
-    report is bit for bit the one a test and a _Recorder.add_block call of
-    each iterate alone, with two _norm calls, gives.
+    Python floats instead (_float_blocks), which takes each block's images
+    from the same pair kernel.  From one start, when the fixed set is a
+    single point (its basis is empty), a block's Fejer distances are taken
+    in one fixed_set_distance call on its rows, which gives each iterate's
+    distance alone bit for bit; on any other fixed set the recorder takes
+    them one iterate at a time.  Either way the report is bit for bit the
+    one a test and a _Recorder.add_block call of each iterate alone, with
+    two _norm calls, gives.
 
     The cap is FLOAT_BLOCK on Python floats and DRIVE_BLOCK otherwise.  A
     float block's own work, its weights, the array of its iterates, their
@@ -560,13 +560,14 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     x0 = _require_point(spec, cfg, "start", tag, rows=tag in ROW_SCHEMES)
     n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
     _checked_pair(cfg.alpha, cfg.beta)
-    take = _float_blocks(spec, cfg, iterates, x0) if isinstance(iterates, _Rule) and x0.ndim == 1 else None
+    op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
+    take = _float_blocks(spec, cfg, iterates, x0, op_pair) if isinstance(iterates, _Rule) and x0.ndim == 1 else None
     floats = take is not None
     if not floats:
-        op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
         orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
         take = _array_blocks(orbit, op_pair)
     recs = [_Recorder(spec, track_fejer, cfg.record_all) for _ in range(len(x0) if x0.ndim == 2 else 1)]
+    fs = recs[0].fixed_set
     ends = [MAX_ITER] * len(recs)
     live = range(len(recs))
     tol = cfg.tol
@@ -576,12 +577,11 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
         xs, pair, step = take(size)
         stops = _stops(pair, step, tol)
         if x0.ndim == 1:
-            # the float path's iterates are the rows of one array, and a d=2 rotation's
-            # fixed set has no basis, so one call gives each iterate's distance bit for bit
-            fsd = fixed_set_distance(recs[0].fixed_set, xs).tolist() if track_fejer and floats else None
+            # with no basis, one call on the rows gives each iterate's _norm bit for bit
+            fsd = fixed_set_distance(fs, np.asarray(xs)).tolist() if track_fejer and not fs.basis.size else None
             runs = [(xs, pair, step, fsd)]
         else:
-            fsd = [fixed_set_distance(recs[0].fixed_set, x).tolist() for x in xs] if track_fejer else None
+            fsd = [fixed_set_distance(fs, x).tolist() for x in xs] if track_fejer else None
             runs = list(zip(zip(*xs), pair.T.tolist(), step.T.tolist(), zip(*fsd) if fsd else itertools.repeat(None)))
         for i in live:
             recs[i].add_block(n + 1, *runs[i], stops[i])

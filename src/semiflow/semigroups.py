@@ -19,13 +19,15 @@ Each family's formula is written once, in ``_compile``, and the
 they assume that the spec is never changed (a heat spectrum is read-only).
 One place beside ``_compile`` writes the rotation's two lines out again,
 for both times of a pair at once on a d=2 rotation's coordinates: the
-loop body of ``schemes._float_blocks``.
+loop body of ``schemes._float_blocks``, which takes only the turn's
+(cos, sin) from ``_compile``, and each block's images, after the loop,
+from ``_pair_kernel``, which the scheme driver compiles for both paths.
 Each public callable checks on every call that its argument lies within a
 small membership slack of the domain, and projects every output back into
 the domain, so long iteration loops cannot drift outside by rounding.
 Inside the package a point is checked once where it enters: the scheme
 driver, a certificate and a replay apply the unchecked kernels after that.
-A certificate and that loop also test once whether their point lies
+The check (``_checker``) and that loop also test once whether a point lies
 so far inside its ball that rounding cannot carry an image out
 (``_interior_radius``), and then skip the projections, which would return
 every image unchanged.
@@ -270,16 +272,6 @@ def _interior_radius(domain):
     return domain.radius * (1.0 - INTERIOR_MARGIN)
 
 
-def _interior(domain):
-    """The interior test of _interior_radius, compiled: x -> whether one
-    point x passes, False for any point of a domain without a test."""
-    r = _interior_radius(domain)
-    if math.isnan(r):
-        return lambda x: False
-    center = domain.center
-    return lambda x: _norm(x - center) <= r
-
-
 def _checker(spec, rows=True, name="point", owner="semigroup"):
     """The package's one membership check, made where a point enters it.
 
@@ -287,17 +279,19 @@ def _checker(spec, rows=True, name="point", owner="semigroup"):
     inside the domain up to the membership slack, or, with ``rows``, a
     (B, d) array of such points as rows (one exterior_distance call for
     all of them).  Its messages call x ``name``.  It returns whether x is
-    one point that passes the interior test (_interior): such a point lies
+    one point that passes the interior test ||x - c|| <= r of
+    _interior_radius, False on a domain without a test: such a point lies
     inside the domain, so the test's offset norm is the only one taken.
     """
     domain, shape, max_ndim = spec.domain, (spec.dim,), 2 if rows else 1
-    interior = _interior(domain)
+    r = _interior_radius(domain)
+    center = None if math.isnan(r) else domain.center  # None where there is no test: a box has no center
 
     def check(x):
         if x.ndim > max_ndim or x.shape[-1:] != shape:
             row_shape = x.shape[1:] if rows and x.ndim == 2 else x.shape
             raise ValueError(f"{name} has shape {row_shape}, {owner} expects {shape}")
-        if x.ndim == 1 and interior(x):
+        if x.ndim == 1 and center is not None and _norm(x - center) <= r:
             return True
         # written so that a NaN distance fails it too; one point's bool needs no reduction
         inside = domain.exterior_distance(x) <= MEMBERSHIP_SLACK
@@ -341,8 +335,9 @@ def _pair_kernel(spec, alpha, beta):
     """pair_operator(spec, alpha, beta) without the check (see _kernel).
 
     A caller that has lifted x already (see _compile) passes the lift too,
-    and one that has found that one point x passes the interior test
-    (_interior) passes inside=True, which skips both projections.
+    and one that has found that the point x, or each row of x, passes the
+    interior test (_checker, or schemes._float_blocks' loop) passes
+    inside=True, which skips both projections.
     """
     lift, rows_a, _ = _compile(spec, alpha)
     _, rows_b, _ = _compile(spec, beta)  # lift does not depend on t
@@ -428,7 +423,7 @@ def _orbit_blocks(spec, times):
 def _stacked(blocks, x, lifted, project):
     """The rows of some of _orbit_blocks' blocks at x, stacked in their
     order, each block projected in place by project(rows) unless project
-    is None (a point that passes the interior test, _interior).  A block
+    is None (a point that passes the interior test, _checker).  A block
     at a time keeps the temporaries of the projection small."""
     out = np.empty((sum(at.stop - at.start for at, _ in blocks), x.size))
     hi = 0

@@ -23,7 +23,8 @@ from semiflow.schemes import IterationConfig, _float_blocks, _Rule
 from semiflow.semigroups import (
     INTERIOR_MARGIN,
     MEMBERSHIP_SLACK,
-    _interior,
+    _checker,
+    _pair_kernel,
     analytic_fixed_set,
     decay,
     evaluate,
@@ -473,6 +474,7 @@ def test_skipped_projections_change_no_bit(monkeypatch):
             specs.append(rotation(center=(0.6 * far * radius, -0.8 * far * radius), radius=radius, dim=d))
 
     def results(spec, points):
+        kernel = _pair_kernel(spec, 1.0, SQRT2)
         out = []
         for x in points:
             out.append(repr(certify_common_fixed(spec, x, 1.0, SQRT2)))
@@ -480,7 +482,7 @@ def test_skipped_projections_change_no_bit(monkeypatch):
             # T(1)x and T(sqrt 2)x from the scheme driver's float loop, as the second
             # iterate of mann's rule with all its weight on one image
             for mix in ((1.0, 0.0, 0.0), (0.0, 1.0, 0.0)):
-                take = _float_blocks(spec, IterationConfig(1.0, SQRT2), _Rule(mix=mix), x)
+                take = _float_blocks(spec, IterationConfig(1.0, SQRT2), _Rule(mix=mix), x, kernel)
                 if take is not None:
                     out.append(take(2)[0][1].tobytes())
         return out
@@ -492,7 +494,7 @@ def test_skipped_projections_change_no_bit(monkeypatch):
         points = [x for x in (dom.center + at_norm(rng, dom.dim, dom.radius * s) for s in scales)
                   if dom.exterior_distance(x) <= MEMBERSHIP_SLACK]
         assert len(points) >= 20, (spec.kind, spec.dim)
-        passed = sum(bool(_interior(dom)(x)) for x in points)
+        passed = sum(_checker(spec, rows=False)(x) for x in points)
         if np.linalg.norm(dom.center) > 2.0 ** 20 * dom.radius:
             assert passed == 0, spec.dim
         else:
@@ -503,7 +505,7 @@ def test_skipped_projections_change_no_bit(monkeypatch):
             m.setattr(semigroups, "_interior_radius", lambda domain: math.nan)
             m.setattr(schemes, "_interior_radius", lambda domain: math.nan)
             characterize._plan.cache_clear()
-            assert not any(_interior(dom)(x) for x in points)
+            assert not any(_checker(spec, rows=False)(x) for x in points)
             assert results(spec, points) == expected, (spec.kind, spec.dim, dom.center[:2])
     characterize._plan.cache_clear()
 

@@ -38,6 +38,16 @@ def test_euclid_json_on_stdout(capsys):
     assert payload["alphas"][-1] < 1e-3
 
 
+def test_euclid_precision_floor_exits_zero(capsys):
+    code, out, _ = run_cli(capsys, "euclid", "--alpha", "1156.7840825739597", "--beta", "3.1646011798144544e-14",
+                           "--tol", "1e-300")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["ks"] == [36553866248693736]
+    assert payload["alphas"] == [1156.7840825739597, 3.1646011798144544e-14, 2.2737367544323206e-13]
+    assert payload["termination"] == "precision_floor"
+
+
 def test_decompose_json_on_stdout(capsys):
     code, out, _ = run_cli(capsys, "decompose", "--t", "3.141592653589793", "--ratio", "0.5", "--n", "6")
     assert code == 0

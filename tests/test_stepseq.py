@@ -7,6 +7,7 @@ from semiflow.semigroups import decay, evaluate, rotation
 from semiflow.stepseq import (
     BELOW_TOL,
     MAX_TERMS,
+    PRECISION_FLOOR,
     EuclidSequence,
     GreedyDecomposition,
     euclid_sequence,
@@ -149,6 +150,16 @@ def test_euclid_exact_zero_remainder_reports_below_tol():
     assert seq.ks == (2,)
     assert seq.alphas[-1] == 0.0
     assert seq.termination == BELOW_TOL
+
+
+def test_euclid_quotient_of_zero_reports_precision_floor():
+    # k = floor(alpha_1 / alpha_2) exceeds 2^53, and alpha_1 - k * alpha_2 rounds
+    # to one ulp of alpha_1, larger than alpha_2, so the next quotient is 0
+    seq = euclid_sequence(1156.7840825739597, 3.1646011798144544e-14, tol=1e-300)
+    assert seq.ks == (36553866248693736,)
+    assert seq.alphas == (1156.7840825739597, 3.1646011798144544e-14, 2.2737367544323206e-13)
+    assert seq.alphas[2] > seq.alphas[1]
+    assert seq.termination == PRECISION_FLOOR
 
 
 def test_euclid_strict_decrease_and_positive_quotients():
