@@ -11,10 +11,13 @@ Subcommands mirror the modules one-to-one:
 Exit codes: 0 converged/certified, 2 iteration budget exhausted, 3 inner
 solver failure, 4 not certified, 64 usage or configuration error.
 
-Output discipline: numbers are serialized with repr(), i.e. the shortest
-decimal string that round-trips the double ('.' decimal point, no
-separators), and JSON objects are written with sorted keys, so a given
-configuration and seed reproduce their outputs byte for byte.
+Output discipline: one emitter (_emit) stamps spec_version on every JSON
+artifact, a run's summary, each sweep seed's and sweep.json, and the
+stdout of euclid, decompose and verify, and writes it.  Numbers are
+serialized with repr(), i.e. the shortest decimal string that round-trips
+the double ('.' decimal point, no separators), and JSON objects are
+written with sorted keys, so a given configuration and seed reproduce
+their outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -56,6 +59,9 @@ EX_USAGE = 64
 EX_NOT_CERTIFIED = 4
 
 TERMINATION_EXIT = {CONVERGED: 0, MAX_ITER: 2, INNER_SOLVER_FAILURE: 3}
+
+# the fields of a run's report that sweep.json copies into each seed's result
+_RESULT_KEYS = ("termination", "n_used", "final_pair_residual", "final_fixed_set_distance")
 
 
 class _UsageError(Exception):
@@ -237,46 +243,44 @@ def _write_trace_csv(path, report):
         fh.write("\n".join(lines) + "\n")
 
 
-def _summary_payload(cfg, report):
-    return {
-        "spec_version": SPEC_VERSION,
-        "config": cfg.to_dict(),
-        "report": report.to_dict(),
-    }
+def _emit(payload, path=None):
+    """Write payload, stamped with SPEC_VERSION, as _json_text to path or to stdout."""
+    text = _json_text({"spec_version": SPEC_VERSION, **payload})
+    if path is None:
+        sys.stdout.write(text)
+    else:
+        Path(path).write_text(text)
 
 
 def _write_run(cfg, report):
-    """Write one run's artifacts and status line; return its exit code."""
+    """Write one run's artifacts and status line; return its exit code and report.to_dict()."""
     if cfg.csv is not None:
         _write_trace_csv(cfg.csv, report)
-    summary = _json_text(_summary_payload(cfg, report))
     json_path = cfg.json
     if json_path is None and cfg.csv is not None:
-        json_path = str(Path(cfg.csv).with_suffix(".json"))
-    if json_path is not None:
-        Path(json_path).write_text(summary)
-    else:
-        sys.stdout.write(summary)
+        json_path = Path(cfg.csv).with_suffix(".json")
+    summary = report.to_dict()
+    _emit({"config": cfg.to_dict(), "report": summary}, json_path)
     rec = report.final_record
     print(
         f"{cfg.scheme}: {report.termination} at n={report.n_used} "
         f"(pair_residual={rec.pair_residual:.3e}, fixed_set_distance={rec.fixed_set_distance:.3e})",
         file=sys.stderr,
     )
-    return TERMINATION_EXIT[report.termination]
+    return TERMINATION_EXIT[report.termination], summary
 
 
 # ---- subcommand handlers ---------------------------------------------------------
 
 def _cmd_euclid(args):
     seq = euclid_sequence(args.alpha, args.beta, tol=args.tol, max_terms=args.max_terms)
-    sys.stdout.write(_json_text({"spec_version": SPEC_VERSION, **seq.to_dict()}))
+    _emit(seq.to_dict())
     return 0
 
 
 def _cmd_decompose(args):
     dec = greedy_decompose(args.t, geometric(args.ratio), args.n)
-    sys.stdout.write(_json_text({"spec_version": SPEC_VERSION, **dec.to_dict()}))
+    _emit(dec.to_dict())
     return 0
 
 
@@ -285,14 +289,14 @@ def _cmd_verify(args):
     x = as_point(args.point)
     grid = None if args.grid is None else default_profile_grid(args.alpha, args.beta, **args.grid)
     cert = certify_common_fixed(spec, x, args.alpha, args.beta, grid=grid, tol=args.tol)
-    sys.stdout.write(_json_text({"spec_version": SPEC_VERSION, **cert.to_dict()}))
+    _emit(cert.to_dict())
     return 0 if cert.verdict == "certified" else EX_NOT_CERTIFIED
 
 
 def _cmd_run(args):
     cfg = _experiment_from_args(args)
     spec = from_descriptor(cfg.semigroup)
-    return _write_run(cfg, run_scheme(cfg.scheme, spec, _iteration_config(spec, cfg)))
+    return _write_run(cfg, run_scheme(cfg.scheme, spec, _iteration_config(spec, cfg)))[0]
 
 
 def _cmd_sweep(args):
@@ -314,23 +318,12 @@ def _cmd_sweep(args):
     results = []
     worst = 0
     for cfg, report in zip(cfgs, reports):
-        worst = max(worst, _write_run(cfg, report))
-        rec = report.final_record
-        results.append(
-            {
-                "seed": cfg.seed,
-                "termination": report.termination,
-                "n_used": report.n_used,
-                "final_pair_residual": rec.pair_residual,
-                "final_fixed_set_distance": rec.fixed_set_distance,
-                "csv": cfg.csv,
-                "json": cfg.json,
-            }
-        )
+        code, summary = _write_run(cfg, report)
+        worst = max(worst, code)
+        results.append({"seed": cfg.seed, **{k: summary[k] for k in _RESULT_KEYS}, "csv": cfg.csv, "json": cfg.json})
     distances = [r["final_fixed_set_distance"] for r in results]
     n_used = [r["n_used"] for r in results]
     aggregate = {
-        "spec_version": SPEC_VERSION,
         "scheme": base.scheme,
         "semigroup": base.semigroup,
         "alpha": base.alpha,
@@ -344,7 +337,7 @@ def _cmd_sweep(args):
         "n_used_median": float(np.median(n_used)),
         "n_used_max": max(n_used),
     }
-    (out_dir / "sweep.json").write_text(_json_text(aggregate))
+    _emit(aggregate, out_dir / "sweep.json")
     return worst
 
 

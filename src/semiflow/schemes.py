@@ -545,10 +545,9 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     The cap is FLOAT_BLOCK on Python floats and DRIVE_BLOCK otherwise.  A
     float block's own work, its weights, the array of its iterates, their
     images and norms, the test and the records, is about 40 us of numpy
-    calls against about 0.4 us per iterate, so its longer blocks take a
-    50000-step run in 91 blocks, not 226; with no cap it would take 65,
-    for about 1 ms less, but its blocks' arrays would add about 1.5 MB to
-    the peak memory of that run.
+    calls against about 0.4 us per iterate, so its cap is the larger one;
+    a cap at all keeps its blocks' arrays from adding to a long run's peak
+    memory.
 
     B starts are iterated as the rows of one array, through the same
     blocks.  Each row has its own _Recorder, which takes the row's column

@@ -338,7 +338,16 @@ def _pair_kernel(spec, alpha, beta):
     and one that has found that the point x, or each row of x, passes the
     interior test (_checker, or schemes._float_blocks' loop) passes
     inside=True, which skips both projections.
+
+    A decay box [0, M]^d where 2 max(alpha, beta) is at most the spacing
+    of the doubles just below M raises ValueError: there max(x - t, 0)
+    rounds back to x for both times, so points near M would pass for
+    common fixed points.
     """
+    if spec.kind == DECAY:
+        top, t = float(spec.domain.upper.max()), max(alpha, beta)
+        if 2 * t <= top - math.nextafter(top, 0):
+            raise ValueError(f"decay box M={top!r} is too wide for the time {t!r}: near M, x - {t!r} rounds to x")
     lift, rows_a, _ = _compile(spec, alpha)
     _, rows_b, _ = _compile(spec, beta)  # lift does not depend on t
     domain = spec.domain
@@ -372,8 +381,10 @@ def operator(spec, t):
 def pair_operator(spec, alpha, beta):
     """Compile T(alpha) and T(beta) together: return x -> (T(alpha)x, T(beta)x).
 
-    Both times must be positive and finite (ValueError otherwise).  The
-    callable takes and checks x as operator()'s does, and each image equals
+    Both times must be positive and finite, and on a decay flow the larger
+    must exceed half the spacing of the doubles just below the box's M
+    (ValueError otherwise, see _pair_kernel).  The callable takes and
+    checks x as operator()'s does, and each image equals
     operator(spec, t)(x).
     """
     alpha = _scalar("time", alpha)

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 import warnings
 from fractions import Fraction
 from pathlib import Path
@@ -621,6 +622,25 @@ def test_certify_near_origin_decay_point():
     spec = decay(dim=2)
     cert = certify_common_fixed(spec, np.array([1e-9, 0.0]), 1.0, SQRT2, tol=1e-8)
     assert cert.verdict == "certified"
+
+
+def test_a_decay_box_too_wide_for_the_pair_raises():
+    # where 2 max(alpha, beta) is at most the spacing of the doubles below M,
+    # x - t rounds back to x near M for both times, and a point there would
+    # pass for a common fixed point; every path to the pair kernel rejects it
+    for box_max in (1e17, 2.0 ** 54 + 4):
+        spec, corner = decay(dim=2, box_max=box_max), np.full(2, box_max)
+        message = rf"^decay box M={re.escape(repr(box_max))} is too wide for the time 1\.4142135623730951:"
+        for call in (lambda: certify_common_fixed(spec, corner, 1.0, SQRT2),
+                     lambda: residual_pair(spec, corner, SQRT2, 1.0),
+                     lambda: semigroups.pair_operator(spec, 1.0, SQRT2)):
+            with pytest.raises(ValueError, match=message):
+                call()
+    # at 2^54 and 1e15 the larger time still moves the corner
+    for box_max in (2.0 ** 54, 1e15):
+        spec, corner = decay(dim=2, box_max=box_max), np.full(2, box_max)
+        assert residual_pair(spec, corner, 1.0, SQRT2) > 1.0
+        assert certify_common_fixed(spec, corner, 1.0, SQRT2).verdict == "not_certified"
 
 
 def test_certify_reports_numbers_even_when_failing():

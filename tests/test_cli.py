@@ -311,6 +311,11 @@ def test_trace_csv_is_what_the_csv_module_writes(tmp_path):
         assert path.read_bytes() == reference.read_bytes()
 
 
+def summary_payload(cfg, report):
+    """A run's summary as _write_run hands it, through _emit, to _json_text."""
+    return {"spec_version": cli.SPEC_VERSION, "config": cfg.to_dict(), "report": report.to_dict()}
+
+
 def test_json_text_is_what_the_json_module_writes():
     # a run's records are dumped by the C encoder and indented by hand;
     # json.dumps with indent is the reference for the whole text
@@ -322,9 +327,9 @@ def test_json_text_is_what_the_json_module_writes():
     base = ExperimentConfig(scheme="mann", semigroup="heat:matrix=m.txt", alpha=1.0, beta=math.sqrt(2.0), seed=0)
     starts = np.array([cli._sample_point(spec.domain, seed) for seed in range(16)])
     reports = run_rows("mann", spec, IterationConfig(alpha=1.0, beta=math.sqrt(2.0), start=starts, max_iter=400))
-    payloads = [cli._summary_payload(dataclasses.replace(base, seed=k), r) for k, r in enumerate(reports)]
+    payloads = [summary_payload(dataclasses.replace(base, seed=k), r) for k, r in enumerate(reports)]
     # values the float encoders must agree on
-    special = cli._summary_payload(base, reports[0])
+    special = summary_payload(base, reports[0])
     odd = (math.nan, math.inf, -math.inf, -0.0, 5e-324, 2**70, 1e300, -1.5e-7)
     for rec, value in zip(special["report"]["iterates_recorded"], odd):
         rec["pair_residual"] = rec["step_norm"] = value
@@ -333,11 +338,11 @@ def test_json_text_is_what_the_json_module_writes():
     # a browder_implicit report carries its inner sweeps too
     browder = browder_implicit(rotation(period=1.0), IterationConfig(
         alpha=1.0, beta=math.sqrt(2.0), start=[1.0, 2.0], u=[3.0, 0.0], max_iter=12))
-    payloads.append(cli._summary_payload(dataclasses.replace(base, scheme="browder_implicit"), browder))
+    payloads.append(summary_payload(dataclasses.replace(base, scheme="browder_implicit"), browder))
     # a one-record report
     one = run_rows("mann", spec, IterationConfig(alpha=1.0, beta=math.sqrt(2.0), start=starts[:2], max_iter=1))[0]
     assert len(one.iterates_recorded) == 1
-    payloads.append(cli._summary_payload(base, one))
+    payloads.append(summary_payload(base, one))
     for payload in payloads:
         assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
     # payloads without records go through json.dumps unchanged
@@ -600,6 +605,53 @@ def test_sweep_propagates_worst_exit(capsys, tmp_path):
         "--out-dir", str(out_dir),
     )
     assert code == 2
+
+
+def test_every_json_artifact_is_stamped_once_and_sweep_results_copy_their_reports(capsys, tmp_path):
+    pair = ["--alpha", "1", "--beta", SQRT2_STR]
+    texts = []
+    for argv in (["euclid", *pair], ["decompose", "--t", "3.141592653589793", "--ratio", "0.5"],
+                 ["verify", "--semigroup", "decay:dim=2", *pair, "--point", "0,0"],
+                 ["run", "--scheme", "mann", "--semigroup", "decay:dim=2", *pair, "--x0", "3,5"]):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0, argv
+        texts.append(out)
+    out_dir = tmp_path / "sw"
+    code, _, _ = run_cli(capsys, "sweep", "--scheme", "mann", "--semigroup", "rotation:period=1,center=0.5,-0.25",
+                         *pair, "--seeds", "0,1,2", "--max-iter", "20", "--out-dir", str(out_dir))
+    assert code == 2
+    agg = json.loads((out_dir / "sweep.json").read_text())
+    seed_texts = [Path(r["json"]).read_text() for r in agg["results"]]
+    texts += [(out_dir / "sweep.json").read_text(), *seed_texts]
+    assert len(texts) == 8
+    for text in texts:
+        assert text.count('"spec_version"') == 1 and json.loads(text)["spec_version"] == "1", text[:80]
+    copied = ("termination", "n_used", "final_pair_residual", "final_fixed_set_distance")
+    for result, text in zip(agg["results"], seed_texts):
+        report = json.loads(text)["report"]
+        assert set(result) == {"seed", "csv", "json", *copied}
+        assert [result[k] for k in copied] == [report[k] for k in copied]
+
+
+def test_a_decay_box_too_wide_for_the_pair_is_a_usage_error(capsys, tmp_path):
+    # near M = 1e17, x - sqrt2 rounds back to x, so a run from the corner would
+    # converge at once, 1.4e17 from the fixed set, and verify would certify it
+    pair = ["--alpha", "1", "--beta", SQRT2_STR]
+    for argv in (["run", "--scheme", "mann", "--semigroup", "decay:dim=2,M=1e17", *pair, "--x0=1e17,1e17",
+                  "--csv", str(tmp_path / "wide.csv")],
+                 ["verify", "--semigroup", "decay:dim=2,M=1e17", *pair, "--point=1e17,1e17"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (64, "")
+        assert err == f"error: decay box M=1e+17 is too wide for the time {SQRT2_STR}: near M, x - {SQRT2_STR} rounds to x\n"
+    assert not (tmp_path / "wide.csv").exists()
+    # at 2^54 and 1e15 each step still moves the point, and the budget runs out
+    for top in (str(2 ** 54), "1e15"):
+        argv = ["--semigroup", f"decay:dim=2,M={top}", *pair]
+        code, out, _ = run_cli(capsys, "run", "--scheme", "mann", *argv, f"--x0={top},{top}", "--max-iter", "5")
+        assert code == 2
+        assert json.loads(out)["report"]["final_pair_residual"] > 1.0
+        code, out, _ = run_cli(capsys, "verify", *argv, f"--point={top},{top}")
+        assert (code, json.loads(out)["verdict"]) == (4, "not_certified")
 
 
 def test_heat_descriptor_through_cli(capsys, tmp_path):

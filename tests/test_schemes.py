@@ -404,10 +404,13 @@ def test_float_loop_is_the_pair_kernel_bit_for_bit(monkeypatch):
         return out
 
     def unread_images(xs, inside):
-        # a stand-in for the pair kernel, which would spend most of this test's time
-        # recomputing a block's images: they feed only the block's residuals and
-        # steps, which the block driver tests hold, not the loop's iterates read here
+        # stand-ins for the pair kernel and _block_norms, which would spend most of
+        # this test's time on a block's images, residuals and steps: the block
+        # driver tests hold those, and the loop's iterates read here depend on none
         return xs, xs
+
+    def unread_norms(before, block, ta, tb):
+        return None, None
 
     def loop_and_kernel(spec, alpha, beta, points):
         """Both images of each point from the float loop and from the pair kernel,
@@ -431,6 +434,7 @@ def test_float_loop_is_the_pair_kernel_bit_for_bit(monkeypatch):
         return got, expected, first
 
     monkeypatch.setattr(vecspace.Ball, "project", counted)
+    monkeypatch.setattr(schemes, "_block_norms", unread_norms)
     # radii where, without the margin, q <= R**2 holds for some images that
     # Ball.project moves; and a center at 2^19 R, where the interior test still holds
     for spec in (rotation(period=1.0, radius=3.7), rotation(period=1.7, center=(0.5, -0.25), radius=0.37),
@@ -453,9 +457,7 @@ def test_float_loop_is_the_pair_kernel_bit_for_bit(monkeypatch):
                  rotation(radius=1e-160), rotation(radius=1e160)):
         g = rng.normal(size=(scales.size, 2))
         points = spec.domain.center + (spec.domain.radius * scales / np.linalg.norm(g, axis=1))[:, None] * g
-        # a block's steps on the 1e160 ball overflow to inf, as the driver's would
-        with np.errstate(over="ignore"):
-            got, expected, first = loop_and_kernel(spec, 1.0, SQRT2, points)
+        got, expected, first = loop_and_kernel(spec, 1.0, SQRT2, points)
         assert got == expected, spec.domain.radius
         assert len(first) == 2 * len(points), spec.domain.radius
         assert 0 < sum(first) < len(first), spec.domain.radius
