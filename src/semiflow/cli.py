@@ -121,36 +121,48 @@ def _grid_arg(text):
 
 # ---- experiment configuration --------------------------------------------------
 
+def _option(default=dataclasses.MISSING, **flag):
+    """A field of ExperimentConfig whose metadata holds its flag's add_argument keywords."""
+    return dataclasses.field(default=default, metadata=flag)
+
+
+def _flag(name):
+    """The flag of the ExperimentConfig field name: --<name> with _ written -, and lam is --lambda."""
+    return "--lambda" if name == "lam" else "--" + name.replace("_", "-")
+
+
 @dataclass
 class ExperimentConfig:
     """Everything a `run` needs, in serializable form.
 
     The fields are the `run` options (`sweep` takes all but x0, seed, csv
-    and json, and sets the seed of each run from --seeds): each is the
-    flag ``--<name>`` with ``_`` written ``-`` (``lam`` is ``--lambda``),
-    and the field defaults are the CLI defaults.  The seed (unsigned)
-    drives the start-point sample when --x0 is not given; together with
-    the flags it fully determines all outputs.  to_argv() emits an argv
-    that parses back to an equal config.
+    and json, and sets the seed of each run from --seeds).  Each field
+    declares its flag, ``--<name>`` with ``_`` written ``-`` (``lam`` is
+    ``--lambda``; see _flag): its metadata holds the flag's type, help and
+    other add_argument keywords, from which the parsers are built, and its
+    default is the CLI default.  The seed (unsigned) drives the
+    start-point sample when --x0 is not given; together with the flags it
+    fully determines all outputs.  to_argv() emits an argv that parses
+    back to an equal config.
     """
 
-    scheme: str
-    semigroup: str
-    alpha: float
-    beta: float
-    kappa: float = IterationConfig.kappa
-    lam: float = IterationConfig.lam
-    schedule: str | None = None
-    max_iter: int | None = IterationConfig.max_iter
-    tol: float = IterationConfig.tol
-    inner_tol: float = IterationConfig.inner_tol
-    inner_cap: int = IterationConfig.inner_cap
-    u: tuple | None = None
-    x0: tuple | None = None
-    seed: int = 0
-    record_all: bool = IterationConfig.record_all
-    csv: str | None = None
-    json: str | None = None
+    scheme: str = _option(required=True, choices=sorted(SCHEME_TAGS))
+    semigroup: str = _option(required=True, help="descriptor, e.g. rotation:period=1,center=0,0")
+    alpha: float = _option(type=float, required=True, help="first sample time")
+    beta: float = _option(type=float, required=True, help="second sample time")
+    kappa: float = _option(IterationConfig.kappa, type=float, help="first averaging weight")
+    lam: float = _option(IterationConfig.lam, type=float, help="second averaging weight")
+    schedule: str | None = _option(None, help="harmonic:<offset> or power:<p>[,<offset>]")
+    max_iter: int | None = _option(IterationConfig.max_iter, type=int, help="outer budget (scheme default if omitted)")
+    tol: float = _option(IterationConfig.tol, type=float, help="convergence tolerance")
+    inner_tol: float = _option(IterationConfig.inner_tol, type=float, help="implicit-solver residual target")
+    inner_cap: int = _option(IterationConfig.inner_cap, type=int, help="implicit-solver iteration cap")
+    u: tuple | None = _option(None, type=_point_arg, help="anchor point (comma-separated)")
+    x0: tuple | None = _option(None, type=_point_arg, help="start point; sampled by seed if omitted")
+    seed: int = _option(0, type=int, help="seed for the sampled start point")
+    record_all: bool = _option(IterationConfig.record_all, action="store_true", help="record every iterate (no thinning)")
+    csv: str | None = _option(None, help="trajectory CSV path")
+    json: str | None = _option(None, help="summary JSON path (derived from --csv if omitted)")
 
     def __post_init__(self):
         _scheme(self.scheme)
@@ -162,8 +174,7 @@ class ExperimentConfig:
         # read as an option name; str() of a float is its shortest repr
         argv = ["run"]
         for f in dataclasses.fields(self):
-            value = getattr(self, f.name)
-            flag = "--lambda" if f.name == "lam" else "--" + f.name.replace("_", "-")
+            value, flag = getattr(self, f.name), _flag(f.name)
             if value is True:
                 argv.append(flag)
             elif value is not None and value is not False:
@@ -175,12 +186,16 @@ class ExperimentConfig:
         return dataclasses.asdict(self)
 
 
+_FIELDS = {f.name: f for f in dataclasses.fields(ExperimentConfig)}
+# sweep sets each run's seed, csv and json itself, and samples every start
+_NOT_IN_SWEEP = ("x0", "seed", "csv", "json")
+
+
 def _experiment_from_args(args):
     # the run/sweep parsers suppress defaults: flags left out, and those
     # sweep does not have, take the field defaults
     given = vars(args)
-    names = (f.name for f in dataclasses.fields(ExperimentConfig))
-    return ExperimentConfig(**{name: given[name] for name in names if name in given})
+    return ExperimentConfig(**{name: given[name] for name in _FIELDS if name in given})
 
 
 def _sample_point(domain, seed):
@@ -303,7 +318,6 @@ def _cmd_sweep(args):
     base = _experiment_from_args(args)
     spec = from_descriptor(base.semigroup)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     stem = str(out_dir / base.scheme)
     cfgs = [dataclasses.replace(base, seed=s, csv=f"{stem}_seed{s}.csv", json=f"{stem}_seed{s}.json")
             for s in args.seeds]
@@ -318,6 +332,8 @@ def _cmd_sweep(args):
     results = []
     worst = 0
     for cfg, report in zip(cfgs, reports):
+        # made only here, so a sweep rejected before its first artifact leaves no directory
+        out_dir.mkdir(parents=True, exist_ok=True)
         code, summary = _write_run(cfg, report)
         worst = max(worst, code)
         results.append({"seed": cfg.seed, **{k: summary[k] for k in _RESULT_KEYS}, "csv": cfg.csv, "json": cfg.json})
@@ -343,27 +359,9 @@ def _cmd_sweep(args):
 
 # ---- parser ----------------------------------------------------------------------
 
-def _add_pair_flags(parser):
-    parser.add_argument("--alpha", type=float, required=True, help="first sample time")
-    parser.add_argument("--beta", type=float, required=True, help="second sample time")
-
-
-def _add_run_flags(parser, with_start):
-    parser.add_argument("--scheme", required=True, choices=sorted(SCHEME_TAGS))
-    parser.add_argument("--semigroup", required=True, help="descriptor, e.g. rotation:period=1,center=0,0")
-    _add_pair_flags(parser)
-    parser.add_argument("--kappa", type=float, help="first averaging weight")
-    parser.add_argument("--lambda", dest="lam", type=float, help="second averaging weight")
-    parser.add_argument("--schedule", help="harmonic:<offset> or power:<p>[,<offset>]")
-    parser.add_argument("--max-iter", type=int, help="outer budget (scheme default if omitted)")
-    parser.add_argument("--tol", type=float, help="convergence tolerance")
-    parser.add_argument("--inner-tol", type=float, help="implicit-solver residual target")
-    parser.add_argument("--inner-cap", type=int, help="implicit-solver iteration cap")
-    parser.add_argument("--u", type=_point_arg, help="anchor point (comma-separated)")
-    if with_start:
-        parser.add_argument("--x0", type=_point_arg, help="start point; sampled by seed if omitted")
-        parser.add_argument("--seed", type=int, help="seed for the sampled start point")
-    parser.add_argument("--record-all", action="store_true", help="record every iterate (no thinning)")
+def _add_fields(parser, names):
+    for name in names:
+        parser.add_argument(_flag(name), dest=name, **_FIELDS[name].metadata)
 
 
 @functools.cache  # built once per process: parsing never changes it
@@ -372,7 +370,7 @@ def _build_parser():
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     p = sub.add_parser("euclid", help="two-time remainder recursion")
-    _add_pair_flags(p)
+    _add_fields(p, ("alpha", "beta"))
     p.add_argument("--tol", type=float, default=1e-9, help="stop once the remainder drops below this")
     p.add_argument("--max-terms", type=int, default=200, help="remainder budget")
     p.set_defaults(func=_cmd_euclid)
@@ -385,7 +383,7 @@ def _build_parser():
 
     p = sub.add_parser("verify", help="certify a point as a common fixed point")
     p.add_argument("--semigroup", required=True)
-    _add_pair_flags(p)
+    _add_fields(p, ("alpha", "beta"))
     p.add_argument("--point", type=_point_arg, required=True, help="candidate point (comma-separated)")
     p.add_argument("--tol", type=float, default=1e-8, help="pair-residual tolerance")
     p.add_argument("--grid", type=_grid_arg, default=None, help="profile grid start:stop:step")
@@ -393,16 +391,14 @@ def _build_parser():
 
     # run and sweep declare no defaults: ExperimentConfig holds them
     p = sub.add_parser("run", help="run one iteration scheme", argument_default=argparse.SUPPRESS)
-    _add_run_flags(p, with_start=True)
-    p.add_argument("--csv", help="trajectory CSV path")
-    p.add_argument("--json", help="summary JSON path (derived from --csv if omitted)")
+    _add_fields(p, _FIELDS)
     p.set_defaults(func=_cmd_run)
 
     # no abbreviations here: argparse would otherwise read --seed as --seeds
     p = sub.add_parser(
         "sweep", help="run one scheme over several seeds", argument_default=argparse.SUPPRESS, allow_abbrev=False
     )
-    _add_run_flags(p, with_start=False)
+    _add_fields(p, [name for name in _FIELDS if name not in _NOT_IN_SWEEP])
     p.add_argument("--seeds", type=_seeds_arg, required=True, help="comma-separated seed list")
     p.add_argument("--out-dir", required=True, help="directory for per-seed artifacts and sweep.json")
     p.set_defaults(func=_cmd_sweep)

@@ -181,7 +181,8 @@ class IterationConfig:
     tol          convergence tolerance on pair residual and step norm
     inner_tol    Browder inner solver residual target
     inner_cap    Browder inner solver hard iteration cap
-    u            anchor point (browder_implicit and halpern)
+    u            anchor point (browder_implicit and halpern); checked by
+                 every scheme it is given to
     start        initial iterate x_1, or a (B, d) array of B of them for
                  run_rows
     record_all   record every iterate instead of thinning past n = 100
@@ -507,14 +508,16 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
 def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     """The setup and loop all schemes share: record each iterate and decide when to stop.
 
-    Checks cfg.start (for a tag of ROW_SCHEMES also a (B, d) array of B
-    starts), takes n_max = cfg.max_iter or DEFAULT_MAX_ITER[tag], and
-    warns on a (near-)rational pair.  ``iterates(x0, n_max, op_alpha,
-    op_beta, op_pair)`` gets the checked start as a float array and
-    unchecked kernels of T(alpha), T(beta) and x -> (T(alpha)x, T(beta)x):
-    every iterate is a convex combination of the checked start and anchor
-    and of projected images.  Its generator yields x_1, x_2, ... and is
-    sent (T(alpha)x_n, T(beta)x_n) for the x_n it yielded last.
+    Checks the anchor cfg.u wherever one is given (a tag of _ANCHORED needs
+    one), then cfg.start (for a tag of ROW_SCHEMES also a (B, d) array of B
+    starts), once each and under its own name, takes n_max = cfg.max_iter
+    or DEFAULT_MAX_ITER[tag], and warns on a (near-)rational pair.
+    ``iterates(x0, n_max, op_alpha, op_beta, op_pair)`` gets the checked
+    start as a float array and unchecked kernels of T(alpha), T(beta) and
+    x -> (T(alpha)x, T(beta)x): every iterate is a convex combination of
+    the checked start and anchor and of projected images.  Its generator
+    yields x_1, x_2, ... and is sent (T(alpha)x_n, T(beta)x_n) for the x_n
+    it yielded last.
 
     The iterates are taken a block at a time (_array_blocks), and the
     block's pair residuals and step norms with one _row_norms call each
@@ -556,6 +559,8 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     taken with one fixed_set_distance call.  A row that has ended is still
     updated, but no longer recorded, until every row has ended.  Returns one report, or one per row.
     """
+    if cfg.u is not None or tag in _ANCHORED:
+        _require_point(spec, cfg, "u", tag)
     x0 = _require_point(spec, cfg, "start", tag, rows=tag in ROW_SCHEMES)
     n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
     _checked_pair(cfg.alpha, cfg.beta)
@@ -759,15 +764,14 @@ def browder_implicit(spec, cfg):
     the inner sweep counts and final inner residuals; an inner solve that
     misses inner_tol ends the run with inner_solver_failure.
     """
-    u = _require_point(spec, cfg, "u", "browder_implicit")
     if cfg.start is None:
-        cfg = replace(cfg, start=u)
+        cfg = replace(cfg, start=cfg.u)
     inner = []
 
     def iterates(x, _, __, ___, op_pair):
         for n in itertools.count(1):
             lam_n = cfg.schedule(n)
-            pull = lam_n * u
+            pull = lam_n * cfg.u
             half = 0.5 * (1.0 - lam_n)
 
             def step_map(z):
@@ -790,8 +794,7 @@ def halpern(spec, cfg):
     summable), so on an irrational pair the iterates approach the common
     fixed point nearest the anchor.
     """
-    u = _require_point(spec, cfg, "u", "halpern")
-    return _drive(spec, cfg, "halpern", _Rule(weight=cfg.schedule, anchor=u))
+    return _drive(spec, cfg, "halpern", _Rule(weight=cfg.schedule, anchor=cfg.u))
 
 
 SCHEME_TAGS = {
@@ -807,6 +810,9 @@ SCHEME_TAGS = {
 
 # the schemes whose update treats each row of a (B, d) iterate on its own
 ROW_SCHEMES = ("baillon_power_average", "halpern", "mann")
+
+# the schemes that need an anchor u; _drive checks one given to any scheme
+_ANCHORED = ("browder_implicit", "halpern")
 
 
 def _scheme(tag):

@@ -15,7 +15,7 @@ import semiflow
 from semiflow import cli
 from semiflow.characterize import NearRationalWarning
 from semiflow.cli import ExperimentConfig, _build_parser, _experiment_from_args, main
-from semiflow.schemes import IterationConfig
+from semiflow.schemes import IterationConfig, SCHEME_TAGS
 
 SQRT2_STR = "1.4142135623730951"
 
@@ -245,16 +245,37 @@ def test_run_rejects_bad_inner_solver_settings(capsys, tmp_path):
 
 
 def test_run_names_a_bad_start_or_anchor(capsys, tmp_path):
-    # (50, 0) lies outside the radius-10 rotation disc
+    # (50, 0) lies outside the radius-10 rotation disc, and (1, 2, 3) has the
+    # wrong dimension; every scheme checks an anchor it is given
     argv = [
-        "run", "--scheme", "halpern", "--semigroup", "rotation:period=1,center=0,0",
-        "--alpha", "1", "--beta", SQRT2_STR, "--csv", str(tmp_path / "h.csv"),
+        "--semigroup", "rotation:period=1,center=0,0", "--alpha", "1", "--beta", SQRT2_STR,
+        "--csv", str(tmp_path / "h.csv"), "--json", str(tmp_path / "h.json"),
     ]
-    for flags, field in ((["--u=50,0", "--x0", "1,0"], "u"), (["--u", "1,0", "--x0", "50,0"], "start")):
-        code, _, err = run_cli(capsys, *argv, *flags)
-        assert code == 64
-        assert re.search(rf"\b{field}\b", err)
-    assert not (tmp_path / "h.csv").exists()
+    bad = (
+        (["--u=50,0", "--x0", "1,0"], "u lies outside"),
+        (["--u=1,2,3", "--x0", "1,0"], r"u has shape \(3,\)"),
+        (["--u", "1,0", "--x0", "50,0"], "start lies outside"),
+    )
+    for scheme in sorted(SCHEME_TAGS):
+        for flags, message in bad:
+            code, out, err = run_cli(capsys, "run", "--scheme", scheme, *argv, *flags)
+            assert (code, out) == (64, "")
+            assert re.fullmatch(rf"error: {message}.*\n", err)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("scheme, flags", [
+    pytest.param("mann", ["--semigroup", "decay:dim=2,M=1e17"], id="decay box too wide"),
+    pytest.param("mann", ["--semigroup", "decay:dim=2", "--u=50,0"], id="rows, anchor outside"),
+    pytest.param("baillon_double", ["--semigroup", "decay:dim=2", "--u=1,2,3"], id="one by one, anchor shape"),
+])
+def test_a_rejected_sweep_leaves_no_directory(capsys, tmp_path, scheme, flags):
+    code, _, err = run_cli(
+        capsys, "sweep", "--scheme", scheme, *flags, "--alpha", "1", "--beta", SQRT2_STR,
+        "--seeds", "0,1", "--out-dir", str(tmp_path / "swx" / "deep"),
+    )
+    assert code == 64 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
 
 
 # ---- run ---------------------------------------------------------------------------

@@ -1320,9 +1320,9 @@ def test_report_dict_shape():
 
 def test_anchored_schemes_require_anchor():
     spec = decay(dim=1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^halpern needs a value for u$"):
         halpern(spec, cfg(start=[1.0]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^browder_implicit needs a value for u$"):
         browder_implicit(spec, cfg(start=[1.0]))
     with pytest.raises(ValueError):
         mann(spec, cfg())  # no start point
@@ -1330,7 +1330,8 @@ def test_anchored_schemes_require_anchor():
 
 def test_start_and_anchor_are_checked_before_iterating(monkeypatch):
     # radius-10 rotation disc in the plane: (1, 0) is inside, (50, 0) is
-    # outside, and a 3-vector has the wrong dimension
+    # outside, and a 3-vector has the wrong dimension; every scheme checks
+    # an anchor it is given, and only the anchored ones use it
     calls = count_applications(monkeypatch)
     spec = rotation(period=1.0)
     good = [1.0, 0.0]
@@ -1338,13 +1339,16 @@ def test_start_and_anchor_are_checked_before_iterating(monkeypatch):
         ([1.0, 0.0, 0.0], r"has shape \(3,\), the semigroup expects \(2,\)"),
         ([50.0, 0.0], "lies outside the domain"),
     )
-    for scheme, fields in ((halpern, ("start", "u")), (browder_implicit, ("start", "u")), (mann, ("start",))):
-        for name in fields:
+    for tag in SCHEME_TAGS:
+        for name in ("start", "u"):
             for point, message in bad:
                 kw = {"start": good, "u": good, name: point}
                 with pytest.raises(ValueError, match=rf"^{name} {message}"):
-                    scheme(spec, cfg(**kw))
+                    run_scheme(tag, spec, cfg(max_iter=5, **kw))
     assert calls == []
+    for tag in sorted(set(SCHEME_TAGS) - {"browder_implicit", "halpern"}):
+        anchored = run_scheme(tag, spec, cfg(start=good, u=[0.0, 3.0], max_iter=5))
+        assert anchored.to_dict() == run_scheme(tag, spec, cfg(start=good, max_iter=5)).to_dict()
 
 
 def test_every_scheme_honours_its_default_budget(monkeypatch):

@@ -155,3 +155,8 @@ printf '2 -1\n-1 2\n' > pd2.txt
 cli mann_heat_pd 0 run --scheme mann --semigroup heat:matrix=pd2.txt $pair --seed 3 --csv mann_heat_pd.csv
 cli sweep_halpern_heat_pd 2 sweep --scheme halpern --semigroup heat:matrix=pd2.txt $pair --u=1,0 \
   --seeds 0,1,2 --out-dir sweep_halpern_heat_pd
+# the help of every subcommand with options, at a fixed width, so that a change
+# in how the parsers are built shows as a difference
+for c in run sweep euclid verify decompose; do
+  COLUMNS=80 cli "help_$c" 0 "$c" --help
+done
