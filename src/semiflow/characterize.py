@@ -39,7 +39,7 @@ from semiflow.semigroups import (
 # (bench/spans.py) wraps them under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import check_pair, euclid_sequence  # noqa: F401
-from semiflow.vecspace import _norm, _scalar
+from semiflow.vecspace import _norm, _scalar, _wide_norms
 
 __all__ = [
     "NearRationalWarning",
@@ -161,12 +161,15 @@ def residual_pair(spec, x, alpha, beta):
     """max(||T(alpha)x - x||, ||T(beta)x - x||) for the two sampled times."""
     alpha, beta = _checked_pair(alpha, beta)
     x = np.asarray(x, dtype=float)
-    return _pair_residual(x, *pair_operator(spec, alpha, beta)(x))
+    return _pair_residual(x, *pair_operator(spec, alpha, beta)(x), spec.domain.wide)
 
 
-def _pair_residual(x, ta, tb):
-    """max(||T(alpha)x - x||, ||T(beta)x - x||) from the two images ta and tb."""
-    return max(_norm(ta - x), _norm(tb - x))
+def _pair_residual(x, ta, tb, wide=False):
+    """max(||T(alpha)x - x||, ||T(beta)x - x||) from the two images ta and
+    tb, with ``wide`` for a point of a wide ball (vecspace.Ball.wide), whose
+    norms are taken rescaled (vecspace._wide_norms)."""
+    norm = _wide_norms if wide else _norm
+    return max(norm(ta - x), norm(tb - x))
 
 
 def default_profile_grid(alpha, beta, stop=5.0, step=0.01, start=0.0):
@@ -233,7 +236,9 @@ def _profile(spec, x, grid, alpha, beta, screened):
 
     residuals is an array of ||T(t)x - x|| over the kept blocks, in their
     order, from the orbit's rows; first is the grid index of its first
-    entry.  Every block is kept, unless ``screened`` asks for only the
+    entry.  On a wide ball (vecspace.Ball.wide) the residuals, and the pair
+    residual, are vecspace._wide_norms, rescaled where a sum of squares
+    overflows.  Every block is kept, unless ``screened`` asks for only the
     blocks that can hold the profile's maximum, which on a heat flow drops
     the blocks that the spectrum rules out:
 
@@ -264,8 +269,9 @@ def _profile(spec, x, grid, alpha, beta, screened):
         blocks = blocks[kept[0]:kept[-1] + 1]
     moved = _stacked(blocks, x, lifted, None if inside else spec.domain.project)
     moved -= x
-    residuals = np.sqrt(np.einsum("ij,ij->i", moved, moved))
-    return times, _pair_residual(x, *pair(x, lifted, inside)), residuals, blocks[0][0].start
+    wide = spec.domain.wide
+    residuals = _wide_norms(moved) if wide else np.sqrt(np.einsum("ij,ij->i", moved, moved))
+    return times, _pair_residual(x, *pair(x, lifted, inside), wide), residuals, blocks[0][0].start
 
 
 def residual_profile(spec, x, grid, alpha, beta):

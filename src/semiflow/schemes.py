@@ -42,7 +42,7 @@ from semiflow.semigroups import (
 # not called here: the benchmark's tracer (bench/spans.py) wraps it under this module's name
 from semiflow.semigroups import evaluate  # noqa: F401
 from semiflow.stepseq import check_pair
-from semiflow.vecspace import _norm, _row_norms, _scalar, as_point
+from semiflow.vecspace import _norm, _row_norms, _scalar, _wide_norms, as_point
 
 __all__ = [
     "Schedule",
@@ -288,6 +288,7 @@ class _Recorder:
 
     def __init__(self, spec, track_fejer=False, record_all=False):
         self.fixed_set = analytic_fixed_set(spec)
+        self.wide = spec.domain.wide
         self.records = []
         self.record_all = record_all
         self.track_fejer = track_fejer
@@ -300,7 +301,7 @@ class _Recorder:
             n=n,
             pair_residual=float(pair_residual),
             step_norm=float(step_norm),
-            fixed_set_distance=fixed_set_distance(self.fixed_set, point) if fsd is None else fsd,
+            fixed_set_distance=fixed_set_distance(self.fixed_set, point, self.wide) if fsd is None else fsd,
             point=point,  # no copy: no scheme mutates an iterate in place
         )
 
@@ -318,7 +319,7 @@ class _Recorder:
         k = stop or len(pair)  # the iterates taken
         if self.track_fejer:
             if fsd is None:
-                fsd = [fixed_set_distance(self.fixed_set, x) for x in xs[:k]]
+                fsd = [fixed_set_distance(self.fixed_set, x, self.wide) for x in xs[:k]]
             prev = self._prev_fsd
             for f in fsd[:k]:
                 if prev is not None and f > prev + FEJER_SLACK:
@@ -390,15 +391,16 @@ class _Rule:
                 x = 0.5 * (1.0 - w) * (ta + tb) + w * u
 
 
-def _block_norms(before, block, ta, tb):
+def _block_norms(before, block, ta, tb, norms=_row_norms):
     """The pair residuals and step norms of a block's iterates, as float arrays.
 
     before holds the iterate before each of the block's (x_1 itself for
     x_1, whose step is 0.0), and ta and tb their T(alpha) and T(beta)
-    images.  One _row_norms call each, which equal _norm's bit for bit; a
-    block of size (B, d) iterates gives (size, B) arrays.
+    images.  One norms call each: _row_norms, which equal _norm's bit for
+    bit, or on a wide ball _wide_norms; a block of size (B, d) iterates
+    gives (size, B) arrays.
     """
-    return np.maximum(_row_norms(ta - block), _row_norms(tb - block)), _row_norms(block - before)
+    return np.maximum(norms(ta - block), norms(tb - block)), norms(block - before)
 
 
 def _stops(pair, step, tol):
@@ -413,12 +415,12 @@ def _stops(pair, step, tol):
     return np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0).reshape(-1).tolist()
 
 
-def _array_blocks(orbit, op_pair):
+def _array_blocks(orbit, op_pair, norms):
     """take(size) -> (iterates, pair residuals, step norms) of the next size iterates of orbit.
 
     The iterates are points or (B, d) arrays of B of them.  Every block,
     a block of one point too, is read into one array and tested with
-    _block_norms.
+    _block_norms, which takes norms.
     """
     images = prev = None
 
@@ -434,7 +436,7 @@ def _array_blocks(orbit, op_pair):
         # one concatenate costs less than np.array or np.stack on small arrays
         rows = np.concatenate([xs[0] if prev is None else prev, *xs, *tas, *tbs])
         rows = rows.reshape(3 * size + 1, *x.shape)
-        pair, step = _block_norms(rows[:size], *rows[1:].reshape(3, size, *x.shape))
+        pair, step = _block_norms(rows[:size], *rows[1:].reshape(3, size, *x.shape), norms)
         prev = xs[-1]
         return xs, pair, step
 
@@ -454,11 +456,46 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
     which gives _pair_kernel's bits.  A block's weights come from one
     Schedule.block call, and halpern's 0.5*(1 - w) from one array
     operation on them, which rounds as the loop would.  The loop keeps
-    only the iterates; after the block, op_pair, the driver's pair kernel
-    (_pair_kernel), recomputes their images from the (size, 2) iterates,
+    only the iterates, returned as rows of one array read from the loop's
+    list in one np.fromiter call; after the block, op_pair, the driver's
+    pair kernel (_pair_kernel), recomputes their images from those rows,
     in the same operations, and projects them only if some iterate failed
-    the test.  The iterates are returned as rows of one array, read from
-    the loop's list in one np.fromiter call.
+    the test.  Its norms are _row_norms (_drive takes a wide ball through
+    _array_blocks).
+
+    Two proved bounds let a block skip work with the same bits.  Write
+    eps = 2^-53, c and R for the ball's center and radius, r for the
+    test's radius and e = |x - c|, and take math.cos, math.sin and
+    math.hypot within an ulp.  A ball with a test has 2^-500 <= R <= 2^500
+    and |c| <= 2^20 R, so nothing overflows and an underflow errs by at
+    most 2^-1074, far below eps R.  A computed image's offset from c lies
+    within 5 eps e + eps |c| of the exact turn of x - c.
+
+    * Interior proof.  The update is an affine combination of x_n's
+      images and of u (halpern) or x_n (mann), with nonnegative weights
+      that sum to 1 within 2 eps, rounded three times at most; so while
+      every point lies within R of c,
+      e(x_{n+1}) <= max(e(x_n), |u - c|) + 16 eps (|c| + R), where mann
+      drops |u - c|.  A block of size iterates from x_n with a computed
+      rho (1 + 32 eps) + size 32 eps (|c| + R) <= r (1 - 32 eps),
+      rho = max(e(x_n), |u - c|), thus keeps every iterate within
+      r (1 - 4 eps) of c, where the test's float sum of squares is at most
+      r**2: its loop skips the test, by a short circuit on that proof, and
+      projects nothing.  Any other block (near the boundary, on a ball
+      without a test, at a NaN) tests every iterate.  The factors of
+      32 eps also cover the check's own roundings.
+    * Norm screen.  A turn's matrix M has |(M - I)v| = g|v| for every v,
+      g = hypot(cos - 1, sin), so where no iterate of a block was
+      projected, an iterate's computed pair residual is at least
+      g e (1 - 10 eps) - 5 eps (|c| + R) - 2^-534 (the norm's squares may
+      underflow), g the larger over the pair's two turns.  If
+      g (1 - 32 eps) times the block's least computed e exceeds
+      tol + 32 eps (|c| + R) + 2^-530, no iterate can stop; then, unless
+      the run records every iterate, only the kept iterates (KEPT) and
+      the block's last get images, pair residuals and step norms, by
+      op_pair and _block_norms on those rows, which round as in the whole
+      block.  The other entries are NaN, which no record reads and
+      _stops takes for no stop.  Any other block is taken whole.
     """
     if spec.kind != ROTATION or spec.dim != 2:
         return None
@@ -466,29 +503,40 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
     _, _, (cb, sb) = _compile(spec, cfg.beta)
     domain = spec.domain
     cx, cy = domain.center.tolist()
-    limit = _interior_radius(domain) ** 2
+    r = _interior_radius(domain)
+    limit = r ** 2
     weight = rule.weight
     kappa, lam, rest = rule.mix or (None, None, None)
     u0, u1 = (None, None) if rule.anchor is None else rule.anchor.tolist()
-    x0, x1 = x.tolist()
-    before = [x0, x1]  # the iterate before the block, x_1 itself at first
-    n = 1  # (x0, x1) is x_n
+    slack = 2.0 ** -48  # 32 eps, in both bounds of the docstring
+    drift = slack * (math.hypot(cx, cy) + domain.radius)
+    far = 0.0 if u0 is None else math.hypot(u0 - cx, u1 - cy)
+    g = max(math.hypot(ca - 1.0, sa), math.hypot(cb - 1.0, sb)) * (1.0 - slack)
+    floor = cfg.tol + drift + 2.0 ** -530
+    before = x.tolist()  # the iterate before the block, x_1 itself at first
+    xn, n = tuple(before), 1
 
-    def take(size):
-        nonlocal x0, x1, before, n
+    # the loop's constants are default arguments, read as fast locals, not closure cells
+    def take(size, cx=cx, cy=cy, ca=ca, sa=sa, cb=cb, sb=sb, kappa=kappa, lam=lam, rest=rest, u0=u0, u1=u1,
+             limit=limit):
+        nonlocal before, xn, n
+        x0, x1 = xn
         out = before
+        append = out.append  # two appends cost less than out += x0, x1
         fell = False
         # halpern's weights w and h = 0.5 * (1 - w), each taken for the block in one array operation
         ws = None if weight is None else weight.block(n, size)
         hws = itertools.repeat((None, None), size) if ws is None else zip((0.5 * (1.0 - ws)).tolist(), ws.tolist())
+        inside = max(math.hypot(x0 - cx, x1 - cy), far) * (1.0 + slack) + size * drift <= r * (1.0 - slack)
         for h, w in hws:
-            out += x0, x1
+            append(x0)
+            append(x1)
             dx = x0 - cx
             dy = x1 - cy
             a0, a1 = cx + ca * dx - sa * dy, cy + sa * dx + ca * dy
             b0, b1 = cx + cb * dx - sb * dy, cy + sb * dx + cb * dy
             # written so that a NaN sum, or a NaN limit, fails the test too
-            if not dx * dx + dy * dy <= limit:
+            if not (inside or dx * dx + dy * dy <= limit):
                 a0, a1 = domain.project(np.array([a0, a1])).tolist()
                 b0, b1 = domain.project(np.array([b0, b1])).tolist()
                 fell = True
@@ -496,11 +544,16 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
                 x0, x1 = kappa * a0 + lam * b0 + rest * x0, kappa * a1 + lam * b1 + rest * x1
             else:
                 x0, x1 = h * (a0 + b0) + w * u0, h * (a1 + b1) + w * u1
-        n += size
+        first, n, xn = n, n + size, (x0, x1)
         before = out[-2:]
         rows = np.fromiter(out, float, 2 * size + 2).reshape(size + 1, 2)
         xs = rows[1:]
-        return xs, *_block_norms(rows[:-1], xs, *op_pair(xs, inside=not fell))
+        keep = [m - first for m in KEPT[bisect_left(KEPT, first):bisect_left(KEPT, n - 1)]] + [size - 1]
+        if fell or cfg.record_all or len(keep) == size or not g * _row_norms(xs - domain.center).min() > floor:
+            return xs, *_block_norms(rows[:-1], xs, *op_pair(xs, inside=not fell))
+        pair, step = np.full((2, size), math.nan)
+        pair[keep], step[keep] = _block_norms(rows[:-1][keep], xs[keep], *op_pair(xs[keep], inside=True))
+        return xs, pair, step
 
     return take
 
@@ -519,38 +572,38 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     yields x_1, x_2, ... and is sent (T(alpha)x_n, T(beta)x_n) for the x_n
     it yielded last.
 
-    The iterates are taken a block at a time (_array_blocks), and the
-    block's pair residuals and step norms with one _row_norms call each
-    (_block_norms).  One numpy test of those arrays finds the block's
-    first converged iterate (_stops), and the recorder takes the block up
-    to it in one _Recorder.add_block call: it counts the block's Fejer
-    rises, and builds a record only for the kept iterates and the last one
-    it took.  The run then stops on an inner-solver failure (``inner``
-    holds the implicit scheme's (sweeps, residual, solved) per step), on
-    convergence, or at n_max, as a test of each x_n in turn would.  After
-    n iterates, a ROW_SCHEMES run takes a block of min(cap, max(8, n // 8))
-    more, so a run that converges inside a block computes at most
-    max(8, n // 8) - 1 iterates past its last (and at most cap - 1) and
-    discards them.  The other schemes take blocks of 1, so none runs
-    ahead: their step n costs O(n) operator applications or more (O(n^2)
-    for suzuki_averaged_mann), and the implicit scheme's inner failure
-    must stop the run at once.  When ``iterates`` is a _Rule, the start is
-    one point and the flow is a d=2 rotation, the blocks are iterated on
-    Python floats instead (_float_blocks), which takes each block's images
-    from the same pair kernel.  From one start, when the fixed set is a
-    single point (its basis is empty), a block's Fejer distances are taken
-    in one fixed_set_distance call on its rows, which gives each iterate's
-    distance alone bit for bit; on any other fixed set the recorder takes
-    them one iterate at a time.  Either way the report is bit for bit the
-    one a test and a _Recorder.add_block call of each iterate alone, with
-    two _norm calls, gives.
+    The iterates are taken a block at a time: from _array_blocks, or,
+    when ``iterates`` is a _Rule, the start is one point and the flow is a
+    d=2 rotation on a ball that is not wide (Ball.wide), from
+    _float_blocks, on Python floats with the same pair kernel.  A block's
+    pair residuals and step norms come from _block_norms (_wide_norms on a
+    wide ball, as do the Fejer distances); one numpy test of them
+    (_stops), or two float comparisons for a block of one iterate, finds
+    its first converged iterate, and the recorder takes the block up to it
+    in one _Recorder.add_block call, which counts its Fejer rises and
+    records only the kept iterates and the last it took.  The run stops
+    on an inner-solver failure (``inner`` holds the implicit scheme's
+    (sweeps, residual, solved) per step), on convergence or at n_max, and
+    the report is bit for bit the one a test of each x_n in turn, with two
+    _norm calls, gives.
 
-    The cap is FLOAT_BLOCK on Python floats and DRIVE_BLOCK otherwise.  A
-    float block's own work, its weights, the array of its iterates, their
-    images and norms, the test and the records, is about 40 us of numpy
-    calls against about 0.4 us per iterate, so its cap is the larger one;
-    a cap at all keeps its blocks' arrays from adding to a long run's peak
-    memory.
+    After n iterates a ROW_SCHEMES run takes a block of
+    min(DRIVE_BLOCK, max(8, n // 8)) more on arrays, and of
+    min(FLOAT_BLOCK, max(8, n)) on floats, and discards its iterates past
+    a stop: fewer than max(8, n // 8), or max(8, n).  The other schemes
+    take blocks of 1, so none runs ahead: their step n costs O(n)
+    operator applications or more (O(n^2) for suzuki_averaged_mann), and
+    the implicit scheme's inner failure must stop the run at once.  A
+    whole float block of FLOAT_BLOCK iterates costs about 110 us of numpy
+    calls outside its loop and 40 us for its weights, against about
+    0.5 us an iterate in the loop (2-CPU Xeon, Python 3.11, numpy 2.4),
+    so float blocks double; a cap keeps a block's arrays from adding to a
+    long run's peak memory.  _float_blocks proves the bounds that let a
+    block skip its interior tests and most of its norms.  From one start,
+    when the fixed set is a single point (its basis is empty), a block's
+    Fejer distances are taken in one fixed_set_distance call on its rows,
+    which gives each iterate's distance alone bit for bit; on any other
+    fixed set the recorder takes them one iterate at a time.
 
     B starts are iterated as the rows of one array, through the same
     blocks.  Each row has its own _Recorder, which takes the row's column
@@ -565,27 +618,30 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     n_max = DEFAULT_MAX_ITER[tag] if cfg.max_iter is None else int(cfg.max_iter)
     _checked_pair(cfg.alpha, cfg.beta)
     op_pair = _pair_kernel(spec, cfg.alpha, cfg.beta)
-    take = _float_blocks(spec, cfg, iterates, x0, op_pair) if isinstance(iterates, _Rule) and x0.ndim == 1 else None
+    wide = spec.domain.wide
+    one_rule = isinstance(iterates, _Rule) and x0.ndim == 1 and not wide
+    take = _float_blocks(spec, cfg, iterates, x0, op_pair) if one_rule else None
     floats = take is not None
     if not floats:
         orbit = iterates(x0, n_max, _kernel(spec, cfg.alpha), _kernel(spec, cfg.beta), op_pair)
-        take = _array_blocks(orbit, op_pair)
+        take = _array_blocks(orbit, op_pair, _wide_norms if wide else _row_norms)
     recs = [_Recorder(spec, track_fejer, cfg.record_all) for _ in range(len(x0) if x0.ndim == 2 else 1)]
     fs = recs[0].fixed_set
     ends = [MAX_ITER] * len(recs)
     live = range(len(recs))
     tol = cfg.tol
+    cap, growth = (FLOAT_BLOCK, 1) if floats else (DRIVE_BLOCK, 8)
     n = 0
     while live and n < n_max:
-        size = min(n_max - n, FLOAT_BLOCK if floats else DRIVE_BLOCK, max(8, n // 8)) if tag in ROW_SCHEMES else 1
+        size = min(n_max - n, cap, max(8, n // growth)) if tag in ROW_SCHEMES else 1
         xs, pair, step = take(size)
-        stops = _stops(pair, step, tol)
+        stops = [int(pair.item(0) <= tol and step.item(0) <= tol)] if pair.size == 1 else _stops(pair, step, tol)
         if x0.ndim == 1:
             # with no basis, one call on the rows gives each iterate's _norm bit for bit
-            fsd = fixed_set_distance(fs, np.asarray(xs)).tolist() if track_fejer and not fs.basis.size else None
+            fsd = fixed_set_distance(fs, np.asarray(xs), wide).tolist() if track_fejer and not fs.basis.size else None
             runs = [(xs, pair, step, fsd)]
         else:
-            fsd = [fixed_set_distance(fs, x).tolist() for x in xs] if track_fejer else None
+            fsd = [fixed_set_distance(fs, x, wide).tolist() for x in xs] if track_fejer else None
             runs = list(zip(zip(*xs), pair.T.tolist(), step.T.tolist(), zip(*fsd) if fsd else itertools.repeat(None)))
         for i in live:
             recs[i].add_block(n + 1, *runs[i], stops[i])
@@ -724,7 +780,7 @@ def ishikawa_composed(spec, cfg):
 
 # ---- anchored schemes ----------------------------------------------------------
 
-def _banach_solve(step_map, z0, tol, cap, contraction):
+def _banach_solve(step_map, z0, tol, cap, contraction, norm=_norm):
     """Fixed-point iteration of a contraction, with an a-priori budget.
 
     The residual ||step_map(z) - z|| shrinks at least by ``contraction``
@@ -734,11 +790,12 @@ def _banach_solve(step_map, z0, tol, cap, contraction):
     under extremely small anchor weights fail fast and visibly instead of
     spinning against the hard cap.
 
-    Returns (point, sweeps_used, final_residual, converged).
+    The residual is taken with ``norm``: _norm, or on a wide ball
+    _wide_norms.  Returns (point, sweeps_used, final_residual, converged).
     """
     z = np.asarray(z0, dtype=float)
     fz = step_map(z)
-    r = _norm(fz - z)
+    r = norm(fz - z)
     if r <= tol:
         return fz, 0, r, True
     q = min(contraction, 1.0 - INNER_LAMBDA_FLOOR)
@@ -748,7 +805,7 @@ def _banach_solve(step_map, z0, tol, cap, contraction):
     while r > tol and sweeps < budget:
         z = fz
         fz = step_map(z)
-        r = _norm(fz - z)
+        r = norm(fz - z)
         sweeps += 1
     return (fz, sweeps, r, True) if r <= tol else (z, sweeps, r, False)
 
@@ -767,6 +824,7 @@ def browder_implicit(spec, cfg):
     if cfg.start is None:
         cfg = replace(cfg, start=cfg.u)
     inner = []
+    norm = _wide_norms if spec.domain.wide else _norm
 
     def iterates(x, _, __, ___, op_pair):
         for n in itertools.count(1):
@@ -778,7 +836,7 @@ def browder_implicit(spec, cfg):
                 ta, tb = op_pair(z)
                 return half * (ta + tb) + pull
 
-            x, sweeps, r, ok = _banach_solve(step_map, x, cfg.inner_tol, cfg.inner_cap, 1.0 - lam_n)
+            x, sweeps, r, ok = _banach_solve(step_map, x, cfg.inner_tol, cfg.inner_cap, 1.0 - lam_n, norm)
             inner.append((sweeps, r, ok))
             yield x
 

@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from semiflow.vecspace import Ball, Box, _norm, _row_norms, _scalar, as_point, max_dim, sym_eigendecompose
+from semiflow.vecspace import Ball, Box, _norm, _row_norms, _scalar, _wide_norms, as_point, max_dim, sym_eigendecompose
 
 __all__ = [
     "MEMBERSHIP_SLACK",
@@ -480,16 +480,18 @@ def analytic_fixed_set(spec):
     raise ValueError(f"unknown semigroup kind {spec.kind!r}")
 
 
-def fixed_set_distance(descriptor, x):
+def fixed_set_distance(descriptor, x, wide=False):
     """Exact Euclidean distance from x to the described set.
 
     A (B, d) array gives the B distances of its rows, each within rounding
     of the distance of that row alone (one matrix product for all rows).
+    With ``wide``, for the points of a wide ball (Ball.wide), a distance
+    whose sum of squares overflows is taken rescaled (vecspace._wide_norms).
     """
     r = np.asarray(x, dtype=float) - descriptor.basepoint
     if descriptor.basis.size:  # an empty basis would subtract zeros, at twice the cost
         r -= (r @ descriptor.basis) @ descriptor.basis.T
-    return _norm(r) if r.ndim == 1 else _row_norms(r)
+    return _wide_norms(r) if wide else _norm(r) if r.ndim == 1 else _row_norms(r)
 
 
 # ---- textual descriptors (CLI) ----------------------------------------------

@@ -145,6 +145,19 @@ def _rescaled(offset, nrm):
         return np.where(nrm == math.inf, s[..., 0] * _row_norms(offset / s), nrm)
 
 
+def _wide_norms(v):
+    """_norm of a 1-D v, as a float, or _row_norms of an array of rows,
+    finite wherever v is: a norm whose sum of squares overflows is taken
+    rescaled (_rescaled), with no overflow warning.
+
+    The norms of differences of points of a ball wider than WIDE_RADIUS;
+    each finite one keeps its bits.  A narrower ball's take _norm and
+    _row_norms, which cost less.
+    """
+    with np.errstate(over="ignore"):
+        return float(_rescaled(v, _norm(v))) if v.ndim == 1 else _rescaled(v, _row_norms(v))
+
+
 def dist(a, b):
     """Euclidean distance between two points of equal dimension."""
     x = as_point(a)
@@ -169,19 +182,21 @@ class Ball:
     def dim(self):
         return self.center.size
 
+    @property
+    def wide(self):
+        """Whether the radius exceeds WIDE_RADIUS, so that a point inside may
+        have an offset from the center whose sum of squares overflows."""
+        return self.radius > WIDE_RADIUS
+
     def _norms(self, offset):
         """_rescaled(offset, _row_norms(offset)): the norm of one offset from
         the center or of each row's, finite wherever the offset is.
 
-        On a ball of radius above WIDE_RADIUS, a point inside may have an
-        offset whose sum of squares overflows, and the sums are taken without
-        numpy's overflow warning.  On a narrower ball only a point far outside
-        has one, and numpy warns of its overflow.
+        On a wide ball the sums are taken without numpy's overflow warning
+        (_wide_norms).  On a narrower ball only a point far outside has an
+        offset whose sum overflows, and numpy warns of its overflow.
         """
-        if self.radius <= WIDE_RADIUS:
-            return _rescaled(offset, _row_norms(offset))
-        with np.errstate(over="ignore"):
-            return _rescaled(offset, _row_norms(offset))
+        return _wide_norms(offset) if self.wide else _rescaled(offset, _row_norms(offset))
 
     def exterior_distance(self, x):
         """Distance from a point x to the ball, or the distances of the rows
@@ -221,6 +236,7 @@ class Box:
 
     lower: np.ndarray
     upper: np.ndarray
+    wide = False  # a box takes the plain norms (see Ball.wide)
 
     def __post_init__(self):
         object.__setattr__(self, "lower", as_point(self.lower))

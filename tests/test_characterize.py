@@ -459,6 +459,24 @@ def test_a_moved_benchmark_heat_point_computes_one_block_and_a_kernel_point_all_
     assert rows == [64] * 7 + [len(default_profile_grid(1.0, SQRT2)) - 7 * 64]
 
 
+def test_a_wide_ball_certifies_with_rescaled_residuals():
+    # on a ball of radius 1e160 the squares of a point's residuals overflow:
+    # the certificate's are finite, no overflow is warned of, and its maximum is
+    # the profile's true one, 2|x| at t = 0.5, where the rotation turns x by pi
+    spec = rotation(period=1.0, radius=1e160)
+    x = np.array([3e159, -2e159])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cert = certify_common_fixed(spec, x, 1.0, SQRT2)
+        profile = residual_profile(spec, x, None, 1.0, SQRT2)
+        pair = residual_pair(spec, x, 1.0, SQRT2)
+    assert cert.argmax_t == 0.5
+    assert cert.max_profile_residual == max(profile.residuals) == pytest.approx(2.0 * math.hypot(*x), rel=1e-15)
+    moved = (evaluate(spec, SQRT2, x) - x) / 1e160
+    assert cert.pair_residual == profile.pair_residual == pair == pytest.approx(1e160 * np.linalg.norm(moved))
+    assert cert.verdict == "not_certified"
+
+
 def test_skipped_projections_change_no_bit(monkeypatch):
     # a point that passes the interior test skips every projection of its
     # profile, certificate and float loop; with the test forced to fail,

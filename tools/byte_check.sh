@@ -86,6 +86,17 @@ cli halpern_harmonic_7 2 run --scheme halpern --semigroup "$rot" $pair --u=1,0 -
   --schedule harmonic:7 --csv halpern_harmonic_7.csv
 cli halpern_power_record_all 0 run --scheme halpern --semigroup "$rot" $pair --u=1,0 --seed 3 \
   --schedule power:0.75,2 --record-all --tol 1e-3 --csv halpern_power_record_all.csv
+# an anchor on the circle, whose blocks the float iteration cannot prove inside, so
+# that each tests its iterates
+cli halpern_anchor_on_circle 2 run --scheme halpern --semigroup "$rot" $pair --u=10.5,-0.25 --seed 3 \
+  --csv halpern_anchor_on_circle.csv
+# a run that converges at n=112, inside the float iteration's doubled block of n=65 to 128
+cli halpern_tol_1e-2 0 run --scheme halpern --semigroup "$rot" $pair --u=1,0 --seed 3 --tol 1e-2 \
+  --csv halpern_tol_1e-2.csv
+# a run whose float blocks from n=65 on take norms only for their kept and last iterates,
+# until the block that converges, at n=1259, is taken whole
+cli mann_tol_1e-9 0 run --scheme mann --semigroup "$rot" $pair --seed 3 --kappa 0.01 --lambda 0.01 \
+  --tol 1e-9 --csv mann_tol_1e-9.csv
 cli euclid 0 euclid $pair
 cli decompose 0 decompose --t 3.141592653589793 --ratio 0.5
 cli verify 4 verify --semigroup "$rot" $pair --point 0.5,-0.25
