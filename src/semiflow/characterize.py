@@ -166,7 +166,7 @@ def residual_pair(spec, x, alpha, beta):
 
 def _pair_residual(x, ta, tb, wide=False):
     """max(||T(alpha)x - x||, ||T(beta)x - x||) from the two images ta and
-    tb, with ``wide`` for a point of a wide ball (vecspace.Ball.wide), whose
+    tb, with ``wide`` for a point of a wide domain (vecspace.Ball.wide), whose
     norms are taken rescaled (vecspace._wide_norms)."""
     norm = _wide_norms if wide else _norm
     return max(norm(ta - x), norm(tb - x))
@@ -236,7 +236,7 @@ def _profile(spec, x, grid, alpha, beta, screened):
 
     residuals is an array of ||T(t)x - x|| over the kept blocks, in their
     order, from the orbit's rows; first is the grid index of its first
-    entry.  On a wide ball (vecspace.Ball.wide) the residuals, and the pair
+    entry.  On a wide domain (vecspace.Ball.wide) the residuals, and the pair
     residual, are vecspace._wide_norms, rescaled where a sum of squares
     overflows.  Every block is kept, unless ``screened`` asks for only the
     blocks that can hold the profile's maximum, which on a heat flow drops

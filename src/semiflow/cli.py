@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import itertools
 import json
 import math
 import re
@@ -221,46 +222,53 @@ def _iteration_config(spec, cfg, start=None):
 
 # ---- output writers -------------------------------------------------------------
 
-def _json_text(payload):
+# one record of a run's iterates_recorded, as json.dumps(..., indent=2, sort_keys=True) writes
+# it, with {0}..{3} the repr strings of n, pair_residual, step_norm and fixed_set_distance
+_RECORD = ('{{\n        "fixed_set_distance": {3},\n        "n": {0},\n        "pair_residual": {1},\n'
+           '        "step_norm": {2}\n      }}')
+
+
+def _cells(records):
+    """Each record dict's (n, pair_residual, step_norm, fixed_set_distance) reprs, for the CSV and the JSON."""
+    return [(repr(r["n"]), repr(r["pair_residual"]), repr(r["step_norm"]), repr(r["fixed_set_distance"]))
+            for r in records]
+
+
+def _json_text(payload, cells=None):
     """json.dumps(payload, indent=2, sort_keys=True) plus a newline, byte for byte.
 
-    A run's records (payload["report"]["iterates_recorded"], flat dicts of
-    numbers) are most of its text.  json.dumps takes its C encoder only
-    without indent, so they are dumped that way and indented here: with
-    numbers for values, every ", " between items and every "}, {" between
-    records is a separator.
+    A run's records (payload["report"]["iterates_recorded"]) are written
+    from cells, their _cells (taken from the payload when None), with nan,
+    inf and -inf spelled as json spells them; the rest goes to json.dumps.
     """
     report = payload.get("report")
     records = report.get("iterates_recorded") if isinstance(report, dict) else None
     if not records:
         return json.dumps(payload, indent=2, sort_keys=True) + "\n"
     rest = {**payload, "report": {**report, "iterates_recorded": None}}
-    flat = json.dumps(records, sort_keys=True)[2:-2]  # without the outer "[{" and "}]"
-    items = flat.replace(', "', ',\n        "').replace("}, {", "\n      },\n      {\n        ")
     key = '\n    "iterates_recorded": '
-    listed = key + "[\n      {\n        " + items + "\n      }\n    ]"
+    listed = ",\n      ".join(itertools.starmap(_RECORD.format, _cells(records) if cells is None else cells))
+    # no key of a record holds "nan" or "inf", and "inf" is the end of "-inf"
+    listed = key + "[\n      " + listed.replace("nan", "NaN").replace("inf", "Infinity") + "\n    ]"
     return json.dumps(rest, indent=2, sort_keys=True).replace(key + "null", listed, 1) + "\n"
 
 
-def _write_trace_csv(path, report):
+def _write_trace_csv(path, report, cells):
     # plain joins: no field (an int, a float repr or a column name) can hold
     # a comma, quote or newline, so csv quoting would never apply
     d = report.final_point.size
     header = ["n", "pair_residual", "step_norm", "fixed_set_distance"]
     header += [f"x{i}" for i in range(d)]
     lines = [",".join(header)]
-    for rec in report.iterates_recorded:
-        lines.append(",".join([
-            str(rec.n), repr(rec.pair_residual), repr(rec.step_norm), repr(rec.fixed_set_distance),
-            *map(repr, rec.point.tolist()),
-        ]))
+    for rec, cell in zip(report.iterates_recorded, cells):
+        lines.append(",".join([*cell, *map(repr, rec.point.tolist())]))
     with open(path, "w", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
-def _emit(payload, path=None):
-    """Write payload, stamped with SPEC_VERSION, as _json_text to path or to stdout."""
-    text = _json_text({"spec_version": SPEC_VERSION, **payload})
+def _emit(payload, path=None, cells=None):
+    """Write payload, stamped with SPEC_VERSION, as _json_text (with cells) to path or to stdout."""
+    text = _json_text({"spec_version": SPEC_VERSION, **payload}, cells)
     if path is None:
         sys.stdout.write(text)
     else:
@@ -269,13 +277,14 @@ def _emit(payload, path=None):
 
 def _write_run(cfg, report):
     """Write one run's artifacts and status line; return its exit code and report.to_dict()."""
+    summary = report.to_dict()
+    cells = _cells(summary["iterates_recorded"])  # one repr of each number, for the CSV and the JSON
     if cfg.csv is not None:
-        _write_trace_csv(cfg.csv, report)
+        _write_trace_csv(cfg.csv, report, cells)
     json_path = cfg.json
     if json_path is None and cfg.csv is not None:
         json_path = Path(cfg.csv).with_suffix(".json")
-    summary = report.to_dict()
-    _emit({"config": cfg.to_dict(), "report": summary}, json_path)
+    _emit({"config": cfg.to_dict(), "report": summary}, json_path, cells)
     rec = report.final_record
     print(
         f"{cfg.scheme}: {report.termination} at n={report.n_used} "

@@ -80,7 +80,7 @@ KEPT = tuple(range(1, 101)) + tuple(int(round(2.0 ** (7 + k / 2.0))) for k in ra
 # the longest block of iterates _drive takes before testing them, on arrays and on
 # Python floats (see _drive)
 DRIVE_BLOCK = 256
-FLOAT_BLOCK = 1024
+FLOAT_BLOCK = 4096
 
 # iteration budgets used when the config leaves max_iter unset
 DEFAULT_MAX_ITER = {
@@ -328,8 +328,10 @@ class _Recorder:
             self._prev_fsd = prev
         fs = [None] * k if fsd is None else fsd
         append, record = self.records.append, self._record
+        # a thinned record copies its row of a float block's array, so that it keeps no whole block alive
+        copy = isinstance(xs, np.ndarray) and not self.record_all
         for m in range(n, n + k) if self.record_all else KEPT[bisect_left(KEPT, n):bisect_left(KEPT, n + k)]:
-            append(record(m, pair[m - n], step[m - n], xs[m - n], fs[m - n]))
+            append(record(m, pair[m - n], step[m - n], xs[m - n].copy() if copy else xs[m - n], fs[m - n]))
         self._last = (n + k - 1, pair[k - 1], step[k - 1], xs[k - 1], fs[k - 1])
 
     def finish(self, tag, termination, inner=None):
@@ -397,7 +399,7 @@ def _block_norms(before, block, ta, tb, norms=_row_norms):
     before holds the iterate before each of the block's (x_1 itself for
     x_1, whose step is 0.0), and ta and tb their T(alpha) and T(beta)
     images.  One norms call each: _row_norms, which equal _norm's bit for
-    bit, or on a wide ball _wide_norms; a block of size (B, d) iterates
+    bit, or on a wide domain _wide_norms; a block of size (B, d) iterates
     gives (size, B) arrays.
     """
     return np.maximum(norms(ta - block), norms(tb - block)), norms(block - before)
@@ -416,7 +418,7 @@ def _stops(pair, step, tol):
 
 
 def _array_blocks(orbit, op_pair, norms):
-    """take(size) -> (iterates, pair residuals, step norms) of the next size iterates of orbit.
+    """take(size) -> (iterates, pair residuals, step norms, None) of the next size iterates of orbit.
 
     The iterates are points or (B, d) arrays of B of them.  Every block,
     a block of one point too, is read into one array and tested with
@@ -438,14 +440,14 @@ def _array_blocks(orbit, op_pair, norms):
         rows = rows.reshape(3 * size + 1, *x.shape)
         pair, step = _block_norms(rows[:size], *rows[1:].reshape(3, size, *x.shape), norms)
         prev = xs[-1]
-        return xs, pair, step
+        return xs, pair, step, None
 
     return take
 
 
 def _float_blocks(spec, cfg, rule, x, op_pair):
-    """_array_blocks for a _Rule from one start x of a d=2 rotation, iterated
-    on Python floats, or None for any other flow.
+    """_array_blocks for a _Rule from one start x of a d=2 rotation, on Python
+    floats, with a screened block's distances from c (below) in place of None.
 
     Each iterate is one pass of a loop body: the offsets from the center
     and both images with _compile's turn by its (cos, sin), the interior
@@ -453,15 +455,15 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
     in the IEEE operations of its array form (_Rule).  Only an iterate that
     fails the test (a NaN one too, and every iterate on a ball without a
     test) makes calls: each image goes through domain.project as a point,
-    which gives _pair_kernel's bits.  A block's weights come from one
-    Schedule.block call, and halpern's 0.5*(1 - w) from one array
-    operation on them, which rounds as the loop would.  The loop keeps
-    only the iterates, returned as rows of one array read from the loop's
-    list in one np.fromiter call; after the block, op_pair, the driver's
-    pair kernel (_pair_kernel), recomputes their images from those rows,
-    in the same operations, and projects them only if some iterate failed
-    the test.  Its norms are _row_norms (_drive takes a wide ball through
-    _array_blocks).
+    which gives _pair_kernel's bits.  The loop is a generator, with no
+    Python list per block: one np.fromiter call reads the coordinates of
+    the iterate before the block and of its own, and one more next the
+    iterate after it and whether an image was projected.  halpern's w and
+    0.5*(1 - w) (one Schedule.block call and one array operation, which
+    rounds as the loop would) are read through memoryviews.  op_pair, the
+    driver's pair kernel, then recomputes the images from the block's
+    rows, in the same operations, and projects them only if some iterate
+    failed the test.  Its norms are _row_norms.
 
     Two proved bounds let a block skip work with the same bits.  Write
     eps = 2^-53, c and R for the ball's center and radius, r for the
@@ -494,8 +496,9 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
       the run records every iterate, only the kept iterates (KEPT) and
       the block's last get images, pair residuals and step norms, by
       op_pair and _block_norms on those rows, which round as in the whole
-      block.  The other entries are NaN, which no record reads and
-      _stops takes for no stop.  Any other block is taken whole.
+      block.  The other entries are NaN, which no record reads; such a
+      block returns its e's as dist, which are fixed_set_distance's bits
+      on the rotation's fixed set, c.  Any other block is taken whole.
     """
     if spec.kind != ROTATION or spec.dim != 2:
         return None
@@ -514,23 +517,16 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
     g = max(math.hypot(ca - 1.0, sa), math.hypot(cb - 1.0, sb)) * (1.0 - slack)
     floor = cfg.tol + drift + 2.0 ** -530
     before = x.tolist()  # the iterate before the block, x_1 itself at first
-    xn, n = tuple(before), 1
+    xn, n = before, 1
 
     # the loop's constants are default arguments, read as fast locals, not closure cells
-    def take(size, cx=cx, cy=cy, ca=ca, sa=sa, cb=cb, sb=sb, kappa=kappa, lam=lam, rest=rest, u0=u0, u1=u1,
-             limit=limit):
-        nonlocal before, xn, n
-        x0, x1 = xn
-        out = before
-        append = out.append  # two appends cost less than out += x0, x1
+    def steps(hws, x0, x1, inside, prev, cx=cx, cy=cy, ca=ca, sa=sa, cb=cb, sb=sb, kappa=kappa, lam=lam,
+              rest=rest, u0=u0, u1=u1, limit=limit):
+        yield from prev
         fell = False
-        # halpern's weights w and h = 0.5 * (1 - w), each taken for the block in one array operation
-        ws = None if weight is None else weight.block(n, size)
-        hws = itertools.repeat((None, None), size) if ws is None else zip((0.5 * (1.0 - ws)).tolist(), ws.tolist())
-        inside = max(math.hypot(x0 - cx, x1 - cy), far) * (1.0 + slack) + size * drift <= r * (1.0 - slack)
         for h, w in hws:
-            append(x0)
-            append(x1)
+            yield x0
+            yield x1
             dx = x0 - cx
             dy = x1 - cy
             a0, a1 = cx + ca * dx - sa * dy, cy + sa * dx + ca * dy
@@ -544,16 +540,26 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
                 x0, x1 = kappa * a0 + lam * b0 + rest * x0, kappa * a1 + lam * b1 + rest * x1
             else:
                 x0, x1 = h * (a0 + b0) + w * u0, h * (a1 + b1) + w * u1
-        first, n, xn = n, n + size, (x0, x1)
-        before = out[-2:]
-        rows = np.fromiter(out, float, 2 * size + 2).reshape(size + 1, 2)
+        yield x0, x1, fell
+
+    def take(size):
+        nonlocal before, xn, n
+        # halpern's weights w and h = 0.5 * (1 - w), each taken for the block in one array operation
+        ws = None if weight is None else weight.block(n, size)
+        hws = itertools.repeat((None, None), size) if ws is None else zip(memoryview(0.5 * (1.0 - ws)), memoryview(ws))
+        inside = max(math.hypot(xn[0] - cx, xn[1] - cy), far) * (1.0 + slack) + size * drift <= r * (1.0 - slack)
+        loop = steps(hws, *xn, inside, before)
+        rows = np.fromiter(loop, float, 2 * size + 2).reshape(size + 1, 2)
+        *xn, fell = next(loop)
+        first, n, before = n, n + size, rows[-1].tolist()
         xs = rows[1:]
         keep = [m - first for m in KEPT[bisect_left(KEPT, first):bisect_left(KEPT, n - 1)]] + [size - 1]
-        if fell or cfg.record_all or len(keep) == size or not g * _row_norms(xs - domain.center).min() > floor:
-            return xs, *_block_norms(rows[:-1], xs, *op_pair(xs, inside=not fell))
+        dist = None if fell or cfg.record_all or len(keep) == size else _row_norms(xs - domain.center)
+        if dist is None or not g * dist.min() > floor:
+            return xs, *_block_norms(rows[:-1], xs, *op_pair(xs, inside=not fell)), None
         pair, step = np.full((2, size), math.nan)
         pair[keep], step[keep] = _block_norms(rows[:-1][keep], xs[keep], *op_pair(xs[keep], inside=True))
-        return xs, pair, step
+        return xs, pair, step, dist
 
     return take
 
@@ -577,40 +583,38 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     d=2 rotation on a ball that is not wide (Ball.wide), from
     _float_blocks, on Python floats with the same pair kernel.  A block's
     pair residuals and step norms come from _block_norms (_wide_norms on a
-    wide ball, as do the Fejer distances); one numpy test of them
+    wide domain, as are the Fejer distances); one numpy test of them
     (_stops), or two float comparisons for a block of one iterate, finds
-    its first converged iterate, and the recorder takes the block up to it
-    in one _Recorder.add_block call, which counts its Fejer rises and
-    records only the kept iterates and the last it took.  The run stops
-    on an inner-solver failure (``inner`` holds the implicit scheme's
-    (sweeps, residual, solved) per step), on convergence or at n_max, and
-    the report is bit for bit the one a test of each x_n in turn, with two
-    _norm calls, gives.
+    its first converged iterate, and one _Recorder.add_block call takes
+    the block up to it, counts its Fejer rises and records only the kept
+    iterates and the last it took.  A float block that returns dist has
+    no stop and no test, and dist holds its Fejer distances.  The run
+    stops on an inner-solver failure (``inner`` holds the implicit
+    scheme's (sweeps, residual, solved) per step), on convergence or at
+    n_max, and the report is bit for bit the one a test of each x_n in
+    turn, with two _norm calls, gives.
 
     After n iterates a ROW_SCHEMES run takes a block of
     min(DRIVE_BLOCK, max(8, n // 8)) more on arrays, and of
     min(FLOAT_BLOCK, max(8, n)) on floats, and discards its iterates past
     a stop: fewer than max(8, n // 8), or max(8, n).  The other schemes
-    take blocks of 1, so none runs ahead: their step n costs O(n)
-    operator applications or more (O(n^2) for suzuki_averaged_mann), and
+    take blocks of 1: their step n costs O(n) applications or more, and
     the implicit scheme's inner failure must stop the run at once.  A
-    whole float block of FLOAT_BLOCK iterates costs about 110 us of numpy
-    calls outside its loop and 40 us for its weights, against about
-    0.5 us an iterate in the loop (2-CPU Xeon, Python 3.11, numpy 2.4),
-    so float blocks double; a cap keeps a block's arrays from adding to a
-    long run's peak memory.  _float_blocks proves the bounds that let a
-    block skip its interior tests and most of its norms.  From one start,
-    when the fixed set is a single point (its basis is empty), a block's
-    Fejer distances are taken in one fixed_set_distance call on its rows,
-    which gives each iterate's distance alone bit for bit; on any other
-    fixed set the recorder takes them one iterate at a time.
+    float block of FLOAT_BLOCK = 4096 iterates costs about 0.35 us an
+    iterate in its loop, and outside it about 80 us of numpy calls, 10 us
+    of weights and 30 us here (2-CPU Xeon, Python 3.11, numpy 2.4), so
+    float blocks double; as a block holds no Python object per iterate,
+    the cap bounds only its arrays.  From one start, when the fixed set
+    is a single point (its basis is empty), a block's Fejer distances are
+    one fixed_set_distance call on its rows, each iterate's alone bit for
+    bit; on any other fixed set the recorder takes them one at a time.
 
     B starts are iterated as the rows of one array, through the same
     blocks.  Each row has its own _Recorder, which takes the row's column
-    of each block through the same add_block until its own termination,
-    and for the Fejer count the distances of a (B, d) iterate's rows are
-    taken with one fixed_set_distance call.  A row that has ended is still
-    updated, but no longer recorded, until every row has ended.  Returns one report, or one per row.
+    of each block until its own termination, and a (B, d) iterate's Fejer
+    distances are one fixed_set_distance call.  A row that has ended is
+    still updated, but not recorded, until every row has ended.  Returns
+    one report, or one per row.
     """
     if cfg.u is not None or tag in _ANCHORED:
         _require_point(spec, cfg, "u", tag)
@@ -634,12 +638,14 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     n = 0
     while live and n < n_max:
         size = min(n_max - n, cap, max(8, n // growth)) if tag in ROW_SCHEMES else 1
-        xs, pair, step = take(size)
-        stops = [int(pair.item(0) <= tol and step.item(0) <= tol)] if pair.size == 1 else _stops(pair, step, tol)
+        xs, pair, step, dist = take(size)
+        stops = ([0] if dist is not None  # a float block whose norm screen proved that none of its iterates stops
+                 else [int(pair.item(0) <= tol and step.item(0) <= tol)] if pair.size == 1 else _stops(pair, step, tol))
         if x0.ndim == 1:
-            # with no basis, one call on the rows gives each iterate's _norm bit for bit
-            fsd = fixed_set_distance(fs, np.asarray(xs), wide).tolist() if track_fejer and not fs.basis.size else None
-            runs = [(xs, pair, step, fsd)]
+            # with no basis, one call on the rows gives each iterate's _norm bit for bit, as dist holds them
+            if track_fejer and dist is None and not fs.basis.size:
+                dist = fixed_set_distance(fs, np.asarray(xs), wide)
+            runs = [(xs, pair, step, dist.tolist() if track_fejer and dist is not None else None)]
         else:
             fsd = [fixed_set_distance(fs, x, wide).tolist() for x in xs] if track_fejer else None
             runs = list(zip(zip(*xs), pair.T.tolist(), step.T.tolist(), zip(*fsd) if fsd else itertools.repeat(None)))
@@ -790,7 +796,7 @@ def _banach_solve(step_map, z0, tol, cap, contraction, norm=_norm):
     under extremely small anchor weights fail fast and visibly instead of
     spinning against the hard cap.
 
-    The residual is taken with ``norm``: _norm, or on a wide ball
+    The residual is taken with ``norm``: _norm, or on a wide domain
     _wide_norms.  Returns (point, sweeps_used, final_residual, converged).
     """
     z = np.asarray(z0, dtype=float)

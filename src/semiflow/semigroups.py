@@ -485,7 +485,7 @@ def fixed_set_distance(descriptor, x, wide=False):
 
     A (B, d) array gives the B distances of its rows, each within rounding
     of the distance of that row alone (one matrix product for all rows).
-    With ``wide``, for the points of a wide ball (Ball.wide), a distance
+    With ``wide``, for the points of a wide domain (Ball.wide, Box.wide), a distance
     whose sum of squares overflows is taken rescaled (vecspace._wide_norms).
     """
     r = np.asarray(x, dtype=float) - descriptor.basepoint

@@ -236,7 +236,6 @@ class Box:
 
     lower: np.ndarray
     upper: np.ndarray
-    wide = False  # a box takes the plain norms (see Ball.wide)
 
     def __post_init__(self):
         object.__setattr__(self, "lower", as_point(self.lower))
@@ -249,6 +248,12 @@ class Box:
     @property
     def dim(self):
         return self.lower.size
+
+    @property
+    def wide(self):
+        """As Ball.wide: whether a bound exceeds WIDE_RADIUS in magnitude, so that
+        a point of the box, or a difference of two, may have a sum of squares that overflows."""
+        return max(-self.lower.min(), self.upper.max()) > WIDE_RADIUS
 
     def exterior_distance(self, x):
         """As Ball.exterior_distance, for the box."""

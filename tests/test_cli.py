@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -321,7 +322,7 @@ def test_trace_csv_is_what_the_csv_module_writes(tmp_path):
     for k, (spec, start) in enumerate(runs):
         report = run_scheme("mann", spec, IterationConfig(alpha=1.0, beta=math.sqrt(2.0), start=start, max_iter=40))
         path = tmp_path / f"t{k}.csv"
-        cli._write_trace_csv(path, report)
+        cli._write_trace_csv(path, report, cli._cells(report.to_dict()["iterates_recorded"]))
         reference = tmp_path / f"r{k}.csv"
         with open(reference, "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
@@ -369,6 +370,21 @@ def test_json_text_is_what_the_json_module_writes():
     # payloads without records go through json.dumps unchanged
     for payload in ({"spec_version": "1", "ks": [1, 2], "alphas": [0.5, math.nan]}, {"report": {"x": []}}, {}):
         assert cli._json_text(payload) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_a_wide_decay_box_writes_finite_norms(tmp_path, capsys):
+    # a box whose points' offsets square past the largest double: every norm is
+    # taken rescaled, with no overflow warning, and the budget still ends the run
+    path = tmp_path / "w.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, _ = run_cli(capsys, "run", "--scheme", "mann", "--semigroup", "decay:dim=2,M=1e200",
+                             "--alpha", "1e190", "--beta", "1.4142135623730951e190", "--x0=1e200,1e199",
+                             "--max-iter", "3", "--csv", str(path))
+    assert code == 2
+    rows = [[float(v) for v in line.split(",")] for line in path.read_text().splitlines()[1:]]
+    assert len(rows) == 3 and all(math.isfinite(v) for row in rows for v in row)
+    assert all(row[1] > 1e190 and row[3] > 1e200 for row in rows)
 
 
 def test_run_without_csv_prints_summary(capsys):

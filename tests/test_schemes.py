@@ -707,7 +707,7 @@ def assert_float_path_is_one_row(tag, spec, c):
     return row
 
 
-@pytest.mark.parametrize("budget", [7, 8, 9, 1023, 1024, 1025, 2049])
+@pytest.mark.parametrize("budget", [7, 8, 9, 1023, 1024, 1025, 2049, 4095, 4096, 4097, 8193])
 def test_float_blocks_equal_the_array_path_of_one_row(budget):
     # the float iteration's doubled blocks, its interior proofs and its norm screen
     # change no bit of a report: the rows path, which has none, gives the same
@@ -720,17 +720,65 @@ def test_float_blocks_equal_the_array_path_of_one_row(budget):
 
 def test_float_blocks_stop_where_the_array_path_of_one_row_does():
     # tolerances read off a full trace stop each run inside a doubled float block
-    # (n = 65 to 128, 129 to 256, ...), where a block's norm screen can fail
-    budget, inside = 2049, set()
+    # (n = 65 to 128, 129 to 256, ..., 2049 to 4096) or inside the first block of
+    # FLOAT_BLOCK iterates (4097 to 8192), where a block's norm screen can fail
+    budget, inside = 8193, set()
     for spec, start, u in float_path_cases():
         for tag in ("halpern", "mann"):
             c = cfg(start=start, u=u, kappa=0.01, lam=0.01, max_iter=budget, tol=1e-15, record_all=True)
             worst = [max(r.pair_residual, r.step_norm) for r in run_scheme(tag, spec, c).iterates_recorded]
-            for n, record_all in ((100, True), (200, False), (300, True), (700, False), (1500, False)):
+            for n, record_all in ((100, True), (200, False), (300, True), (700, False), (1500, False),
+                                  (3000, False), (6000, False)):
                 row = assert_float_path_is_one_row(tag, spec, replace(c, tol=worst[n - 1], record_all=record_all))
                 if row.termination == "converged" and row.n_used & (row.n_used - 1) and row.n_used > 64:
                     inside.add(row.n_used.bit_length())
-    assert inside >= {7, 8, 9, 10, 11}  # some run stops inside each doubled block past n = 64
+    assert inside >= {7, 8, 9, 10, 11, 12, 13}  # some run stops inside each doubled block past n = 64
+
+
+def test_a_screened_float_block_has_no_stop_test_and_hands_on_its_distances(monkeypatch):
+    # a float block whose norm screen passed returns its rows' distances from the
+    # center, which _drive takes as mann's Fejer distances in place of its own
+    # fixed_set_distance call and which equal that call's bit for bit; _drive
+    # tests only the other blocks of more than one iterate with _stops
+    blocks, stop_tests = [], []
+
+    def float_blocks(*args):
+        take = _float_blocks(*args)
+
+        def kept(size):
+            blocks.append(take(size))
+            return blocks[-1]
+        return kept
+
+    def stops(pair, step, tol):
+        stop_tests.append(pair.size)
+        return original(pair, step, tol)
+
+    original = schemes._stops
+    monkeypatch.setattr(schemes, "_float_blocks", float_blocks)
+    monkeypatch.setattr(schemes, "_stops", stops)
+    screened = 0
+    for spec, start, u in float_path_cases():
+        for tag in ("mann", "halpern"):
+            blocks.clear(), stop_tests.clear()
+            run_scheme(tag, spec, cfg(start=start, u=u, kappa=0.01, lam=0.01, max_iter=9000, tol=1e-12))
+            fs = semigroups.analytic_fixed_set(spec)
+            for xs, _, _, dist in blocks:
+                if dist is not None:
+                    assert dist.tobytes() == semigroups.fixed_set_distance(fs, xs).tobytes(), (tag, spec.domain.radius)
+                    screened += 1
+            assert stop_tests == [pair.size for _, pair, _, dist in blocks if dist is None and pair.size > 1], tag
+    assert screened >= 20
+
+
+def test_thinned_float_records_keep_no_block_alive():
+    # a thinned record of the float path holds a copy of its row, not a view that
+    # would keep its block's whole array (up to FLOAT_BLOCK rows) alive for the run
+    spec, start, u = float_path_cases()[0]
+    for tag in ("halpern", "mann"):
+        report = run_scheme(tag, spec, cfg(start=start, u=u, kappa=1e-3, lam=1e-3, max_iter=20000, tol=1e-15))
+        assert report.n_used == 20000 and len(report.iterates_recorded) > 100, tag
+        assert all(rec.point.base is None for rec in report.iterates_recorded[:-1]), tag
 
 
 def test_only_blocks_near_the_boundary_test_their_iterates(monkeypatch):
@@ -1493,6 +1541,33 @@ def test_a_wide_ball_takes_every_norm_of_a_run_rescaled():
             warnings.simplefilter("error")
             report = run_scheme(tag, wide, replace(c, start=scale * x0, u=scale * u))
             rows = run_rows(tag, wide, replace(c, start=scale * np.array([x0, -x0]), u=scale * u)) if (
+                tag in ROW_SCHEMES) else [report]
+        for rec in report.iterates_recorded + rows[-1].iterates_recorded:
+            assert all(math.isfinite(v) and v > 0.0 for v in (rec.pair_residual, rec.fixed_set_distance)), tag
+        if tag == "browder_implicit":
+            continue  # its inner tolerance is absolute, so its sweeps do not scale
+        for rec, ref in zip(report.iterates_recorded, run_scheme(tag, narrow, c).iterates_recorded, strict=True):
+            assert rec.point.tobytes() == (scale * ref.point).tobytes(), (tag, rec.n)
+            for name in ("pair_residual", "step_norm", "fixed_set_distance"):
+                assert getattr(rec, name) == pytest.approx(scale * getattr(ref, name), rel=1e-14, abs=0.0), (tag, name)
+
+
+def test_a_wide_box_takes_every_norm_of_a_run_rescaled():
+    # a decay box whose bound exceeds 2^500 may hold points whose squares overflow: a
+    # run's pair residuals, steps and distances, from one start and as rows, are
+    # finite, and no overflow is warned of.  The flow, its times and points scaled by
+    # 2^600 scale each iterate exactly, and each norm within rounding
+    scale = 2.0 ** 600
+    narrow, wide = decay(dim=2, box_max=10.0), decay(dim=2, box_max=10.0 * scale)
+    assert wide.domain.wide and not narrow.domain.wide
+    x0, u = np.array([9.0, 3.0]), np.array([5.0, 0.5])
+    for tag in SCHEME_TAGS:
+        c = cfg(start=x0, u=u, max_iter=3)
+        big = replace(c, alpha=scale * c.alpha, beta=scale * c.beta, start=scale * x0, u=scale * u)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = run_scheme(tag, wide, big)
+            rows = run_rows(tag, wide, replace(big, start=scale * np.array([x0, 0.5 * x0]))) if (
                 tag in ROW_SCHEMES) else [report]
         for rec in report.iterates_recorded + rows[-1].iterates_recorded:
             assert all(math.isfinite(v) and v > 0.0 for v in (rec.pair_residual, rec.fixed_set_distance)), tag

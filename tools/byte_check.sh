@@ -77,7 +77,7 @@ cli mann_far_center 0 run --scheme mann --semigroup "$far" $pair --x0=3000000,0.
 # its convergence at n=1136
 cli mann_record_all 0 run --scheme mann --semigroup "$rot" $pair --seed 3 --kappa 0.01 --lambda 0.01 \
   --record-all --csv mann_record_all.csv
-# the same past the float iteration's block cap, converging inside a block of 1024 at n=11438
+# the same past the float iteration's block cap, converging inside a block of 4096 at n=11438
 cli mann_slow_record_all 0 run --scheme mann --semigroup "$rot" $pair --seed 3 --kappa 0.001 \
   --lambda 0.001 --max-iter 50000 --record-all --csv mann_slow_record_all.csv
 # the float path's block weights with a harmonic offset and with a power, and block
@@ -97,6 +97,12 @@ cli halpern_tol_1e-2 0 run --scheme halpern --semigroup "$rot" $pair --u=1,0 --s
 # until the block that converges, at n=1259, is taken whole
 cli mann_tol_1e-9 0 run --scheme mann --semigroup "$rot" $pair --seed 3 --kappa 0.01 --lambda 0.01 \
   --tol 1e-9 --csv mann_tol_1e-9.csv
+# runs that converge inside the float iteration's first block of 4096 iterates (n=4097 to
+# 8192): at n=5591, and, with screened blocks' Fejer distances, at n=6333
+cli halpern_tol_2e-4 0 run --scheme halpern --semigroup "$rot" $pair --u=1,0 --seed 3 --tol 2e-4 \
+  --csv halpern_tol_2e-4.csv
+cli mann_tol_1e-9_slow 0 run --scheme mann --semigroup "$rot" $pair --seed 3 --kappa 0.002 --lambda 0.002 \
+  --tol 1e-9 --csv mann_tol_1e-9_slow.csv
 cli euclid 0 euclid $pair
 cli decompose 0 decompose --t 3.141592653589793 --ratio 0.5
 cli verify 4 verify --semigroup "$rot" $pair --point 0.5,-0.25
