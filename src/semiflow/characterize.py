@@ -1,24 +1,13 @@
 """Executable membership checks for common fixed points.
 
-A candidate point x is a common fixed point of the family exactly when its
-residual vanishes at every time.  With an irrational ratio between two
-sample times alpha and beta, checking the pair alone suffices, and that is
-what ``residual_pair`` measures.  ``residual_profile`` evaluates the
-residual over a whole time grid in one batched orbit, which is the honest
-cross-check: for a rational ratio the pair residual can vanish at a point
-that the rest of the family moves (see the profile examples in the tests).
-``certify_common_fixed`` combines the two into a verdict, and ``bruck_map``
-builds the averaged two-operator map whose fixed points are exactly the
-common fixed points of the pair on strictly convex spaces.
-
-The point-free part of a profile is compiled once per (flow, pair, grid)
-and cached (see ``_plan``), as is the pair's near-rational verdict; the
-warning it triggers is still issued on every call.  A certificate reports
-only the profile's maximum and the first time that reaches it, so it
-computes only the orbit blocks that can hold that maximum: on a heat flow
-the residual is nondecreasing in t, and the spectrum bounds each block by
-its residual at the block's largest time (see ``_profile``).  Its numbers
-are still the bits that the whole profile gives.
+A point x is a common fixed point of the family exactly when its residual
+||T(t)x - x|| vanishes at every time t.  For an irrational ratio of the two
+sample times the pair alone suffices, which ``residual_pair`` measures.
+``residual_profile`` takes the residual over a time grid, which also shows
+where a rational pair's residual vanishes at a point the family moves, and
+``certify_common_fixed`` combines the two into a verdict.  ``bruck_map``
+is the averaged two-operator map whose fixed points are the pair's common
+fixed points.  A profile's point-free part is cached (``_plan``).
 """
 
 from __future__ import annotations
@@ -165,20 +154,17 @@ def residual_pair(spec, x, alpha, beta):
 
 
 def _pair_residual(x, ta, tb, wide=False):
-    """max(||T(alpha)x - x||, ||T(beta)x - x||) from the two images ta and
-    tb, with ``wide`` for a point of a wide domain (vecspace.Ball.wide), whose
-    norms are taken rescaled (vecspace._wide_norms)."""
+    """max(||T(alpha)x - x||, ||T(beta)x - x||) from the images ta and tb, by
+    vecspace._wide_norms with ``wide`` (a wide domain's point)."""
     norm = _wide_norms if wide else _norm
     return max(norm(ta - x), norm(tb - x))
 
 
 def default_profile_grid(alpha, beta, stop=5.0, step=0.01, start=0.0):
-    """Uniform grid on [start, stop] plus the pair-derived times.
-
-    The extra points alpha, beta, alpha+beta and |alpha-beta| make the
-    profile sensitive to structure at the sampled times themselves.  A
-    uniform part of more than MAX_GRID_TIMES times, or a step that is not
-    positive and finite, raises ValueError before anything is allocated.
+    """The sorted distinct times of a uniform grid on [start, stop] and of alpha,
+    beta, alpha+beta and |alpha-beta|.  A uniform part of more than
+    MAX_GRID_TIMES times, or a step that is not positive and finite, raises
+    ValueError before anything is allocated.
     """
     alpha, beta = check_pair(alpha, beta)
     step = _scalar("step", step)
@@ -195,21 +181,16 @@ def default_profile_grid(alpha, beta, stop=5.0, step=0.01, start=0.0):
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
 def _plan(spec, alpha, beta, grid):
-    """The point-free part of a residual profile of (spec, alpha, beta) on
-    a grid, given as its float64 bytes or None for the default grid.
+    """The point-free part of a residual profile of (spec, alpha, beta) on a grid,
+    given as its float64 bytes or None for the default grid; spec is keyed by
+    identity.  An empty or invalid grid raises, and nothing is cached for it.
 
     Returns (times as a tuple of floats, enter, blocks, pair, screen).
-    enter(x) checks x once, as orbit()'s callable does, and returns x as a
-    float array, whether it passes the interior test (semigroups._checker),
-    which the check takes with its one offset norm, and its lift; blocks
-    are semigroups._orbit_blocks' and pair
-    is the unchecked pair (x, lift(x), inside) -> (T(alpha)x, T(beta)x),
-    both applied only to an entered point, its lift and its test, which
-    neither computes again.  screen is None, or for a heat flow of more
-    than one block the (blocks, d) weights (1 - e^{-t w})^2 at each
-    block's largest time t (see _profile).  The key holds spec itself, which compares by
-    identity and is never changed.  An empty or invalid grid raises, and
-    nothing is cached for it.
+    enter(x) checks x as orbit()'s callable does and returns (x as a float
+    array, whether it passes the interior test, its lift); blocks are
+    semigroups._orbit_blocks' and pair is semigroups._pair_kernel's.  screen
+    is None, or for a heat flow of more than one block the (blocks, d)
+    weights (1 - e^{-t w})^2 at each block's largest time t (see _profile).
     """
     times = default_profile_grid(alpha, beta) if grid is None else np.frombuffer(grid)
     if times.size == 0:  # _orbit_blocks() accepts an empty grid and checks the times
@@ -229,18 +210,12 @@ def _plan(spec, alpha, beta, grid):
 
 
 def _profile(spec, x, grid, alpha, beta, screened):
-    """(times, pair residual, residuals, first) for a profile of x: the
-    plan's times, and x entered once, that is checked, lifted and put to
-    the interior test, whose pass skips every projection of the pair and
-    of the orbit's rows.
-
-    residuals is an array of ||T(t)x - x|| over the kept blocks, in their
-    order, from the orbit's rows; first is the grid index of its first
-    entry.  On a wide domain (vecspace.Ball.wide) the residuals, and the pair
-    residual, are vecspace._wide_norms, rescaled where a sum of squares
-    overflows.  Every block is kept, unless ``screened`` asks for only the
-    blocks that can hold the profile's maximum, which on a heat flow drops
-    the blocks that the spectrum rules out:
+    """(times, pair residual, residuals, first) for a profile of x, entered once
+    by the plan: residuals holds ||T(t)x - x|| from the orbit's rows over the
+    kept blocks, in order, first the grid index of its first entry; on a wide
+    domain both residuals are vecspace._wide_norms.  Every block is kept,
+    unless ``screened`` asks for only the blocks that can hold the profile's
+    maximum, which on a heat flow drops the blocks that the spectrum rules out:
 
     On heat, r(t)^2 = sum_k (1 - e^{-t w_k})^2 y_k^2 with y = V^T x and
     every w_k >= 0, so r is nondecreasing in t, and no residual of a block
@@ -249,14 +224,14 @@ def _profile(spec, x, grid, alpha, beta, screened):
     block that holds the grid's largest time.  When x passes the interior
     test, ||x|| <= R(1 - INTERIOR_MARGIN) < R and no orbit row is
     projected, and the orbit's and the spectrum's residuals each lie within
-    INTERIOR_MARGIN * ||x|| of r (they agree within 2^-40 ||x|| in the
-    tests), so within delta = INTERIOR_MARGIN * R, a tolerance that needs
-    no norm of x.  A block with s_b < s_top - 4 delta then holds residuals
-    below s_b + 2 delta < s_top - 2 delta, and the orbit's residual at the
-    largest time is at least s_top - 2 delta, so the block can neither
-    hold the maximum nor tie it.  The blocks from the first to the last
-    that this rule keeps are computed, a contiguous run (on a sorted grid,
-    the last blocks).  Any other point or family keeps every block.
+    INTERIOR_MARGIN * ||x|| of r, so within delta = INTERIOR_MARGIN * R, a
+    tolerance that needs no norm of x.  A block with s_b < s_top - 4 delta
+    then holds residuals below s_b + 2 delta < s_top - 2 delta, and the
+    orbit's residual at the largest time is at least s_top - 2 delta, so
+    the block can neither hold the maximum nor tie it.  The blocks from the
+    first to the last that this rule keeps are computed, a contiguous run
+    (on a sorted grid, the last blocks).  Any other point or family keeps
+    every block.
     """
     alpha, beta = _checked_pair(alpha, beta)
     if grid is not None:
@@ -275,27 +250,18 @@ def _profile(spec, x, grid, alpha, beta, screened):
 
 
 def residual_profile(spec, x, grid, alpha, beta):
-    """Evaluate ||T(t)x - x|| on every t of the grid.
-
-    grid=None means default_profile_grid(alpha, beta).  The residuals are
-    those of the orbit's rows (orbit(spec, grid, x) - x), computed from
-    every block of the plan; they may differ from one-time-at-a-time norms
-    by rounding, at most 1e-12 on the built-in families.  The pair
-    residual is residual_pair's.  Raises ValueError for an invalid pair,
-    grid or point.
+    """||T(t)x - x|| for every t of the grid (None: default_profile_grid(alpha, beta)),
+    from the rows of orbit(spec, grid, x), with residual_pair's pair residual.
+    Raises ValueError for an invalid pair, grid or point.
     """
     times, pair_residual, residuals, _ = _profile(spec, x, grid, alpha, beta, screened=False)
     return ResidualProfile(grid=times, residuals=tuple(residuals.tolist()), pair_residual=pair_residual)
 
 
 def bruck_map(spec, alpha, beta, lam):
-    """The averaged two-operator map U x = lam*T(alpha)x + (1-lam)*T(beta)x.
-
-    For lam strictly inside (0, 1), U is nonexpansive and its fixed points
-    are exactly the points fixed by both T(alpha) and T(beta); the strict
-    interior requirement is what makes the averaging see both operators.
-    Returns a closure suitable for plugging into generic fixed-point code.
-    """
+    """The averaged map U x = lam*T(alpha)x + (1-lam)*T(beta)x for lam in (0, 1)
+    (ValueError otherwise): nonexpansive, its fixed points are exactly the points
+    fixed by both T(alpha) and T(beta)."""
     alpha, beta = _checked_pair(alpha, beta)
     lam = float(lam)
     if not 0.0 < lam < 1.0:
@@ -310,11 +276,8 @@ def bruck_map(spec, alpha, beta, lam):
 
 
 def profile_tolerance(tol):
-    """Profile residuals are held to a coarser tolerance than the pair.
-
-    Grid times compose many applications' worth of rounding, so the profile
-    gate is three orders of magnitude looser, floored at 1e-6.
-    """
+    """The profile's tolerance, max(1e-6, 1e3 * tol): a grid time composes many
+    applications' worth of rounding."""
     return max(1e-6, 1e3 * float(tol))
 
 
@@ -322,13 +285,10 @@ def certify_common_fixed(spec, x, alpha, beta, grid=None, tol=1e-8):
     """Certify x as a common fixed point of the family.
 
     The verdict is ``certified`` iff the pair residual is <= tol and the
-    worst residual over the time grid is <= profile_tolerance(tol).  The
-    grid defaults to default_profile_grid(alpha, beta).  The certificate's
-    numbers are residual_profile's pair residual, maximum and argmax_t, bit
-    for bit, but only the orbit blocks that _profile's screen keeps are
-    computed: on a heat point that passes the interior test
-    (semigroups._checker), often one block of eight; on any other point
-    or family, every block.
+    worst residual over the grid (default_profile_grid(alpha, beta) if None)
+    is <= profile_tolerance(tol).  Its numbers are residual_profile's pair
+    residual, maximum and argmax_t bit for bit, from only the orbit blocks
+    that _profile's screen keeps.
     """
     tol = _scalar("tol", tol)
     times, pair_residual, residuals, first = _profile(spec, x, grid, alpha, beta, screened=True)

@@ -1,12 +1,11 @@
 """Iteration schemes that locate a common fixed point of the family from
 its two sampled operators T(alpha) and T(beta).
 
-Every scheme consumes a ``SemigroupSpec`` and an ``IterationConfig`` and
-returns a ``ConvergenceReport``.  Convergence is declared when both the
-pair residual max(||T(alpha)x - x||, ||T(beta)x - x||) and the step norm
-||x_n - x_{n-1}|| drop to the configured tolerance; the pair residual alone
-can be tiny far from stationarity early in anchored runs, so both gates are
-required.
+Every scheme takes a ``SemigroupSpec`` and an ``IterationConfig`` and
+returns a ``ConvergenceReport``.  A run converges at its first iterate
+whose pair residual max(||T(alpha)x - x||, ||T(beta)x - x||) and step norm
+||x_n - x_{n-1}|| are both at most tol; early in an anchored run the pair
+residual alone can be tiny far from stationarity.
 
 The schemes:
 
@@ -18,11 +17,7 @@ The schemes:
 * ``browder_implicit``      x_n solves x = ((1-lam_n)/2)(T(alpha)x + T(beta)x) + lam_n*u
 * ``halpern``               x <- ((1-lam_n)/2)(T(alpha)x + T(beta)x) + lam_n*u
 
-The anchored schemes take their weights lam_n from a ``Schedule``; the two
-built-in families (harmonic and power with exponent in (0, 1]) vanish
-slowly enough that the anchored iterations can still travel arbitrarily far
-from the anchor, and smoothly enough for the step-to-step weight changes to
-be summable.
+The anchored schemes take their weights lam_n from a ``Schedule``.
 """
 
 from __future__ import annotations
@@ -78,7 +73,7 @@ FEJER_SLACK = 1e-10
 KEPT = tuple(range(1, 101)) + tuple(int(round(2.0 ** (7 + k / 2.0))) for k in range(114))
 
 # the longest block of iterates _drive takes before testing them, on arrays and on
-# Python floats (see _drive)
+# Python floats, whose loop steps cost far less than a block's numpy calls
 DRIVE_BLOCK = 256
 FLOAT_BLOCK = 4096
 
@@ -104,11 +99,9 @@ INNER_LAMBDA_FLOOR = 1e-4
 class Schedule:
     """Anchor weights lam_n = 1/(n + offset)**p, n = 1, 2, ...
 
-    kind "harmonic" pins p = 1; kind "power" allows p in (0, 1].  Both give
-    weights in (0, 1) that decrease to zero, diverge in sum, and have
-    summable successive differences, which is what the anchored schemes
-    need.  Exponents above 1 are rejected: their weight sums converge, and
-    the anchored iterations then stall short of the fixed set.
+    kind "harmonic" has p = 1 and kind "power" p in (0, 1]: weights in
+    (0, 1) that decrease to zero with a divergent sum and summable
+    successive differences, as the anchored schemes need.
     """
 
     kind: str
@@ -120,7 +113,7 @@ class Schedule:
         return 1.0 / k if self.p == 1.0 else k ** -self.p
 
     def block(self, n, size):
-        """The weights [lam_m for m in range(n, n + size)] of size iterates from n, as one float array."""
+        """[lam_m for m in range(n, n + size)] as one float array, each weight __call__'s bits."""
         ks, p = range(n + self.offset, n + self.offset + size), -self.p
         if p == -1.0 and ks.stop <= 2 ** 63:  # an int64 k casts to the float that 1.0 / k rounds it to
             return 1.0 / np.arange(ks.start, ks.stop, dtype=np.int64).astype(float)
@@ -276,15 +269,9 @@ class ConvergenceReport:
 
 
 class _Recorder:
-    """Trace bookkeeping shared by all schemes.
-
-    Records the iterates in KEPT (every iterate with record_all), always
-    keeping the final iterate.  When asked, it also counts steps on
-    which the distance to the analytic fixed set rose by more than
-    FEJER_SLACK.  The distance is only computed for iterates that are kept,
-    unless that count needs it on every step.  A caller that has the
-    distances already passes them in.
-    """
+    """One run's trace: the iterates in KEPT (all with record_all) and the
+    last, and with track_fejer the count of steps on which the distance to
+    the analytic fixed set rose by more than FEJER_SLACK."""
 
     def __init__(self, spec, track_fejer=False, record_all=False):
         self.fixed_set = analytic_fixed_set(spec)
@@ -306,16 +293,10 @@ class _Recorder:
         )
 
     def add_block(self, n, xs, pair, step, fsd=None, stop=0):
-        """Take the iterates x_n, x_{n+1}, ... of a block, up to its stop-th
-        if stop (see _stops), else all.
-
-        xs, pair and step hold the block's iterates, pair residuals and
-        step norms (lists, or arrays), and fsd their fixed-set distances as
-        a list, or None.  Each iterate taken counts toward the Fejer count,
-        against the one before it (the previous block's last for the first),
-        and a record is built only for the kept ones; the last one taken is
-        kept for finish().
-        """
+        """Take the iterates xs = x_n, x_{n+1}, ... of a block, up to its stop-th
+        if stop (see _stops), else all, with their pair residuals, step norms
+        and fixed-set distances fsd (None: taken here where needed); the Fejer
+        count compares the first with the previous block's last."""
         k = stop or len(pair)  # the iterates taken
         if self.track_fejer:
             if fsd is None:
@@ -351,11 +332,8 @@ class _Recorder:
 
 
 def _require_point(spec, cfg, name, tag, rows=False):
-    """cfg.<name> ("start" or "u") as a float vector of the flow's dimension inside its domain.
-
-    Checked once, before the first iteration, by the operators' membership
-    check, under its own name.  With ``rows``, a (B, d) array of them passes.
-    """
+    """cfg.<name> ("start" or "u") as a float array, checked by _checker under its own
+    name: one point of the flow, or with ``rows`` a (B, d) array too; ValueError if unset."""
     x = getattr(cfg, name)
     if x is None:
         raise ValueError(f"{tag} needs a value for {name}")
@@ -366,15 +344,10 @@ def _require_point(spec, cfg, name, tag, rows=False):
 
 @dataclass(frozen=True)
 class _Rule:
-    """The explicit update of mann or halpern, from x_n and its images
-    a = T(alpha)x_n and b = T(beta)x_n.
-
-    mann's has mix = (kappa, lam, rest) and gives kappa*a + lam*b + rest*x_n;
-    halpern's has a Schedule weight and an anchor u and gives
-    h*(a + b) + w*u, with w = weight(n) and h = 0.5*(1 - w).  Called as a
-    scheme's ``iterates`` (see _drive), it is the generator of the array
-    path; _float_blocks writes the same IEEE operations out on one point's
-    coordinates as Python floats, so the two give the same bits.
+    """The update of mann, kappa*a + lam*b + rest*x_n with mix = (kappa, lam, rest),
+    or of halpern, h*(a + b) + w*u with w = weight(n) and h = 0.5*(1 - w), from
+    x_n and a, b = T(alpha)x_n, T(beta)x_n.  Called, it is a scheme's array
+    ``iterates`` (see _drive); _float_blocks does its IEEE operations on floats.
     """
 
     mix: tuple | None = None
@@ -394,36 +367,24 @@ class _Rule:
 
 
 def _block_norms(before, block, ta, tb, norms=_row_norms):
-    """The pair residuals and step norms of a block's iterates, as float arrays.
-
-    before holds the iterate before each of the block's (x_1 itself for
-    x_1, whose step is 0.0), and ta and tb their T(alpha) and T(beta)
-    images.  One norms call each: _row_norms, which equal _norm's bit for
-    bit, or on a wide domain _wide_norms; a block of size (B, d) iterates
-    gives (size, B) arrays.
-    """
+    """The pair residuals and step norms of a block's iterates, by norms (_row_norms, or
+    _wide_norms): before holds the iterate before each (x_1 for x_1), ta and tb
+    their images; a block of size (B, d) iterates gives (size, B) arrays."""
     return np.maximum(norms(ta - block), norms(tb - block)), norms(block - before)
 
 
 def _stops(pair, step, tol):
-    """Where each run of a block stops: the index from 1 of its first
-    iterate whose pair residual and step are both at most tol, or 0 for a
-    run that has none, as a list of ints.
-
-    pair and step are _block_norms' arrays of one run or of B; one numpy
-    test of the whole block takes the place of a test of each iterate.
-    """
+    """For _block_norms' arrays of one run or of B, the index from 1 of each run's
+    first iterate whose pair residual and step are both at most tol, or 0
+    where none is (a NaN never is), as a list of ints."""
     hit = (pair <= tol) & (step <= tol)
     return np.where(hit.any(axis=0), hit.argmax(axis=0) + 1, 0).reshape(-1).tolist()
 
 
 def _array_blocks(orbit, op_pair, norms):
-    """take(size) -> (iterates, pair residuals, step norms, None) of the next size iterates of orbit.
-
-    The iterates are points or (B, d) arrays of B of them.  Every block,
-    a block of one point too, is read into one array and tested with
-    _block_norms, which takes norms.
-    """
+    """take(size) -> (iterates, pair residuals, step norms) of the next size iterates of
+    orbit, points or (B, d) arrays of B of them, read into one array and tested
+    with _block_norms by norms."""
     images = prev = None
 
     def take(size):
@@ -440,38 +401,31 @@ def _array_blocks(orbit, op_pair, norms):
         rows = rows.reshape(3 * size + 1, *x.shape)
         pair, step = _block_norms(rows[:size], *rows[1:].reshape(3, size, *x.shape), norms)
         prev = xs[-1]
-        return xs, pair, step, None
+        return xs, pair, step
 
     return take
 
 
 def _float_blocks(spec, cfg, rule, x, op_pair):
     """_array_blocks for a _Rule from one start x of a d=2 rotation, on Python
-    floats, with a screened block's distances from c (below) in place of None.
+    floats with the array path's bits, or None for any other flow.
 
-    Each iterate is one pass of a loop body: the offsets from the center
-    and both images with _compile's turn by its (cos, sin), the interior
-    test dx*dx + dy*dy <= r**2 of _interior_radius, and the rule's update,
-    in the IEEE operations of its array form (_Rule).  Only an iterate that
-    fails the test (a NaN one too, and every iterate on a ball without a
-    test) makes calls: each image goes through domain.project as a point,
-    which gives _pair_kernel's bits.  The loop is a generator, with no
-    Python list per block: one np.fromiter call reads the coordinates of
-    the iterate before the block and of its own, and one more next the
-    iterate after it and whether an image was projected.  halpern's w and
-    0.5*(1 - w) (one Schedule.block call and one array operation, which
-    rounds as the loop would) are read through memoryviews.  op_pair, the
-    driver's pair kernel, then recomputes the images from the block's
-    rows, in the same operations, and projects them only if some iterate
-    failed the test.  Its norms are _row_norms.
+    One generator step per iterate turns the offsets from the center c by
+    _compile's (cos, sin) for both times, applies the interior test
+    dx*dx + dy*dy <= r**2 of _interior_radius and the rule's update, in the
+    IEEE operations of its array form (_Rule).  An iterate that fails the
+    test (a NaN one, and every iterate of a ball without a test) passes each
+    image to domain.project as a point, which gives _pair_kernel's bits.
+    op_pair, the driver's pair kernel, then recomputes the block's images
+    from its rows, projected only if some iterate failed the test.
 
     Two proved bounds let a block skip work with the same bits.  Write
-    eps = 2^-53, c and R for the ball's center and radius, r for the
-    test's radius and e = |x - c|, and take math.cos, math.sin and
-    math.hypot within an ulp.  A ball with a test has 2^-500 <= R <= 2^500
-    and |c| <= 2^20 R, so nothing overflows and an underflow errs by at
-    most 2^-1074, far below eps R.  A computed image's offset from c lies
-    within 5 eps e + eps |c| of the exact turn of x - c.
+    eps = 2^-53, R for the ball's radius, r for the test's radius and
+    e = |x - c|, and take math.cos, math.sin and math.hypot within an ulp.
+    A ball with a test has 2^-500 <= R <= 2^500 and |c| <= 2^20 R, so nothing
+    overflows and an underflow errs by at most 2^-1074, far below eps R.  A
+    computed image's offset from c lies within 5 eps e + eps |c| of the
+    exact turn of x - c.
 
     * Interior proof.  The update is an affine combination of x_n's
       images and of u (halpern) or x_n (mann), with nonnegative weights
@@ -482,9 +436,7 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
       rho (1 + 32 eps) + size 32 eps (|c| + R) <= r (1 - 32 eps),
       rho = max(e(x_n), |u - c|), thus keeps every iterate within
       r (1 - 4 eps) of c, where the test's float sum of squares is at most
-      r**2: its loop skips the test, by a short circuit on that proof, and
-      projects nothing.  Any other block (near the boundary, on a ball
-      without a test, at a NaN) tests every iterate.  The factors of
+      r**2: its loop skips the test and projects nothing.  The factors of
       32 eps also cover the check's own roundings.
     * Norm screen.  A turn's matrix M has |(M - I)v| = g|v| for every v,
       g = hypot(cos - 1, sin), so where no iterate of a block was
@@ -493,12 +445,10 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
       underflow), g the larger over the pair's two turns.  If
       g (1 - 32 eps) times the block's least computed e exceeds
       tol + 32 eps (|c| + R) + 2^-530, no iterate can stop; then, unless
-      the run records every iterate, only the kept iterates (KEPT) and
-      the block's last get images, pair residuals and step norms, by
-      op_pair and _block_norms on those rows, which round as in the whole
-      block.  The other entries are NaN, which no record reads; such a
-      block returns its e's as dist, which are fixed_set_distance's bits
-      on the rotation's fixed set, c.  Any other block is taken whole.
+      the run records every iterate, only the kept iterates (KEPT) and the
+      block's last get images, pair residuals and step norms, which round
+      as in the whole block.  Its other entries are NaN, which no record
+      reads and _stops never takes for a stop.
     """
     if spec.kind != ROTATION or spec.dim != 2:
         return None
@@ -519,7 +469,8 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
     before = x.tolist()  # the iterate before the block, x_1 itself at first
     xn, n = before, 1
 
-    # the loop's constants are default arguments, read as fast locals, not closure cells
+    # yields the coordinates of the iterate before the block and of its own, then the next's
+    # (x0, x1, fell); the loop's constants are default arguments, fast locals, not closure cells
     def steps(hws, x0, x1, inside, prev, cx=cx, cy=cy, ca=ca, sa=sa, cb=cb, sb=sb, kappa=kappa, lam=lam,
               rest=rest, u0=u0, u1=u1, limit=limit):
         yield from prev
@@ -554,12 +505,11 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
         first, n, before = n, n + size, rows[-1].tolist()
         xs = rows[1:]
         keep = [m - first for m in KEPT[bisect_left(KEPT, first):bisect_left(KEPT, n - 1)]] + [size - 1]
-        dist = None if fell or cfg.record_all or len(keep) == size else _row_norms(xs - domain.center)
-        if dist is None or not g * dist.min() > floor:
-            return xs, *_block_norms(rows[:-1], xs, *op_pair(xs, inside=not fell)), None
+        if fell or cfg.record_all or len(keep) == size or not g * _row_norms(xs - domain.center).min() > floor:
+            return xs, *_block_norms(rows[:-1], xs, *op_pair(xs, inside=not fell))
         pair, step = np.full((2, size), math.nan)
         pair[keep], step[keep] = _block_norms(rows[:-1][keep], xs[keep], *op_pair(xs[keep], inside=True))
-        return xs, pair, step, dist
+        return xs, pair, step
 
     return take
 
@@ -569,52 +519,25 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
 
     Checks the anchor cfg.u wherever one is given (a tag of _ANCHORED needs
     one), then cfg.start (for a tag of ROW_SCHEMES also a (B, d) array of B
-    starts), once each and under its own name, takes n_max = cfg.max_iter
-    or DEFAULT_MAX_ITER[tag], and warns on a (near-)rational pair.
-    ``iterates(x0, n_max, op_alpha, op_beta, op_pair)`` gets the checked
-    start as a float array and unchecked kernels of T(alpha), T(beta) and
-    x -> (T(alpha)x, T(beta)x): every iterate is a convex combination of
-    the checked start and anchor and of projected images.  Its generator
-    yields x_1, x_2, ... and is sent (T(alpha)x_n, T(beta)x_n) for the x_n
-    it yielded last.
+    starts), takes n_max = cfg.max_iter or DEFAULT_MAX_ITER[tag], and warns
+    on a (near-)rational pair.  ``iterates(x0, n_max, op_alpha, op_beta,
+    op_pair)`` gets the checked start and unchecked kernels of T(alpha),
+    T(beta) and x -> (T(alpha)x, T(beta)x); its generator yields x_1, x_2,
+    ... and is sent (T(alpha)x_n, T(beta)x_n) for the x_n it yielded last.
+    ``inner`` holds the implicit scheme's (sweeps, residual, solved) per step.
 
-    The iterates are taken a block at a time: from _array_blocks, or,
-    when ``iterates`` is a _Rule, the start is one point and the flow is a
-    d=2 rotation on a ball that is not wide (Ball.wide), from
-    _float_blocks, on Python floats with the same pair kernel.  A block's
-    pair residuals and step norms come from _block_norms (_wide_norms on a
-    wide domain, as are the Fejer distances); one numpy test of them
-    (_stops), or two float comparisons for a block of one iterate, finds
-    its first converged iterate, and one _Recorder.add_block call takes
-    the block up to it, counts its Fejer rises and records only the kept
-    iterates and the last it took.  A float block that returns dist has
-    no stop and no test, and dist holds its Fejer distances.  The run
-    stops on an inner-solver failure (``inner`` holds the implicit
-    scheme's (sweeps, residual, solved) per step), on convergence or at
-    n_max, and the report is bit for bit the one a test of each x_n in
-    turn, with two _norm calls, gives.
-
-    After n iterates a ROW_SCHEMES run takes a block of
-    min(DRIVE_BLOCK, max(8, n // 8)) more on arrays, and of
-    min(FLOAT_BLOCK, max(8, n)) on floats, and discards its iterates past
-    a stop: fewer than max(8, n // 8), or max(8, n).  The other schemes
-    take blocks of 1: their step n costs O(n) applications or more, and
-    the implicit scheme's inner failure must stop the run at once.  A
-    float block of FLOAT_BLOCK = 4096 iterates costs about 0.35 us an
-    iterate in its loop, and outside it about 80 us of numpy calls, 10 us
-    of weights and 30 us here (2-CPU Xeon, Python 3.11, numpy 2.4), so
-    float blocks double; as a block holds no Python object per iterate,
-    the cap bounds only its arrays.  From one start, when the fixed set
-    is a single point (its basis is empty), a block's Fejer distances are
-    one fixed_set_distance call on its rows, each iterate's alone bit for
-    bit; on any other fixed set the recorder takes them one at a time.
-
-    B starts are iterated as the rows of one array, through the same
-    blocks.  Each row has its own _Recorder, which takes the row's column
-    of each block until its own termination, and a (B, d) iterate's Fejer
-    distances are one fixed_set_distance call.  A row that has ended is
-    still updated, but not recorded, until every row has ended.  Returns
-    one report, or one per row.
+    The iterates come a block at a time: from _float_blocks for a _Rule from
+    one start on a ball that is not wide (Ball.wide), else from
+    _array_blocks.  After n iterates a ROW_SCHEMES run takes
+    min(DRIVE_BLOCK, max(8, n // 8)) more on arrays and
+    min(FLOAT_BLOCK, max(8, n)) on floats; the other schemes take blocks
+    of 1, since their step n costs O(n) applications or more and an inner
+    failure must stop the run at once.  The run stops on an inner-solver
+    failure, at the first converged iterate (_stops) or at n_max, and the
+    report is bit for bit the one a test of each x_n in turn, with two
+    _norm calls, gives.  B starts are the rows of one array, each with its
+    own _Recorder, which takes the row's column of each block until its
+    own end.  Returns one report, or one per row.
     """
     if cfg.u is not None or tag in _ANCHORED:
         _require_point(spec, cfg, "u", tag)
@@ -638,14 +561,12 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
     n = 0
     while live and n < n_max:
         size = min(n_max - n, cap, max(8, n // growth)) if tag in ROW_SCHEMES else 1
-        xs, pair, step, dist = take(size)
-        stops = ([0] if dist is not None  # a float block whose norm screen proved that none of its iterates stops
-                 else [int(pair.item(0) <= tol and step.item(0) <= tol)] if pair.size == 1 else _stops(pair, step, tol))
+        xs, pair, step = take(size)
+        stops = [int(pair.item(0) <= tol and step.item(0) <= tol)] if pair.size == 1 else _stops(pair, step, tol)
         if x0.ndim == 1:
-            # with no basis, one call on the rows gives each iterate's _norm bit for bit, as dist holds them
-            if track_fejer and dist is None and not fs.basis.size:
-                dist = fixed_set_distance(fs, np.asarray(xs), wide)
-            runs = [(xs, pair, step, dist.tolist() if track_fejer and dist is not None else None)]
+            # with no basis, one call on the rows gives each iterate's own distance bit for bit
+            fsd = fixed_set_distance(fs, np.asarray(xs), wide).tolist() if track_fejer and not fs.basis.size else None
+            runs = [(xs, pair, step, fsd)]
         else:
             fsd = [fixed_set_distance(fs, x, wide).tolist() for x in xs] if track_fejer else None
             runs = list(zip(zip(*xs), pair.T.tolist(), step.T.tolist(), zip(*fsd) if fsd else itertools.repeat(None)))
@@ -664,15 +585,11 @@ def _drive(spec, cfg, tag, iterates, track_fejer=False, inner=None):
 # ---- averaging schemes ---------------------------------------------------------
 
 def baillon_double(spec, cfg):
-    """Double ergodic average over the sampled grid of times.
+    """Double ergodic average x_n = (1/n^2) sum_{k,l=1..n} T(k*alpha + l*beta) x.
 
-    x_n = (1/n^2) sum_{k=1..n} sum_{l=1..n} T(k*alpha + l*beta) x, computed
-    from the power grid y[k, l] = T(alpha)^k T(beta)^l x via the recurrences
-    y[0, l+1] = T(beta) y[0, l] and y[k+1, l] = T(alpha) y[k, l].  Ring n
-    adds the column y[1..n, n] and the row y[n, 1..n-1], so only the
-    column and the frontier row y[n-1, 1..n-1] of the ring before are
-    kept: O(max_iter) points, while the cost stays O(max_iter^2)
-    applications.
+    Ring n of the power grid y[k, l] = T(alpha)^k T(beta)^l x adds the
+    column y[1..n, n] and the row y[n, 1..n-1], so only a column and the
+    frontier row are kept: O(max_iter) points for O(max_iter^2) applications.
     """
     def iterates(x0, n_max, op_alpha, op_beta, _):
         col = np.empty((n_max + 1, x0.size))  # col[k] = y[k, n]
@@ -692,11 +609,8 @@ def baillon_double(spec, cfg):
 
 
 def baillon_power_average(spec, cfg):
-    """Running average of the midpoint-map orbit.
-
-    z_k = ((T(alpha) + T(beta))/2)^k x and x_n = (1/n) sum_{k=1..n} z_k;
-    each stage costs one application of each sampled operator.
-    """
+    """Running average x_n = (1/n) sum_{k=1..n} z_k of the midpoint-map orbit
+    z_k = ((T(alpha) + T(beta))/2)^k x."""
     def iterates(z, _, __, ___, op_pair):
         total = np.zeros(z.shape)
         for n in itertools.count(1):
@@ -709,10 +623,7 @@ def baillon_power_average(spec, cfg):
 
 
 def _double_block_average(op_alpha, op_beta, x, n):
-    """(1/n^2) sum_{k,l=1..n} T(k*alpha + l*beta) x at a fixed point x.
-
-    ``op_alpha`` and ``op_beta`` are the compiled T(alpha) and T(beta).
-    """
+    """(1/n^2) sum_{k,l=1..n} T(k*alpha + l*beta) x from the kernels op_alpha and op_beta."""
     d = x.size
     row = np.empty((n, d))
     cur = x
@@ -729,13 +640,10 @@ def _double_block_average(op_alpha, op_beta, x, n):
 # ---- averaged fixed-point iterations -------------------------------------------
 
 def mann(spec, cfg):
-    """Two-operator averaged iteration.
-
-    x <- kappa*T(alpha)x + lam*T(beta)x + (1 - kappa - lam)*x with
-    kappa, lam > 0 and kappa + lam < 1, so a positive share of the current
-    iterate always survives.  Distances to every common fixed point are
-    nonincreasing along the run; violations beyond rounding slack are
-    counted in the report (there should be none).
+    """Two-operator averaged iteration x <- kappa*T(alpha)x + lam*T(beta)x +
+    (1 - kappa - lam)*x, for kappa, lam > 0 with kappa + lam < 1 (ValueError
+    otherwise).  The report counts the Fejer violations: rises of the
+    distance to the fixed set beyond FEJER_SLACK, which should not occur.
     """
     if not (cfg.kappa > 0 and cfg.lam > 0):
         raise ValueError("kappa and lambda must be positive")
@@ -745,12 +653,8 @@ def mann(spec, cfg):
 
 
 def suzuki_averaged_mann(spec, cfg):
-    """Mann-style averaging against the double ergodic average.
-
-    x <- lam * [(1/n^2) sum_{k,l=1..n} T(k*alpha + l*beta) x] + (1-lam) * x.
-    Each outer step n recomputes the n-by-n average at the current iterate,
-    so step n costs O(n^2) operator applications; budgets default low.
-    """
+    """x <- lam * [(1/n^2) sum_{k,l=1..n} T(k*alpha + l*beta) x] + (1-lam) * x, for
+    lam in (0, 1) (ValueError otherwise); step n costs O(n^2) applications."""
     if not 0.0 < cfg.lam < 1.0:
         raise ValueError("lambda must lie strictly in (0, 1)")
 
@@ -764,12 +668,9 @@ def suzuki_averaged_mann(spec, cfg):
 
 
 def ishikawa_composed(spec, cfg):
-    """Outer/inner composition of averaged operators.
-
-    With V = kappa*T(beta) + (1-kappa)*I and W = lam*T(alpha) + (1-lam)*I,
-    step n applies x <- W(V^n x).  Both weights must lie strictly in (0, 1);
-    step n costs n+1 operator applications.
-    """
+    """x <- W(V^n x) at step n, with V = kappa*T(beta) + (1-kappa)*I and
+    W = lam*T(alpha) + (1-lam)*I, for kappa and lam in (0, 1) (ValueError
+    otherwise)."""
     if not 0.0 < cfg.kappa < 1.0 or not 0.0 < cfg.lam < 1.0:
         raise ValueError("kappa and lambda must lie strictly in (0, 1)")
 
@@ -787,17 +688,12 @@ def ishikawa_composed(spec, cfg):
 # ---- anchored schemes ----------------------------------------------------------
 
 def _banach_solve(step_map, z0, tol, cap, contraction, norm=_norm):
-    """Fixed-point iteration of a contraction, with an a-priori budget.
+    """Fixed-point iteration of step_map, a contraction by ``contraction``, from z0.
 
-    The residual ||step_map(z) - z|| shrinks at least by ``contraction``
-    per sweep, so the number of sweeps needed is estimated up front; the
-    contraction used in that estimate is floored away from 1 (anchor weight
-    held >= INNER_LAMBDA_FLOOR), which bounds the budget but makes stalls
-    under extremely small anchor weights fail fast and visibly instead of
-    spinning against the hard cap.
-
-    The residual is taken with ``norm``: _norm, or on a wide domain
-    _wide_norms.  Returns (point, sweeps_used, final_residual, converged).
+    Sweeps until the residual ||step_map(z) - z||, by ``norm``, is at most
+    tol, within min(cap, the sweeps a contraction floored at
+    1 - INNER_LAMBDA_FLOOR needs), so a stall fails fast.  Returns (point,
+    sweeps_used, final_residual, converged).
     """
     z = np.asarray(z0, dtype=float)
     fz = step_map(z)
@@ -817,15 +713,11 @@ def _banach_solve(step_map, z0, tol, cap, contraction, norm=_norm):
 
 
 def browder_implicit(spec, cfg):
-    """Implicit anchored sequence.
-
-    For each n, x_n solves x = ((1-lam_n)/2)(T(alpha)x + T(beta)x) + lam_n*u
-    with lam_n from the schedule.  The map on the right contracts with
-    factor at most 1 - lam_n, so each x_n is found by inner fixed-point
-    iteration, warm-started from the previous outer point; the first solve
-    starts from cfg.start, or from u when that is None.  The report carries
-    the inner sweep counts and final inner residuals; an inner solve that
-    misses inner_tol ends the run with inner_solver_failure.
+    """Implicit anchored sequence: x_n solves
+    x = ((1-lam_n)/2)(T(alpha)x + T(beta)x) + lam_n*u, a contraction by 1 - lam_n,
+    by _banach_solve from x_{n-1} (x_0 = cfg.start, or u if None).  The report
+    holds each solve's sweeps and residual; a solve that misses inner_tol
+    ends the run with inner_solver_failure.
     """
     if cfg.start is None:
         cfg = replace(cfg, start=cfg.u)
@@ -850,14 +742,9 @@ def browder_implicit(spec, cfg):
 
 
 def halpern(spec, cfg):
-    """Explicit anchored iteration.
-
-    x <- ((1 - lam_n)/2)(T(alpha)x + T(beta)x) + lam_n*u with lam_n from the
-    schedule.  The schedule families here satisfy the classical conditions
-    (weights vanish, their sum diverges, successive differences are
-    summable), so on an irrational pair the iterates approach the common
-    fixed point nearest the anchor.
-    """
+    """Explicit anchored iteration x <- ((1 - lam_n)/2)(T(alpha)x + T(beta)x) + lam_n*u
+    with lam_n from the schedule: on an irrational pair the iterates approach
+    the common fixed point nearest the anchor."""
     return _drive(spec, cfg, "halpern", _Rule(weight=cfg.schedule, anchor=cfg.u))
 
 
@@ -895,15 +782,11 @@ def run_scheme(tag, spec, cfg):
 
 
 def run_rows(tag, spec, cfg):
-    """Run a scheme of ROW_SCHEMES from every row of the (B, d) array cfg.start.
-
-    The B runs are iterated together, as the rows of one array.  Returns B
-    reports, one per row, in row order.  On a rotation or decay flow each
-    equals run_scheme's report for that row alone bit for bit.  A heat
-    flow's rows round differently, so a row may stop one iterate earlier
-    or later than its run alone; the records both keep agree within
-    rounding.  Raises ValueError for another scheme or a start that is
-    not a (B, d) array.
+    """Run a scheme of ROW_SCHEMES from every row of the (B, d) array cfg.start at
+    once; returns one report per row, in row order (ValueError for another
+    scheme or start).  On a rotation or decay flow each is run_scheme's report
+    for that row alone bit for bit; a heat row rounds differently and may stop
+    one iterate away, with the records both keep equal within rounding.
     """
     fn = _scheme(tag)
     if tag not in ROW_SCHEMES:

@@ -1,36 +1,21 @@
 """Built-in one-parameter operator families T(t) on convex domains.
 
-Three families are provided, each nonexpansive with a common fixed set that
-is known in closed form, so every solver in this package can be checked
-against ground truth:
+Each family is nonexpansive, with a common fixed set known in closed form:
 
 * ``rotation`` - rigid rotation of the plane about a center, one full turn
-  per ``period``.  In dimension d > 2 the rotation acts on the first two
-  coordinates and leaves the rest alone.
+  per ``period``; in dimension d > 2 the other coordinates stay.
 * ``decay``    - componentwise shrink toward zero, T(t)x = max(x - t, 0),
   on a box [0, M]^d.
 * ``heat``     - linear smoothing T(t)x = exp(-t A) x for a symmetric
-  positive semidefinite A, on a ball centered at the origin.  The
-  eigendecomposition of A is computed once and cached on the spec.
+  positive semidefinite A, on a ball centered at the origin.
 
-Each family's formula is written once, in ``_compile``, and the
-``operator``, ``pair_operator`` and ``orbit_operator`` compilers build on it
-(an orbit, and a certificate's profile, on ``_orbit_blocks``' blocks of times);
-they assume that the spec is never changed (a heat spectrum is read-only).
-One place beside ``_compile`` writes the rotation's two lines out again,
-for both times of a pair at once on a d=2 rotation's coordinates: the
-loop body of ``schemes._float_blocks``, which takes only the turn's
-(cos, sin) from ``_compile``, and each block's images, after the loop,
-from ``_pair_kernel``, which the scheme driver compiles for both paths.
-Each public callable checks on every call that its argument lies within a
-small membership slack of the domain, and projects every output back into
-the domain, so long iteration loops cannot drift outside by rounding.
-Inside the package a point is checked once where it enters: the scheme
-driver, a certificate and a replay apply the unchecked kernels after that.
-The check (``_checker``) and that loop also test once whether a point lies
-so far inside its ball that rounding cannot carry an image out
-(``_interior_radius``), and then skip the projections, which would return
-every image unchanged.
+Each family's formula is written once, in ``_compile``; only the loop of
+``schemes._float_blocks`` writes the d=2 rotation's turn out again.  Each
+public callable checks its argument against the domain up to
+MEMBERSHIP_SLACK and projects every output into it.  Inside the package a
+point is checked once where it enters (``_checker``), and the unchecked
+kernels skip the projections of a point that passes the interior test
+(``_interior_radius``).  A spec, its spectrum included, never changes.
 """
 
 from __future__ import annotations
@@ -103,12 +88,8 @@ class SemigroupSpec:
 
 @dataclass(frozen=True, eq=False)
 class FixedSetDescriptor:
-    """Closed-form common fixed set: the affine set basepoint + span(basis).
-
-    basis is a (d, k) array of orthonormal columns; with k = 0 the set is
-    the single point basepoint.  kind ("singleton" or "affine_subspace")
-    and point (the basepoint) are read from these two fields.
-    """
+    """Closed-form common fixed set basepoint + span(basis), basis a (d, k) array of
+    orthonormal columns (k = 0: the single point basepoint)."""
 
     basepoint: np.ndarray
     basis: np.ndarray
@@ -123,12 +104,8 @@ class FixedSetDescriptor:
 
 
 def rotation(center=(0.0, 0.0), period=1.0, radius=10.0, dim=None):
-    """Plane rotation about ``center`` completing one turn per ``period``.
-
-    ``center`` fixes the first two coordinates; with ``dim`` > 2 the extra
-    coordinates are untouched by T(t).  The domain is a ball of ``radius``
-    around the (embedded) center, which the rotation maps onto itself.
-    """
+    """Rotation of the first two coordinates about ``center``, one turn per ``period``,
+    on the ball of ``radius`` around the center embedded in ``dim`` (default 2)."""
     center = as_point(center)
     if center.size != 2:
         raise ValueError("rotation center must have exactly 2 coordinates")
@@ -158,13 +135,9 @@ def decay(dim=2, box_max=10.0):
 
 
 def heat(matrix, radius=10.0):
-    """Smoothing family T(t) = exp(-t A) for symmetric PSD ``matrix``.
-
-    The generator is eigendecomposed once here (sym_eigendecompose checks
-    its shape, size and symmetry), and T(t) is applied as
-    V exp(-t w) V^T from the cached, read-only factors.  Eigenvalues below
-    zero within tolerance are treated as exactly zero, so T(t) never
-    expands and the origin-centered ball domain is invariant.
+    """Smoothing family T(t) = exp(-t A) for a symmetric PSD ``matrix`` (checked by
+    sym_eigendecompose), on the ball of ``radius`` about the origin.  Eigenvalues
+    down to PSD_TOL are taken as 0, so T(t) never expands; lower ones raise.
     """
     eigvals, eigvecs = sym_eigendecompose(matrix)
     if eigvals.min(initial=0.0) < PSD_TOL:
@@ -185,17 +158,11 @@ def heat(matrix, radius=10.0):
 def _compile(spec, t):
     """T(t) before projection, for a float t or a (B, 1) column of times.
 
-    Returns (lift, rows, cs).  lift(xs) is the part that does not depend
-    on t (heat: the eigen-coordinates xs V; otherwise xs itself), so an
-    orbit or a pair lifts its point once.  rows(lift(xs), out=None) is T(t)
+    Returns (lift, rows, cs).  lift(xs) is the part that does not depend on
+    t (heat: xs V; otherwise xs itself).  rows(lift(xs), out=None) is T(t)
     of one (d,) point, of every row of a (B, d) array, or of one point at
-    every time of a column.  The rotation's formula is turn, (x0, x1) ->
-    (y0, y1) on the first two coordinates: rows applies it to numpy
-    columns, and to one point's coordinates as Python floats when t is a
-    float and no out is given, which is cheaper there.  Both do the same
-    IEEE operations.  cs is the rotation's (cos, sin) of its angle, which
-    schemes._float_blocks turns one point by for both times of a pair with
-    turn's operations; it is None for the other families.
+    every time of a column; a rotation's point and rows do the same IEEE
+    operations.  cs is a rotation's (cos, sin), else None.
     """
     lift = cs = None
     if spec.kind == ROTATION:
@@ -243,12 +210,13 @@ def _interior_radius(domain):
     which no norm is at most.
 
     r = R(1 - INTERIOR_MARGIN) on a ball of center c and radius R with
-    2^-500 <= R <= 2^500 and ||c|| <= 2^20 R.  A box has no test (decay
-    keeps its clip), nor has a ball of another radius, where an
-    underflow's absolute error or an overflow could outgrow the margin, or
-    of a farther center.  With eps = 2^-53, d <= 64 and x - c, its norm
-    and every image taken in floats by _compile's formulas, a point that
-    passes has every image left unchanged by domain.project:
+    2^-500 <= R <= vecspace.WIDE_RADIUS (a ball that is not wide) and
+    ||c|| <= 2^20 R.  A box has no test (decay keeps its clip), nor has a
+    ball of another radius, where an underflow's absolute error or an
+    overflow could outgrow the margin, or of a farther center.  With
+    eps = 2^-53, d <= 64 and x - c, its norm and every image taken in
+    floats by _compile's formulas, a point that passes has every image
+    left unchanged by domain.project:
 
     * rotation: the image's offset from c that Ball.project computes,
       fl(fl(c + turn) - c), has ||off|| <= ||x - c||(1 + 12 eps) + eps ||c||
@@ -265,7 +233,7 @@ def _interior_radius(domain):
     offset (dx, dy) against r**2 in place of the norm: a point that passes
     has ||(dx, dy)|| <= r(1 + 2 eps), and the same argument holds.
     """
-    if isinstance(domain, Box) or not 2.0 ** -500 <= domain.radius <= 2.0 ** 500:
+    if isinstance(domain, Box) or domain.wide or domain.radius < 2.0 ** -500:
         return math.nan
     if _norm(domain.center) > 2.0 ** 20 * domain.radius:
         return math.nan
@@ -275,13 +243,10 @@ def _interior_radius(domain):
 def _checker(spec, rows=True, name="point", owner="semigroup"):
     """The package's one membership check, made where a point enters it.
 
-    check(x) raises unless x is one float64 point of the flow's dimension
-    inside the domain up to the membership slack, or, with ``rows``, a
-    (B, d) array of such points as rows (one exterior_distance call for
-    all of them).  Its messages call x ``name``.  It returns whether x is
-    one point that passes the interior test ||x - c|| <= r of
-    _interior_radius, False on a domain without a test: such a point lies
-    inside the domain, so the test's offset norm is the only one taken.
+    check(x) raises ValueError, naming x ``name``, unless x is one float64
+    point of the flow inside the domain up to MEMBERSHIP_SLACK, or with
+    ``rows`` a (B, d) array of them.  It returns whether x is one point
+    that passes the interior test of _interior_radius.
     """
     domain, shape, max_ndim = spec.domain, (spec.dim,), 2 if rows else 1
     r = _interior_radius(domain)
@@ -332,17 +297,13 @@ def _kernel(spec, t):
 
 
 def _pair_kernel(spec, alpha, beta):
-    """pair_operator(spec, alpha, beta) without the check (see _kernel).
+    """pair_operator(spec, alpha, beta) without the check: apply(x, lifted=None,
+    inside=False), with x's lift if taken, and inside=True, which skips both
+    projections, for a point or rows known to pass the interior test.
 
-    A caller that has lifted x already (see _compile) passes the lift too,
-    and one that has found that the point x, or each row of x, passes the
-    interior test (_checker, or schemes._float_blocks' loop) passes
-    inside=True, which skips both projections.
-
-    A decay box [0, M]^d where 2 max(alpha, beta) is at most the spacing
-    of the doubles just below M raises ValueError: there max(x - t, 0)
-    rounds back to x for both times, so points near M would pass for
-    common fixed points.
+    Raises ValueError on a decay box [0, M]^d where 2 max(alpha, beta) is at
+    most the spacing of the doubles below M: there max(x - t, 0) rounds back
+    to x, so points near M would pass for common fixed points.
     """
     if spec.kind == DECAY:
         top, t = float(spec.domain.upper.max()), max(alpha, beta)
@@ -363,16 +324,13 @@ def _pair_kernel(spec, alpha, beta):
 
 
 def operator(spec, t):
-    """Compile T(t) for a fixed time: return the callable x -> T(t)x.
+    """Compile T(t) for a finite t >= 0 (ValueError otherwise): return x -> T(t)x.
 
-    t must be finite and nonnegative (ValueError otherwise); T(0) is the
-    identity.  The callable takes one point or a (B, d) array of points as
-    rows, as floats, and returns a new array of their images, projected
-    into the domain; the argument is never written to.  It raises
-    ValueError for a point of the wrong dimension or outside the domain
-    beyond MEMBERSHIP_SLACK.  Heat rows may differ from the images of the
-    same points taken one at a time by rounding, within 1e-12 on the
-    built-in families; other rows equal them.
+    The callable takes one point or a (B, d) array of rows and returns a new
+    array of their images, projected into the domain.  It raises ValueError
+    for a point of the wrong dimension or outside the domain beyond
+    MEMBERSHIP_SLACK.  Heat rows may differ from one-point images by
+    rounding, within 1e-12 on the built-in families; other rows equal them.
     """
     t = _scalar("time", t, positive=False)
     return _checked(spec, _kernel(spec, t))
@@ -381,11 +339,9 @@ def operator(spec, t):
 def pair_operator(spec, alpha, beta):
     """Compile T(alpha) and T(beta) together: return x -> (T(alpha)x, T(beta)x).
 
-    Both times must be positive and finite, and on a decay flow the larger
-    must exceed half the spacing of the doubles just below the box's M
-    (ValueError otherwise, see _pair_kernel).  The callable takes and
-    checks x as operator()'s does, and each image equals
-    operator(spec, t)(x).
+    Both times must be positive and finite (ValueError otherwise, also for
+    _pair_kernel's decay box).  The callable checks x as operator()'s does,
+    and each image equals operator(spec, t)(x).
     """
     alpha = _scalar("time", alpha)
     beta = _scalar("time", beta)
@@ -398,18 +354,14 @@ def evaluate(spec, t, x):
 
 
 def _orbit_blocks(spec, times):
-    """T(t_i) for an array of times, compiled a block of times at a time, unchecked.
+    """T(t_i) for an array of finite times t_i >= 0 (ValueError naming the first
+    bad one), compiled a block of about ORBIT_BLOCK entries at a time, unchecked.
 
-    The times must be finite and nonnegative (ValueError naming the first
-    bad one).  Returns (lift, blocks), blocks a list of (at, rows) in the
-    order of the times: at is the slice of the times one block covers,
-    and rows(x, lift(x), out) fills the (len, d) array out, and returns
-    it, with row i = T(t)x of the block's i-th time before projection; a
-    row at t = 0 is x itself, which projects as operator(spec, 0.0) does.
-    Nothing checks x, and _stacked projects the rows.  A block holds about
-    ORBIT_BLOCK entries, and where the blocks split the times decides the
-    bits of heat rows (a matrix product rounds a row with the size of its
-    batch), so every orbit, and every certificate's profile, is split here.
+    Returns (lift, blocks), blocks a list of (at, rows) in time order: at is
+    the slice of the times a block covers, and rows(x, lift(x), out) fills
+    and returns out with T(t)x before projection for each of its times (x
+    itself at t = 0).  The split decides heat rows' bits, so every orbit and
+    every profile is split here.
     """
     t = np.array(times, dtype=float).ravel()
     bad = ~np.isfinite(t) | (t < 0.0)
@@ -432,10 +384,8 @@ def _orbit_blocks(spec, times):
 
 
 def _stacked(blocks, x, lifted, project):
-    """The rows of some of _orbit_blocks' blocks at x, stacked in their
-    order, each block projected in place by project(rows) unless project
-    is None (a point that passes the interior test, _checker).  A block
-    at a time keeps the temporaries of the projection small."""
+    """The rows of some of _orbit_blocks' blocks at x, stacked in their order,
+    each block projected in place by project(rows) unless project is None."""
     out = np.empty((sum(at.stop - at.start for at, _ in blocks), x.size))
     hi = 0
     for at, rows in blocks:
@@ -447,14 +397,12 @@ def _stacked(blocks, x, lifted, project):
 
 
 def orbit_operator(spec, times):
-    """Compile T(t_i) for a fixed array of times: return x -> (len(times), d) rows.
+    """Compile T(t_i) for a copy of an array of finite times t_i >= 0 (ValueError
+    naming the first bad one): return x -> rows T(t_i)x, projected.
 
-    The times must be finite and nonnegative (ValueError naming the first
-    bad one); they are copied here.  The callable takes one point, checked
-    as operator()'s callable checks it, and returns row i = T(t_i)x,
-    projected into the domain, computed in _orbit_blocks' blocks.  Rows
-    with t = 0 and decay rows equal operator(spec, t)(x); other rows may
-    differ from it by rounding, within 1e-12 on the built-in families.
+    The callable checks one point as operator()'s does.  Rows at t = 0 and
+    decay rows equal operator(spec, t)(x); others may differ by rounding,
+    within 1e-12 on the built-in families.
     """
     lift, blocks = _orbit_blocks(spec, times)
     return _checked(spec, lambda x: _stacked(blocks, x, lift(x), spec.domain.project), rows=False)
@@ -481,13 +429,9 @@ def analytic_fixed_set(spec):
 
 
 def fixed_set_distance(descriptor, x, wide=False):
-    """Exact Euclidean distance from x to the described set.
-
-    A (B, d) array gives the B distances of its rows, each within rounding
-    of the distance of that row alone (one matrix product for all rows).
-    With ``wide``, for the points of a wide domain (Ball.wide, Box.wide), a distance
-    whose sum of squares overflows is taken rescaled (vecspace._wide_norms).
-    """
+    """Euclidean distance from x to the described set, or from each row of a (B, d)
+    array, within rounding of the row's own (its own bits on an empty basis);
+    with ``wide``, for a wide domain's points, by vecspace._wide_norms."""
     r = np.asarray(x, dtype=float) - descriptor.basepoint
     if descriptor.basis.size:  # an empty basis would subtract zeros, at twice the cost
         r -= (r @ descriptor.basis) @ descriptor.basis.T
@@ -536,13 +480,11 @@ _DESCRIPTORS = {
 
 
 def from_descriptor(text):
-    """Build a SemigroupSpec from a textual descriptor.
-
-    Examples: ``rotation:period=1,center=0,0``, ``decay:dim=2,M=10``,
-    ``heat:matrix=/path/to/matrix.txt``.  The keys are those of the
-    family's constructor (``M`` is decay's ``box_max``); ``matrix`` is
-    required, and every other key left out takes the constructor's
-    default.  Unknown keys are reported before any value is read.
+    """Build a SemigroupSpec from a textual descriptor such as
+    ``rotation:period=1,center=0,0``, ``decay:dim=2,M=10`` or
+    ``heat:matrix=path``: the keys of the family's constructor (``M`` is
+    ``box_max``), each left out taking its default but ``matrix``.  Raises
+    ValueError, for unknown keys before any value is read.
     """
     kind, _, body = str(text).partition(":")
     kind = kind.strip()

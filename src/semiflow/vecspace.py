@@ -1,10 +1,7 @@
 """Finite-dimensional Euclidean primitives shared by the whole package.
 
-Points are 1-D float64 numpy arrays (a bare scalar is promoted to a
-1-vector).  Domains are closed convex sets, either a ball or an axis-aligned
-box, with exact exterior distances and metric projections.  The symmetric
-eigensolver checks its input and hands the matrix to LAPACK through
-``numpy.linalg.eigh``.
+Points are 1-D float64 numpy arrays.  Domains are closed convex sets, a ball
+or an axis-aligned box, with exterior distances and metric projections.
 """
 
 from __future__ import annotations
@@ -38,11 +35,8 @@ WIDE_RADIUS = 2.0 ** 500
 
 
 def max_dim():
-    """Return the current dimension cap.
-
-    The hard cap is 64.  The environment variable ``SEMIFLOW_MAX_DIM`` may
-    lower it for constrained environments; it can never raise it.
-    """
+    """The dimension cap: HARD_DIM_CAP = 64, or the lower positive integer that
+    ``SEMIFLOW_MAX_DIM`` sets (ValueError for any other value)."""
     cap = HARD_DIM_CAP
     raw = os.environ.get(_DIM_ENV_VAR)
     if raw is not None:
@@ -59,11 +53,8 @@ def max_dim():
 
 
 def as_point(coords):
-    """Validate ``coords`` as a point and return it as a read-only float64 vector.
-
-    Accepts any sequence of reals (or a bare scalar).  Entries must be
-    finite and the dimension must lie in [1, max_dim()].
-    """
+    """``coords`` (a sequence of reals, or a scalar) as a new read-only float64 vector;
+    ValueError unless every entry is finite and the dimension lies in [1, max_dim()]."""
     x = np.asarray(coords, dtype=float)
     if x.ndim == 0:
         x = x.reshape(1)
@@ -81,11 +72,8 @@ def as_point(coords):
 
 
 def _scalar(name, value, positive=True):
-    """float(value), checked to be finite and positive (nonnegative if not ``positive``).
-
-    Raises ValueError naming ``name``; NaN, infinities and, when positive,
-    zero of either sign are rejected.
-    """
+    """float(value), finite and positive (nonnegative if not ``positive``), or a
+    ValueError naming ``name``."""
     v = float(value)
     if not (0.0 < v < math.inf if positive else 0.0 <= v < math.inf):
         rule = "positive and finite" if positive else "finite and nonnegative"
@@ -94,11 +82,8 @@ def _scalar(name, value, positive=True):
 
 
 def combine(weights, points):
-    """Affine combination sum_i w_i p_i of equal-dimension points.
-
-    The weights must sum to 1 within 1e-12; with nonnegative weights this is
-    a convex combination.
-    """
+    """Affine combination sum_i w_i p_i of equal-dimension points, one finite weight
+    each, summing to 1 within WEIGHT_SUM_TOL (ValueError otherwise)."""
     pts = [as_point(p) for p in points]
     if not pts:
         raise ValueError("combine needs at least one point")
@@ -122,22 +107,15 @@ def _norm(v):
 
 
 def _row_norms(ys):
-    """Euclidean norm of a 1-D float vector, or of every row of a (B, d) array.
-
-    Each equals _norm of that vector or row bit for bit: numpy.vecdot and
-    the 1-D dot reach the same BLAS dot kernel, which numpy.einsum does not.
-    """
+    """Euclidean norm of a 1-D float vector, or of every row of a (B, d) array, each
+    _norm's bits (numpy.vecdot reaches the 1-D dot's BLAS kernel; einsum does not)."""
     return np.sqrt(np.vecdot(ys, ys))
 
 
 def _rescaled(offset, nrm):
-    """nrm, the norm of a 1-D offset or of each row of a (B, d) one, with
-    every norm whose sum of squares overflowed to inf taken again as
-    s ||offset / s||, s that offset's largest magnitude.
-
-    Every finite or NaN norm keeps its bits; a 1-D offset's costs one
-    comparison.
-    """
+    """nrm, the norm of a 1-D offset or of each row of a (B, d) one, with each inf
+    taken again as s ||offset / s||, s that offset's largest magnitude; every
+    finite or NaN norm keeps its bits."""
     if nrm != math.inf if offset.ndim == 1 else not (nrm == math.inf).any():
         return nrm
     with np.errstate(over="ignore", invalid="ignore"):
@@ -146,14 +124,9 @@ def _rescaled(offset, nrm):
 
 
 def _wide_norms(v):
-    """_norm of a 1-D v, as a float, or _row_norms of an array of rows,
-    finite wherever v is: a norm whose sum of squares overflows is taken
-    rescaled (_rescaled), with no overflow warning.
-
-    The norms of differences of points of a ball wider than WIDE_RADIUS;
-    each finite one keeps its bits.  A narrower ball's take _norm and
-    _row_norms, which cost less.
-    """
+    """_norm of a 1-D v, as a float, or _row_norms of an array of rows, rescaled
+    (_rescaled) where a sum of squares overflows, with no warning: finite
+    wherever v is, for the points of a wide domain."""
     with np.errstate(over="ignore"):
         return float(_rescaled(v, _norm(v))) if v.ndim == 1 else _rescaled(v, _row_norms(v))
 
@@ -189,13 +162,9 @@ class Ball:
         return self.radius > WIDE_RADIUS
 
     def _norms(self, offset):
-        """_rescaled(offset, _row_norms(offset)): the norm of one offset from
-        the center or of each row's, finite wherever the offset is.
-
-        On a wide ball the sums are taken without numpy's overflow warning
-        (_wide_norms).  On a narrower ball only a point far outside has an
-        offset whose sum overflows, and numpy warns of its overflow.
-        """
+        """_rescaled(offset, _row_norms(offset)): the norm of one offset from the
+        center or of each row's, finite wherever the offset is; numpy warns of an
+        overflow only on a ball that is not wide."""
         return _wide_norms(offset) if self.wide else _rescaled(offset, _row_norms(offset))
 
     def exterior_distance(self, x):
@@ -208,15 +177,12 @@ class Ball:
 
     def project(self, x):
         """Metric projection onto the ball of one point, or of every row of a
-        (B, d) array in place.
+        (B, d) array in place, each row with one point's bits.
 
-        A point inside is returned itself, and any other point as a new
-        array; each row gets that arithmetic bit for bit.  A float64 array
-        of rows is overwritten and returned; rows of any other type are
-        first copied to a new float array.  A NaN point or row is not
-        inside, and comes out NaN.  On a ball of radius up to WIDE_RADIUS,
-        only a point or row outside has its norm tested for inf (_rescaled),
-        so one inside costs no test.
+        A point inside is returned itself, any other as a new array.  A
+        float64 array of rows is overwritten and returned; rows of another
+        type are first copied to a new float array.  A NaN point or row
+        comes out NaN.
         """
         x = np.asarray(x, dtype=float)
         offset = x - self.center
@@ -272,17 +238,8 @@ class Box:
 
 
 def sym_eigendecompose(matrix):
-    """Eigendecomposition of a small dense symmetric matrix (LAPACK ``eigh``).
-
-    Parameters
-    ----------
-    matrix : (d, d) array_like, symmetric within 1e-12, d <= max_dim()
-
-    Returns
-    -------
-    (eigvals, eigvecs) : eigenvalues ascending, eigenvectors as the columns
-    of an orthonormal matrix, so that A @ V ~= V @ diag(w).
-    """
+    """(eigvals ascending, orthonormal eigenvector columns) of a finite (d, d) matrix,
+    d <= max_dim(), symmetric within 1e-12 (ValueError otherwise), by LAPACK eigh."""
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")

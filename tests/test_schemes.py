@@ -735,39 +735,39 @@ def test_float_blocks_stop_where_the_array_path_of_one_row_does():
     assert inside >= {7, 8, 9, 10, 11, 12, 13}  # some run stops inside each doubled block past n = 64
 
 
-def test_a_screened_float_block_has_no_stop_test_and_hands_on_its_distances(monkeypatch):
-    # a float block whose norm screen passed returns its rows' distances from the
-    # center, which _drive takes as mann's Fejer distances in place of its own
-    # fixed_set_distance call and which equal that call's bit for bit; _drive
-    # tests only the other blocks of more than one iterate with _stops
-    blocks, stop_tests = [], []
+def test_a_screened_float_block_is_nan_but_at_its_kept_and_last_rows_and_never_stops(monkeypatch):
+    # a float block whose norm screen passed takes pair residuals and step norms only
+    # for its kept iterates (KEPT) and its last; every other entry is NaN, and
+    # _stops finds no stop in it, as the screen proved that none of its iterates stops
+    blocks = []
 
     def float_blocks(*args):
         take = _float_blocks(*args)
 
         def kept(size):
-            blocks.append(take(size))
-            return blocks[-1]
+            blocks.append((size, take(size)))
+            return blocks[-1][1]
         return kept
 
-    def stops(pair, step, tol):
-        stop_tests.append(pair.size)
-        return original(pair, step, tol)
-
-    original = schemes._stops
     monkeypatch.setattr(schemes, "_float_blocks", float_blocks)
-    monkeypatch.setattr(schemes, "_stops", stops)
     screened = 0
     for spec, start, u in float_path_cases():
         for tag in ("mann", "halpern"):
-            blocks.clear(), stop_tests.clear()
-            run_scheme(tag, spec, cfg(start=start, u=u, kappa=0.01, lam=0.01, max_iter=9000, tol=1e-12))
-            fs = semigroups.analytic_fixed_set(spec)
-            for xs, _, _, dist in blocks:
-                if dist is not None:
-                    assert dist.tobytes() == semigroups.fixed_set_distance(fs, xs).tobytes(), (tag, spec.domain.radius)
+            blocks.clear()
+            c = cfg(start=start, u=u, kappa=0.01, lam=0.01, max_iter=9000, tol=1e-12)
+            run_scheme(tag, spec, c)
+            first = 1
+            for size, block in blocks:
+                assert len(block) == 3, tag
+                _, pair, step = block
+                if np.isnan(pair).any() or np.isnan(step).any():
+                    rows = np.zeros(size, dtype=bool)
+                    rows[[m - first for m in schemes.KEPT if first <= m < first + size]] = True
+                    rows[-1] = True
+                    assert (np.isfinite(pair) == rows).all() and (np.isfinite(step) == rows).all(), (tag, first)
+                    assert schemes._stops(pair, step, c.tol) == [0], (tag, first)
                     screened += 1
-            assert stop_tests == [pair.size for _, pair, _, dist in blocks if dist is None and pair.size > 1], tag
+                first += size
     assert screened >= 20
 
 

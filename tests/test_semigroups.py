@@ -9,6 +9,7 @@ from semiflow.semigroups import (
     ORBIT_BLOCK,
     _checker,
     _compile,
+    _interior_radius,
     _kernel,
     _pair_kernel,
     analytic_fixed_set,
@@ -496,6 +497,18 @@ def test_a_wide_ball_takes_norms_that_overflow_rescaled():
     offsets = 1e150 * np.random.default_rng(60).normal(size=(50, 2))
     assert ball._norms(offsets).tolist() == vecspace._row_norms(offsets).tolist()
     assert [ball._norms(o) for o in offsets] == [vecspace._norm(o) for o in offsets]
+
+
+def test_a_ball_has_an_interior_test_by_radius_exactly_when_it_is_not_wide():
+    # _interior_radius gives a ball a test for 2^-500 <= R <= vecspace.WIDE_RADIUS = 2^500:
+    # finite at both bounds, NaN one double past either, and wide one double above 2^500
+    top = vecspace.WIDE_RADIUS
+    for radius, inside in ((top, True), (math.nextafter(top, math.inf), False),
+                           (2.0 ** -500, True), (math.nextafter(2.0 ** -500, 0.0), False)):
+        ball = rotation(radius=radius).domain
+        assert math.isfinite(_interior_radius(ball)) == inside, radius
+        assert ball.wide == (radius > top), radius
+    assert top == 2.0 ** 500
 
 
 def one_pass_orbit(spec, times, x):

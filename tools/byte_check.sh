@@ -93,12 +93,14 @@ cli halpern_anchor_on_circle 2 run --scheme halpern --semigroup "$rot" $pair --u
 # a run that converges at n=112, inside the float iteration's doubled block of n=65 to 128
 cli halpern_tol_1e-2 0 run --scheme halpern --semigroup "$rot" $pair --u=1,0 --seed 3 --tol 1e-2 \
   --csv halpern_tol_1e-2.csv
-# a run whose float blocks from n=65 on take norms only for their kept and last iterates,
-# until the block that converges, at n=1259, is taken whole
+# a run that counts Fejer rises, whose float blocks from n=65 on pass the norm screen
+# and take norms only for their kept and last iterates, until the block that
+# converges, at n=1259, is taken whole
 cli mann_tol_1e-9 0 run --scheme mann --semigroup "$rot" $pair --seed 3 --kappa 0.01 --lambda 0.01 \
   --tol 1e-9 --csv mann_tol_1e-9.csv
 # runs that converge inside the float iteration's first block of 4096 iterates (n=4097 to
-# 8192): at n=5591, and, with screened blocks' Fejer distances, at n=6333
+# 8192): at n=5591, and, after blocks that pass the norm screen and count Fejer rises on
+# every iterate, at n=6333
 cli halpern_tol_2e-4 0 run --scheme halpern --semigroup "$rot" $pair --u=1,0 --seed 3 --tol 2e-4 \
   --csv halpern_tol_2e-4.csv
 cli mann_tol_1e-9_slow 0 run --scheme mann --semigroup "$rot" $pair --seed 3 --kappa 0.002 --lambda 0.002 \
@@ -173,7 +175,9 @@ cli mann_heat_pd 0 run --scheme mann --semigroup heat:matrix=pd2.txt $pair --see
 cli sweep_halpern_heat_pd 2 sweep --scheme halpern --semigroup heat:matrix=pd2.txt $pair --u=1,0 \
   --seeds 0,1,2 --out-dir sweep_halpern_heat_pd
 # the help of every subcommand with options, at a fixed width, so that a change
-# in how the parsers are built shows as a difference
+# in how the parsers are built shows as a difference; and the top-level help,
+# whose description is the cli module's docstring
 for c in run sweep euclid verify decompose; do
   COLUMNS=80 cli "help_$c" 0 "$c" --help
 done
+COLUMNS=80 cli help_top 0 --help
