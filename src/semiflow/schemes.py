@@ -413,7 +413,9 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
     One generator step per iterate turns the offsets from the center c by
     _compile's (cos, sin) for both times, applies the interior test
     dx*dx + dy*dy <= r**2 of _interior_radius and the rule's update, in the
-    IEEE operations of its array form (_Rule).  An iterate that fails the
+    IEEE operations of its array form (_Rule); halpern's weights h and
+    anchor terms w*u0, w*u1 come for the whole block from numpy products,
+    the same IEEE products, so a step adds them.  An iterate that fails the
     test (a NaN one, and every iterate of a ball without a test) passes each
     image to domain.project as a point, which gives _pair_kernel's bits.
     op_pair, the driver's pair kernel, then recomputes the block's images
@@ -442,13 +444,15 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
       g = hypot(cos - 1, sin), so where no iterate of a block was
       projected, an iterate's computed pair residual is at least
       g e (1 - 10 eps) - 5 eps (|c| + R) - 2^-534 (the norm's squares may
-      underflow), g the larger over the pair's two turns.  If
-      g (1 - 32 eps) times the block's least computed e exceeds
-      tol + 32 eps (|c| + R) + 2^-530, no iterate can stop; then, unless
-      the run records every iterate, only the kept iterates (KEPT) and the
-      block's last get images, pair residuals and step norms, which round
-      as in the whole block.  Its other entries are NaN, which no record
-      reads and _stops never takes for a stop.
+      underflow), g the larger over the pair's two turns.  The screen's
+      offset e' is the square root of the block's least computed
+      dx*dx + dy*dy; sqrt is monotone and correctly rounded, so for every
+      iterate e' <= e (1 + 4 eps) + 2^-536 (the squares may underflow).  If
+      g (1 - 32 eps) e' exceeds tol + 32 eps (|c| + R) + 2^-530, no iterate
+      can stop; then, unless the run records every iterate, only the kept
+      iterates (KEPT) and the block's last get images, pair residuals and
+      step norms, which round as in the whole block.  Its other entries are
+      NaN, which no record reads and _stops never takes for a stop.
     """
     if spec.kind != ROTATION or spec.dim != 2:
         return None
@@ -471,11 +475,11 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
 
     # yields the coordinates of the iterate before the block and of its own, then the next's
     # (x0, x1, fell); the loop's constants are default arguments, fast locals, not closure cells
-    def steps(hws, x0, x1, inside, prev, cx=cx, cy=cy, ca=ca, sa=sa, cb=cb, sb=sb, kappa=kappa, lam=lam,
-              rest=rest, u0=u0, u1=u1, limit=limit):
+    def steps(hps, x0, x1, inside, prev, cx=cx, cy=cy, ca=ca, sa=sa, cb=cb, sb=sb, kappa=kappa, lam=lam,
+              rest=rest, limit=limit):
         yield from prev
         fell = False
-        for h, w in hws:
+        for h, p0, p1 in hps:
             yield x0
             yield x1
             dx = x0 - cx
@@ -487,25 +491,28 @@ def _float_blocks(spec, cfg, rule, x, op_pair):
                 a0, a1 = domain.project(np.array([a0, a1])).tolist()
                 b0, b1 = domain.project(np.array([b0, b1])).tolist()
                 fell = True
-            if w is None:
+            if h is None:
                 x0, x1 = kappa * a0 + lam * b0 + rest * x0, kappa * a1 + lam * b1 + rest * x1
             else:
-                x0, x1 = h * (a0 + b0) + w * u0, h * (a1 + b1) + w * u1
+                x0, x1 = h * (a0 + b0) + p0, h * (a1 + b1) + p1
         yield x0, x1, fell
 
     def take(size):
         nonlocal before, xn, n
-        # halpern's weights w and h = 0.5 * (1 - w), each taken for the block in one array operation
-        ws = None if weight is None else weight.block(n, size)
-        hws = itertools.repeat((None, None), size) if ws is None else zip(memoryview(0.5 * (1.0 - ws)), memoryview(ws))
+        if weight is None:
+            hps = itertools.repeat((None,) * 3, size)
+        else:  # halpern's h = 0.5 * (1 - w), w * u0 and w * u1, each taken for the block in one array operation
+            ws = weight.block(n, size)
+            hps = zip(*map(memoryview, (0.5 * (1.0 - ws), ws * u0, ws * u1)))
         inside = max(math.hypot(xn[0] - cx, xn[1] - cy), far) * (1.0 + slack) + size * drift <= r * (1.0 - slack)
-        loop = steps(hws, *xn, inside, before)
+        loop = steps(hps, *xn, inside, before)
         rows = np.fromiter(loop, float, 2 * size + 2).reshape(size + 1, 2)
         *xn, fell = next(loop)
         first, n, before = n, n + size, rows[-1].tolist()
         xs = rows[1:]
         keep = [m - first for m in KEPT[bisect_left(KEPT, first):bisect_left(KEPT, n - 1)]] + [size - 1]
-        if fell or cfg.record_all or len(keep) == size or not g * _row_norms(xs - domain.center).min() > floor:
+        dx, dy = xs[:, 0] - cx, xs[:, 1] - cy
+        if fell or cfg.record_all or len(keep) == size or not g * math.sqrt((dx * dx + dy * dy).min()) > floor:
             return xs, *_block_norms(rows[:-1], xs, *op_pair(xs, inside=not fell))
         pair, step = np.full((2, size), math.nan)
         pair[keep], step[keep] = _block_norms(rows[:-1][keep], xs[keep], *op_pair(xs[keep], inside=True))
@@ -589,14 +596,17 @@ def baillon_double(spec, cfg):
 
     Ring n of the power grid y[k, l] = T(alpha)^k T(beta)^l x adds the
     column y[1..n, n] and the row y[n, 1..n-1], so only a column and the
-    frontier row are kept: O(max_iter) points for O(max_iter^2) applications.
+    frontier row are kept, in arrays that double as the rings need them:
+    O(n) points for O(n^2) applications after n rings.
     """
-    def iterates(x0, n_max, op_alpha, op_beta, _):
-        col = np.empty((n_max + 1, x0.size))  # col[k] = y[k, n]
-        row = np.empty((n_max + 1, x0.size))  # row[l] = y[n - 1, l], l < n
+    def iterates(x0, _, op_alpha, op_beta, __):
+        col = np.empty((2, x0.size))  # col[k] = y[k, n]
+        row = np.empty((2, x0.size))  # row[l] = y[n - 1, l], l < n
         col[0] = x0
         total = np.zeros(x0.size)
-        for n in range(1, n_max + 1):
+        for n in itertools.count(1):
+            if n == len(col):
+                col, row = (np.concatenate([a, np.empty_like(a)]) for a in (col, row))
             col[0] = op_beta(col[0])
             for k in range(1, n + 1):
                 col[k] = op_alpha(col[k - 1])

@@ -162,11 +162,18 @@ def _compile(spec, t):
     t (heat: xs V; otherwise xs itself).  rows(lift(xs), out=None) is T(t)
     of one (d,) point, of every row of a (B, d) array, or of one point at
     every time of a column; a rotation's point and rows do the same IEEE
-    operations.  cs is a rotation's (cos, sin), else None.
+    operations.  cs is a rotation's (cos, sin), else None.  Raises
+    ValueError, naming the first such time, where a rotation's angle
+    2 pi t / period overflows.
     """
     lift = cs = None
     if spec.kind == ROTATION:
-        angle = 2.0 * math.pi * t / spec.period
+        period = spec.period
+        top = t if isinstance(t, float) else float(t.max(initial=0.0))  # the angle grows with t
+        if math.isinf(2.0 * math.pi * top / period):
+            first = next(time for time in np.ravel(t).tolist() if math.isinf(2.0 * math.pi * time / period))
+            raise ValueError(f"rotation time {first!r}: the angle 2 pi t / period overflows for period={period!r}")
+        angle = 2.0 * math.pi * t / period
         if isinstance(t, float):
             c, s, lead = math.cos(angle), math.sin(angle), ()
         else:

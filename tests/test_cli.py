@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import dataclasses
 import json
 import math
@@ -276,6 +277,28 @@ def test_a_rejected_sweep_leaves_no_directory(capsys, tmp_path, scheme, flags):
         "--seeds", "0,1", "--out-dir", str(tmp_path / "swx" / "deep"),
     )
     assert code == 64 and err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_rotation_time_whose_angle_overflows_is_a_usage_error(capsys, tmp_path):
+    pair = ["--alpha", "1", "--beta", SQRT2_STR]
+    out_files = ["--csv", str(tmp_path / "h.csv"), "--json", str(tmp_path / "h.json")]
+    cases = (
+        (["run", "--scheme", "halpern", "--semigroup", "rotation:period=1,center=0,0", "--alpha", "1e308",
+          "--beta", SQRT2_STR, "--u=1,0", "--max-iter", "5", *out_files], "1e+308", "1.0"),
+        (["run", "--scheme", "halpern", "--semigroup", "rotation:period=1e-320,center=0,0", *pair, "--u=1,0",
+          "--max-iter", "5", *out_files], "1.0", "1e-320"),
+        (["verify", "--semigroup", "rotation:period=1", *pair, "--point", "1,0", "--grid", "0:1e308:1e305"],
+         "2.87e+307", "1.0"),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for argv, t, period in cases:
+            # the pair (1e308, sqrt 2) is also rational to the probe
+            with pytest.warns(NearRationalWarning) if "1e308" in argv else contextlib.nullcontext():
+                code, out, err = run_cli(capsys, *argv)
+            assert (code, out) == (64, "")
+            assert err == f"error: rotation time {t}: the angle 2 pi t / period overflows for period={period}\n"
     assert list(tmp_path.iterdir()) == []
 
 

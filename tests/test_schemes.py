@@ -823,7 +823,7 @@ def test_the_norm_screen_never_passes_an_iterate_that_could_stop():
     specs = (rotation(period=1.0, center=(0.5, -0.25)), rotation(period=1.7, radius=2.0 ** -490,
              center=(2.0 ** -475, -(2.0 ** -476))), rotation(period=0.9, radius=2.0 ** 490,
              center=(2.0 ** 505, 2.0 ** 504)), rotation(period=1.0, radius=1.0))
-    passed = 0
+    passed = passed_columns = 0
     for spec in specs:
         dom = spec.domain
         g = rng.normal(size=(6000, 2))
@@ -838,7 +838,13 @@ def test_the_norm_screen_never_passes_an_iterate_that_could_stop():
             screened = gain * vecspace._row_norms(xs - dom.center) > pair + drift + 2.0 ** -530
             assert not screened.any(), (dom.radius, alpha, beta)
             passed += (gain * vecspace._row_norms(xs - dom.center) > 0.5 * pair + drift + 2.0 ** -530).sum()
+            # the screen's own offset, the square root of the two columns' sum of squares
+            dx, dy = xs[:, 0] - dom.center[0], xs[:, 1] - dom.center[1]
+            e = np.sqrt(dx * dx + dy * dy)
+            assert not (gain * e > pair + drift + 2.0 ** -530).any(), (dom.radius, alpha, beta)
+            passed_columns += (gain * e > 0.5 * pair + drift + 2.0 ** -530).sum()
     assert passed > 10_000  # the bound is not vacuous: at half the residual, most points pass
+    assert passed_columns > 10_000
 
 
 def test_converged_runs_discard_a_bounded_overshoot(monkeypatch):
@@ -1007,17 +1013,19 @@ def test_baillon_double_matches_block_average_oracle():
 
 def test_baillon_double_memory_is_linear_in_the_budget():
     # the run converges at n = 1 from the rotation centre, so the peak is
-    # what the budget makes it allocate: two (4097, 2) arrays, where the
-    # full (4097, 4097, 2) grid of times would take 268 MB
+    # what the budget makes it allocate, where the full (4097, 4097, 2) grid
+    # of times would take 268 MB, and arrays sized by a budget of 10^11
+    # rings 1.6 TB: the arrays grow only with the rings run
     spec = rotation(period=1.0, center=(0.5, -0.25))
-    tracemalloc.start()
-    try:
-        report = baillon_double(spec, cfg(start=[0.5, -0.25], max_iter=4096))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert report.termination == "converged" and report.n_used == 1
-    assert peak < 1_000_000
+    for budget in (4096, 10**11):
+        tracemalloc.start()
+        try:
+            report = baillon_double(spec, cfg(start=[0.5, -0.25], max_iter=budget))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.termination == "converged" and report.n_used == 1
+        assert peak < 1_000_000
 
 
 def _double_average_point_by_point(t_alpha, t_beta, x, n):

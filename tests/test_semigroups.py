@@ -441,6 +441,29 @@ def test_pair_operator_keeps_the_operator_errors():
                     pair_operator(spec, alpha, beta)
 
 
+def test_a_rotation_time_whose_angle_overflows_is_rejected_by_name():
+    # 2 pi t / period overflows from t = 2.87e307 at period 1, and from t = 1 at
+    # period 1e-320; the check comes before any product, so numpy warns of nothing
+    spec, tiny = rotation(period=1.0), rotation(period=1e-320)
+    x = np.array([1.0, 0.0])
+    times = np.r_[np.ones(3000), 5e307, 1e308]  # the first bad time is in the second block
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for build, t, period in ((lambda: operator(spec, 1e308), "1e+308", "1.0"),
+                                 (lambda: pair_operator(spec, 1.0, 1e308), "1e+308", "1.0"),
+                                 (lambda: pair_operator(tiny, 1.0, SQRT2), "1.0", "1e-320"),
+                                 (lambda: orbit(spec, times, x), "5e+307", "1.0"),
+                                 (lambda: orbit(tiny, [0.0, 2.0], x), "2.0", "1e-320")):
+            with pytest.raises(ValueError, match=rf"^rotation time {re.escape(t)}: .* period={re.escape(period)}$"):
+                build()
+        # the largest time whose angle is finite still turns the point
+        top = math.nextafter(math.inf, 0.0) / (2.0 * math.pi)
+        while math.isinf(2.0 * math.pi * top):
+            top = math.nextafter(top, 0.0)
+        assert np.isfinite(operator(spec, top)(x)).all()
+        assert np.isfinite(orbit(spec, [0.0, top], x)).all()
+
+
 def test_kernels_are_the_public_callables_without_the_check(monkeypatch):
     rng = np.random.default_rng(23)
     for spec in compiled_operator_specs():

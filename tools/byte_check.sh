@@ -90,6 +90,10 @@ cli halpern_power_record_all 0 run --scheme halpern --semigroup "$rot" $pair --u
 # that each tests its iterates
 cli halpern_anchor_on_circle 2 run --scheme halpern --semigroup "$rot" $pair --u=10.5,-0.25 --seed 3 \
   --csv halpern_anchor_on_circle.csv
+# an anchor whose two coordinates are both inexact, so that both of halpern's anchor
+# terms w*u0 and w*u1 round
+cli halpern_anchor_inexact 2 run --scheme halpern --semigroup "$rot" $pair --u=-2.7,1.9 --seed 3 \
+  --csv halpern_anchor_inexact.csv
 # a run that converges at n=112, inside the float iteration's doubled block of n=65 to 128
 cli halpern_tol_1e-2 0 run --scheme halpern --semigroup "$rot" $pair --u=1,0 --seed 3 --tol 1e-2 \
   --csv halpern_tol_1e-2.csv
